@@ -1,0 +1,7 @@
+"""Import the program from the checkout's src/ and the benchmark package."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
