@@ -15,7 +15,6 @@ the URI directly.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import random
@@ -49,7 +48,7 @@ from .wire import (
     open_channel,
     verify_certificate,
 )
-from .worker import FETCH_CHUNK_BYTES, parse_exposure_uri
+from .worker import fetch_reader, parse_exposure_uri, pull_exposure
 
 DEFAULT_TICKET_TIMEOUT_S = 60.0
 
@@ -164,13 +163,14 @@ class AgentSession:
             return self.cfg.channel_factory(addr, purpose)
         return open_channel(addr)
 
-    def _record(self, op: str, channels: list[Channel], started: float, heartbeats: int):
+    def _record(self, op: str, channels: list[Channel], started: float,
+                events: list[Message]):
         self.metrics.append({
             "op": op,
             "bytes_sent": sum(c.bytes_sent for c in channels),
             "bytes_received": sum(c.bytes_received for c in channels),
             "wall_ms": int((time.monotonic() - started) * 1000),
-            "heartbeats": heartbeats,
+            "heartbeats": sum(1 for e in events if e.kind == "HEARTBEAT"),
         })
 
     def sync(self) -> ShadowFS:
@@ -211,7 +211,7 @@ class AgentSession:
         else:
             self.cfg.backend.basic_op(self.session, action, args)
         self.sync()
-        self._record(action, [], started, 0)
+        self._record(action, [], started, [])
         return self.shadow
 
     # -- cloud-assisted operations --
@@ -234,28 +234,34 @@ class AgentSession:
             out.append(foi)
         return out
 
-    def _seal_wire(self, grant: dict) -> dict:
-        ct = encrypt_credentials(
-            bytes.fromhex(grant["key"]), self.creds,
-            bytes.fromhex(grant["r"]), int(grant["epoch"]))
-        return ct.to_wire()
+    def _coordinator_grant(self, kind: str, body: dict, purpose: str,
+                           channels: list[Channel]) -> dict:
+        """One coordinator round trip that yields an instance grant.
 
-    def _request_grant(self, channels: list[Channel]) -> dict:
+        REQUEST_INSTANCE places a cloud op or a send on the shared pool;
+        VERIFY_TRANSFER admits a receiver to the sender's instance.
+        """
         if not self.cfg.coordinator_addr:
             raise StartError("shared mode needs a coordinator address")
-        ch = self._open(self.cfg.coordinator_addr, "grant")
+        ch = self._open(self.cfg.coordinator_addr, purpose)
         channels.append(ch)
         grants: list[dict] = []
         try:
-            ch.request("REQUEST_INSTANCE", {"user_id": self.user_id},
-                       on_event=lambda m: grants.append(m.body))
+            ch.request(kind, body, on_event=lambda m: grants.append(m.body))
         finally:
             ch.close()
         if not grants:
-            raise StartError("coordinator acknowledged without a grant")
+            raise StartError(f"coordinator acknowledged {kind} without a grant")
         grant = grants[0]
         self._check_certificate(grant["certificate"])
         return grant
+
+    def _place(self, protocol: str, channels: list[Channel]) -> dict | None:
+        """A shared-pool grant, or None for the user's own instance."""
+        if protocol == "private":
+            return None
+        return self._coordinator_grant(
+            "REQUEST_INSTANCE", {"user_id": self.user_id}, "grant", channels)
 
     def _check_certificate(self, cert_wire: dict):
         if self.cfg.coordinator_pub is None:
@@ -275,28 +281,30 @@ class AgentSession:
         self.private_certificate = cert
         return addr
 
-    def _submit_job(self, addr: str, body: dict, channels: list[Channel],
-                    events: list[Message], timeout_s: float = 120.0) -> dict:
-        ch = self._open(addr, "job")
-        channels.append(ch)
-        try:
-            reply = ch.request("SUBMIT_OP", body, on_event=events.append,
-                               timeout=timeout_s)
-        finally:
-            ch.close()
-        return reply.body
+    def _submit(self, fois: list[FOI], grant: dict | None, channels: list[Channel],
+                events: list[Message]) -> tuple[str, dict]:
+        """Run fois on an instance; returns (instance addr, job result body).
 
-    def _run_fois(self, fois: list[FOI], mode: str, channels: list[Channel],
-                  events: list[Message]) -> dict:
+        Without a grant the job goes to the user's own instance carrying
+        plaintext credentials; with one it goes to the granted instance with
+        credentials sealed under the grant's user key.
+        """
         body = {"job_id": self._new_job_id(), "fois": sequence_to_wire(fois)}
-        if mode == "private":
+        if grant is None:
             addr = self._ensure_private()
             body["credentials"] = self.creds.to_wire()
         else:
-            grant = self._request_grant(channels)
             addr = grant["addr"]
-            body["credentials_ct"] = self._seal_wire(grant)
-        return self._submit_job(addr, body, channels, events)
+            body["credentials_ct"] = encrypt_credentials(
+                bytes.fromhex(grant["key"]), self.creds,
+                bytes.fromhex(grant["r"]), int(grant["epoch"])).to_wire()
+        ch = self._open(addr, "job")
+        channels.append(ch)
+        try:
+            reply = ch.request("SUBMIT_OP", body, on_event=events.append, timeout=120.0)
+        finally:
+            ch.close()
+        return addr, reply.body
 
     def _fetch_pushed(self, addr: str, descriptor: dict,
                       channels: list[Channel]) -> str:
@@ -305,20 +313,8 @@ class AgentSession:
         ch = self._open(addr, "pull")
         channels.append(ch)
         try:
-            offset = 0
-            with open(dst, "wb") as f:
-                while True:
-                    reply = ch.request("SUBMIT_OP", {"fetch": {
-                        "uri": descriptor["uri"],
-                        "guest_token": descriptor["guest_token"],
-                        "offset": offset,
-                        "max_bytes": FETCH_CHUNK_BYTES,
-                    }}, timeout=60.0)
-                    data = base64.b64decode(reply.body["data_b64"])
-                    f.write(data)
-                    offset += len(data)
-                    if reply.body["eof"]:
-                        break
+            pull_exposure(fetch_reader(ch, descriptor["uri"], descriptor["guest_token"],
+                                       timeout=60.0), dst)
         finally:
             ch.close()
         return dst
@@ -330,13 +326,12 @@ class AgentSession:
         The result gains a "saved" list with local paths of pushed files
         (the converted file, the encryption key file).
         """
-        mode = mode or self.cfg.mode
-        req = OperationRequest(action=action, args=args, instance_mode=mode)
-        fois = self._prepare_fois(req)
+        fois = self._prepare_fois(OperationRequest(action=action, args=args))
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
-        result = self._run_fois(fois, mode, channels, events)
+        grant = self._place(mode or self.cfg.mode, channels)
+        _, result = self._submit(fois, grant, channels, events)
         saved = []
         for ev in events:
             if ev.kind == "EXPOSE_GRANT":
@@ -344,135 +339,84 @@ class AgentSession:
                 saved.append(self._fetch_pushed(addr, ev.body, channels))
         result["saved"] = saved
         self.sync()
-        heartbeats = sum(1 for e in events if e.kind == "HEARTBEAT")
-        self._record(action, channels, started, heartbeats)
+        self._record(action, channels, started, events)
         return result
 
-    # -- transfers: private dual-instance protocol --
+    # -- transfers --
 
     def cmd_send(self, dst_user: str, src_path: str, ticket_path: str,
-                 suggested_dst: str = "") -> TransferTicket:
-        """Expose src_path from this user's own instance and emit a ticket."""
+                 suggested_dst: str = "", protocol: str = "private") -> TransferTicket:
+        """Expose src_path from an instance and emit a ticket for the receiver.
+
+        The private protocol stages the file on this user's own instance; the
+        shared one on a granted pool instance the receiver will run on too.
+        """
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
-        addr = self._ensure_private()
+        grant = self._place(protocol, channels)
         name = src_path.rsplit("/", 1)[-1]
-        fois = [FOI("get", src_path), FOI("push", name)]
-        body = {"job_id": self._new_job_id(), "fois": sequence_to_wire(fois),
-                "credentials": self.creds.to_wire()}
-        result = self._submit_job(addr, body, channels, events)
+        addr, result = self._submit(
+            [FOI("get", src_path), FOI("push", name)], grant, channels, events)
         descriptor = result["pushed"][0]
-        if self.private_certificate is None:
-            raise StartError("own instance carries no certificate to embed")
+        if grant is None:
+            pid, certificate = "", self.private_certificate
+            if certificate is None:
+                raise StartError("own instance carries no certificate to embed")
+        else:
+            pid, certificate = grant["pid"], grant["certificate"]
         ticket = TransferTicket(
-            protocol="private",
+            protocol=protocol,
             sender_id=self.user_id,
             instance_addr=addr,
-            instance_pid="",
+            instance_pid=pid,
             uri_f=descriptor["uri"],
             guest_token=descriptor["guest_token"],
-            certificate=self.private_certificate,
+            certificate=certificate,
             src_path=src_path,
             suggested_dst=suggested_dst or f"/inbox/{name}",
             size_bytes=descriptor["size_bytes"],
         )
         write_ticket(ticket, ticket_path)
-        heartbeats = sum(1 for e in events if e.kind == "HEARTBEAT")
-        self._record("transfer_send", channels, started, heartbeats)
+        self._record("transfer_send", channels, started, events)
         return ticket
 
     def cmd_recv(self, ticket: TransferTicket | str, dst_path: str | None = None) -> dict:
-        """Pull the ticketed file onto this user's own instance, then store it."""
+        """Pull the ticketed file onto an instance, then store it.
+
+        A private ticket runs on this user's own instance, which fetches from
+        the sender's; a shared one runs on the sender's granted instance once
+        the coordinator verifies the pairing.
+        """
         if isinstance(ticket, str):
             ticket = read_ticket(ticket)
         self._check_certificate(ticket.certificate)
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
-        addr = self._ensure_private()
-        dst = self._free_name(dst_path or ticket.suggested_dst)
-        fois = [
-            FOI("download", ticket.uri_f, op_params={"guest_token": ticket.guest_token}),
-            FOI("put", dst),
-        ]
-        body = {"job_id": self._new_job_id(), "fois": sequence_to_wire(fois),
-                "credentials": self.creds.to_wire()}
-        result = self._submit_job(addr, body, channels, events)
-        self.sync()
-        heartbeats = sum(1 for e in events if e.kind == "HEARTBEAT")
-        self._record("transfer_recv", channels, started, heartbeats)
-        return result
-
-    # -- transfers: shared single-instance protocol --
-
-    def cmd_send_shared(self, dst_user: str, src_path: str, ticket_path: str,
-                        suggested_dst: str = "") -> TransferTicket:
-        """Stage src_path on a granted shared instance and emit a ticket."""
-        started = time.monotonic()
-        channels: list[Channel] = []
-        events: list[Message] = []
-        grant = self._request_grant(channels)
-        name = src_path.rsplit("/", 1)[-1]
-        fois = [FOI("get", src_path), FOI("push", name)]
-        body = {"job_id": self._new_job_id(), "fois": sequence_to_wire(fois),
-                "credentials_ct": self._seal_wire(grant)}
-        result = self._submit_job(grant["addr"], body, channels, events)
-        descriptor = result["pushed"][0]
-        ticket = TransferTicket(
-            protocol="shared",
-            sender_id=self.user_id,
-            instance_addr=grant["addr"],
-            instance_pid=grant["pid"],
-            uri_f=descriptor["uri"],
-            guest_token=descriptor["guest_token"],
-            certificate=grant["certificate"],
-            src_path=src_path,
-            suggested_dst=suggested_dst or f"/inbox/{name}",
-            size_bytes=descriptor["size_bytes"],
-        )
-        write_ticket(ticket, ticket_path)
-        heartbeats = sum(1 for e in events if e.kind == "HEARTBEAT")
-        self._record("transfer_send", channels, started, heartbeats)
-        return ticket
-
-    def cmd_recv_shared(self, ticket: TransferTicket | str,
-                        dst_path: str | None = None) -> dict:
-        """Complete a shared transfer on the sender's granted instance."""
-        if isinstance(ticket, str):
-            ticket = read_ticket(ticket)
-        self._check_certificate(ticket.certificate)
-        started = time.monotonic()
-        channels: list[Channel] = []
-        events: list[Message] = []
-        if not self.cfg.coordinator_addr:
-            raise StartError("shared transfers need a coordinator address")
-        ch = self._open(self.cfg.coordinator_addr, "verify")
-        channels.append(ch)
-        grants: list[dict] = []
-        try:
-            ch.request("VERIFY_TRANSFER", {
+        grant = None
+        if ticket.protocol != "private":
+            grant = self._coordinator_grant("VERIFY_TRANSFER", {
                 "user_id": self.user_id,
                 "sender_id": ticket.sender_id,
                 "pid": ticket.instance_pid,
-            }, on_event=lambda m: grants.append(m.body))
-        finally:
-            ch.close()
-        if not grants:
-            raise StartError("coordinator acknowledged without a verify grant")
-        grant = grants[0]
-        self._check_certificate(grant["certificate"])
-        if grant["addr"] != ticket.instance_addr:
-            raise PermissionDenied("ticket instance does not match the verified one")
+            }, "verify", channels)
+            if grant["addr"] != ticket.instance_addr:
+                raise PermissionDenied("ticket instance does not match the verified one")
         dst = self._free_name(dst_path or ticket.suggested_dst)
         fois = [
             FOI("download", ticket.uri_f, op_params={"guest_token": ticket.guest_token}),
             FOI("put", dst),
         ]
-        body = {"job_id": self._new_job_id(), "fois": sequence_to_wire(fois),
-                "credentials_ct": self._seal_wire(grant)}
-        result = self._submit_job(grant["addr"], body, channels, events)
+        _, result = self._submit(fois, grant, channels, events)
         self.sync()
-        heartbeats = sum(1 for e in events if e.kind == "HEARTBEAT")
-        self._record("transfer_recv", channels, started, heartbeats)
+        self._record("transfer_recv", channels, started, events)
         return result
+
+    def cmd_send_shared(self, dst_user: str, src_path: str, ticket_path: str,
+                        suggested_dst: str = "") -> TransferTicket:
+        return self.cmd_send(dst_user, src_path, ticket_path, suggested_dst, protocol="shared")
+
+    def cmd_recv_shared(self, ticket: TransferTicket | str,
+                        dst_path: str | None = None) -> dict:
+        return self.cmd_recv(ticket, dst_path)

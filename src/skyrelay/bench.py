@@ -30,6 +30,7 @@ from . import ppm
 from .agent import AgentConfig, AgentSession, read_ticket
 from .coordinator import Coordinator, CoordinatorConfig
 from .errors import SkyrelayError
+from .scheduler import plan_batch
 from .storage import LocalDirBackend
 from .wire import open_channel
 from .worker import Worker, WorkerConfig
@@ -279,7 +280,8 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
         sched_stats = {"tasks": 0, "instances_used": 0, "feasible": True}
         if spec.schedule_tasks:
             try:
-                assignment = stack.coordinator.allocate_batch(spec.schedule_tasks)
+                assignment = plan_batch(spec.schedule_tasks,
+                                        stack.coordinator.instances("active"), time.time())
                 sched_stats = {"tasks": len(spec.schedule_tasks),
                                "instances_used": assignment.used_count,
                                "feasible": True}
@@ -378,12 +380,9 @@ def _run_item(stack: _Stack, rng: random.Random, i: int, item: dict,
             stack.backend.put_object(sess_a, src_path, data)
             stack.alice.sync()
             ticket_path = os.path.join(stack.root, f"ticket_{i}.bin")
-            if op == "transfer_private":
-                stack.alice.cmd_send("bob", src_path, ticket_path)
-                result = stack.bob.cmd_recv(read_ticket(ticket_path))
-            else:
-                stack.alice.cmd_send_shared("bob", src_path, ticket_path)
-                result = stack.bob.cmd_recv_shared(read_ticket(ticket_path))
+            stack.alice.cmd_send("bob", src_path, ticket_path,
+                                 protocol="private" if op == "transfer_private" else "shared")
+            result = stack.bob.cmd_recv(read_ticket(ticket_path))
             dst = result["outputs"][0]["path"]
             sess_b = stack.backend.authenticate(stack.tok_b)
             got = stack.backend.get_object(sess_b, dst)

@@ -123,17 +123,12 @@ def _cmd_agent(args) -> int:
             for p in result["saved"]:
                 print(f"saved locally: {p}")
         elif args.agent_cmd == "send":
-            if (args.protocol or agent.cfg.mode) == "private":
-                ticket = agent.cmd_send(args.dst_user, args.path, args.ticket)
-            else:
-                ticket = agent.cmd_send_shared(args.dst_user, args.path, args.ticket)
+            ticket = agent.cmd_send(args.dst_user, args.path, args.ticket,
+                                    protocol=args.protocol or agent.cfg.mode)
             print(f"ticket written to {args.ticket} ({ticket.size_bytes} bytes staged)")
         elif args.agent_cmd == "recv":
-            ticket = read_ticket(args.ticket, timeout_s=args.wait)
-            if ticket.protocol == "private":
-                result = agent.cmd_recv(ticket, dst_path=args.dst)
-            else:
-                result = agent.cmd_recv_shared(ticket, dst_path=args.dst)
+            result = agent.cmd_recv(read_ticket(args.ticket, timeout_s=args.wait),
+                                    dst_path=args.dst)
             print(json.dumps(result["outputs"], indent=2))
         else:
             raise SystemExit(f"unknown agent command {args.agent_cmd}")

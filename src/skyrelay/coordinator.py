@@ -31,10 +31,8 @@ from .keying import (
     OFFSET_MAX,
     OFFSET_MIN,
     EpochKeyState,
-    initial_server_key,
     issue_user_grant,
 )
-from .scheduler import Assignment, InstanceSpec, TaskSpec, solve_exact, solve_greedy
 from .wire import (
     Certificate,
     Channel,
@@ -58,7 +56,6 @@ class CoordinatorConfig:
     ping_miss_limit: int = 3
     ping_interval_s: float = 30.0
     sweep_interval_s: float = 1.0
-    exact_scheduling: bool = True
     rng: random.Random | None = None
     channel_factory: object | None = None  # (addr, purpose) -> Channel
     tap_factory: object | None = None
@@ -385,40 +382,7 @@ class Coordinator:
 
     # -- local API (used in-process; no wire kinds needed) --
 
-    def deregister(self, pid: bytes):
-        with self._lock:
-            rec = self._instances.get(pid)
-            if rec is None or rec.status == "retired":
-                raise NotFound("instance is not registered")
-            rec.status = "retired"
-        self._log(f"deregistered instance {pid.hex()[:8]}")
-
     def instances(self, status: str | None = None) -> list[dict]:
         with self._lock:
             recs = sorted(self._instances.values(), key=lambda r: r.registered_at)
             return [r.summary() for r in recs if status is None or r.status == status]
-
-    def allocate_batch(self, tasks: list[dict], now: float | None = None) -> Assignment:
-        """Plan a batch of timed task reservations onto the active pool.
-
-        Tasks arrive as {id, start, end, bandwidth} with absolute seconds;
-        instances contribute the window [now, share_until] at their declared
-        capacity.  Returns the assignment minimizing instances used.
-        """
-        now = time.time() if now is None else now
-        specs = [
-            TaskSpec(task_id=t["id"], start_s=float(t["start"]),
-                     end_s=float(t["end"]), bandwidth=float(t["bandwidth"]))
-            for t in tasks
-        ]
-        with self._lock:
-            pool = [
-                InstanceSpec(instance_id=r.pid.hex(), avail_start_s=now,
-                             avail_end_s=float(r.share_until), capacity=float(r.capacity))
-                for r in self._instances.values()
-                if r.status == "active" and r.shared
-            ]
-        solve = solve_exact if self.cfg.exact_scheduling and len(specs) <= 20 else solve_greedy
-        assignment = solve(specs, pool)
-        self._log(f"planned {len(specs)} tasks onto {assignment.used_count} instances")
-        return assignment

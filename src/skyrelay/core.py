@@ -131,11 +131,6 @@ class OperationRequest:
 
     action: str
     args: dict[str, Any] = field(default_factory=dict)
-    instance_mode: str = "shared"  # "private" | "shared"
-
-    @property
-    def category(self) -> str:
-        return classify_operation(self)
 
 
 @dataclass
@@ -250,7 +245,7 @@ def validate_foi_sequence(seq: FoiSequence) -> list[str]:
             if is_url(foi.target):
                 violations.append(f"{where}: {foi.verb} requires a storage path")
         elif foi.verb == "push":
-            if is_url(foi.target):
+            if is_url(foi.target) or "/" in foi.target:
                 violations.append(f"{where}: push names a produced file")
         if foi.verb == "op":
             # An op transforms the artifact fetched by an earlier get/download.

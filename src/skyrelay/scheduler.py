@@ -277,6 +277,29 @@ def solve_greedy(tasks: list[TaskSpec], instances: list[InstanceSpec]) -> Assign
     return Assignment(mapping)
 
 
+def plan_batch(tasks: list[dict], pool: list[dict], now: float) -> Assignment:
+    """Plan timed task reservations onto a live pool of shared instances.
+
+    Tasks arrive as {id, start, end, bandwidth} with absolute seconds; pool
+    rows are coordinator instance summaries (`Coordinator.instances("active")`),
+    each contributing the window [now, share_until] at its declared capacity.
+    Returns the assignment minimizing instances used: exact for small
+    batches, greedy beyond the exact solver's cap.
+    """
+    specs = [
+        TaskSpec(task_id=t["id"], start_s=float(t["start"]),
+                 end_s=float(t["end"]), bandwidth=float(t["bandwidth"]))
+        for t in tasks
+    ]
+    instances = [
+        InstanceSpec(instance_id=r["pid"], avail_start_s=now,
+                     avail_end_s=float(r["share_until"]), capacity=float(r["capacity"]))
+        for r in pool if r["shared"]
+    ]
+    solve = solve_exact if len(specs) <= EXACT_SIZE_CAP else solve_greedy
+    return solve(specs, instances)
+
+
 def brute_force_optimum(tasks: list[TaskSpec], instances: list[InstanceSpec]) -> int:
     """Exhaustive test oracle at toy sizes: minimal feasible used_count.
 

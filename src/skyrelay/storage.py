@@ -147,13 +147,6 @@ class LocalDirBackend(StorageBackend):
             self._persist(st)
             return token
 
-    def issue_token(self, account_id: str) -> str:
-        with self._lock:
-            st = self._state(account_id)
-            token = self._mint_token(st)
-            self._persist(st)
-            return token
-
     def revoke_token(self, token: str):
         with self._lock:
             for st in self._accounts.values():
@@ -258,12 +251,6 @@ class LocalDirBackend(StorageBackend):
         token = secrets.token_hex(16)
         st.tokens.add(token)
         return token
-
-    def _state(self, account_id: str) -> _AccountState:
-        st = self._accounts.get(account_id)
-        if st is None:
-            raise NotFound(f"account {account_id}")
-        return st
 
     def _auth_state(self, session: Session) -> _AccountState:
         self._reload_all()

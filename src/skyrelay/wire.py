@@ -20,7 +20,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -335,10 +335,6 @@ class Listener:
                     self._conns.remove(conn)
                 self._closed_sent += conn.bytes_sent
                 self._closed_received += conn.bytes_received
-
-    def connections(self) -> list[ServerConn]:
-        with self._conns_lock:
-            return list(self._conns)
 
     def total_bytes(self) -> tuple[int, int]:
         """Cumulative (sent, received) across live and finished connections."""

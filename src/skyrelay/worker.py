@@ -28,7 +28,7 @@ import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -74,6 +74,35 @@ def parse_exposure_uri(uri: str) -> tuple[str, str, str]:
     if len(parts) != 3 or not all(parts):
         raise ValueError(f"malformed exposure URI: {uri!r}")
     return parts[0], parts[1], parts[2]
+
+
+def fetch_reader(ch: Channel, uri: str, guest_token: str,
+                 timeout: float) -> Callable[[int], tuple[bytes, bool]]:
+    """read(offset) -> (data, eof) over a fetch channel to the exposing worker."""
+    def read(offset: int) -> tuple[bytes, bool]:
+        reply = ch.request("SUBMIT_OP", {"fetch": {
+            "uri": uri,
+            "guest_token": guest_token,
+            "offset": offset,
+            "max_bytes": FETCH_CHUNK_BYTES,
+        }}, timeout=timeout)
+        return base64.b64decode(reply.body["data_b64"]), reply.body["eof"]
+    return read
+
+
+def pull_exposure(read: Callable[[int], tuple[bytes, bool]], path: str,
+                  on_chunk: Callable[[int], None] | None = None):
+    """Copy an exposed file into path, one bounded chunk per read(offset)."""
+    offset = 0
+    with open(path, "wb") as f:
+        while True:
+            data, eof = read(offset)
+            f.write(data)
+            offset += len(data)
+            if on_chunk is not None:
+                on_chunk(len(data))
+            if eof:
+                return
 
 
 @dataclass
@@ -134,13 +163,7 @@ class _Job:
         self.last_artifact = path
 
     def resolve_artifact(self, name: str) -> str:
-        path = self.artifacts.get(name)
-        if path is None and self.workspace:
-            candidate = os.path.join(self.workspace, name)
-            if os.path.exists(candidate):
-                path = candidate
-        if path is None:
-            path = self.last_artifact
+        path = self.artifacts.get(name, self.last_artifact)
         if path is None or not os.path.exists(path):
             raise TransformError(f"no artifact named {name!r} in job workspace")
         return path
@@ -702,35 +725,16 @@ class Worker:
 
     def _fetch_exposed_to(self, job: _Job, uri: str, guest_token: str, path: str):
         addr, exp_job, file_id = parse_exposure_uri(uri)
+        on_chunk = lambda n: self._add_work(job, n)
         if addr == self.addr:
             # transfer through one shared instance: the exposure is local
-            offset = 0
-            with open(path, "wb") as f:
-                while True:
-                    data, eof, _total = self.read_exposed(
-                        exp_job, file_id, guest_token, offset, FETCH_CHUNK_BYTES)
-                    f.write(data)
-                    offset += len(data)
-                    self._add_work(job, len(data))
-                    if eof:
-                        return
+            pull_exposure(lambda offset: self.read_exposed(
+                exp_job, file_id, guest_token, offset, FETCH_CHUNK_BYTES)[:2],
+                path, on_chunk)
+            return
         ch = self._open(addr, "intermediate-fetch")
         try:
-            offset = 0
-            with open(path, "wb") as f:
-                while True:
-                    reply = ch.request("SUBMIT_OP", {"fetch": {
-                        "uri": uri,
-                        "guest_token": guest_token,
-                        "offset": offset,
-                        "max_bytes": FETCH_CHUNK_BYTES,
-                    }}, timeout=30.0)
-                    data = base64.b64decode(reply.body["data_b64"])
-                    f.write(data)
-                    offset += len(data)
-                    self._add_work(job, len(data))
-                    if reply.body["eof"]:
-                        return
+            pull_exposure(fetch_reader(ch, uri, guest_token, timeout=30.0), path, on_chunk)
         finally:
             ch.close()
 

@@ -96,15 +96,3 @@ def cluster(tmp_path):
     c = Cluster()
     yield c
     c.close()
-
-
-def submit(addr: str, body: dict, timeout: float = 30.0, tap=None):
-    """One SUBMIT_OP request; returns (result_body, events)."""
-    events = []
-    ch = open_channel(addr, tap=tap)
-    try:
-        reply = ch.request("SUBMIT_OP", body, on_event=events.append,
-                           timeout=timeout)
-    finally:
-        ch.close()
-    return reply.body, events

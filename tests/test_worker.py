@@ -29,7 +29,18 @@ from skyrelay.worker import (
     parse_exposure_uri,
 )
 
-from conftest import submit
+
+
+def submit(addr: str, body: dict, timeout: float = 30.0, tap=None):
+    """One SUBMIT_OP request; returns (result_body, events)."""
+    events = []
+    ch = open_channel(addr, tap=tap)
+    try:
+        reply = ch.request("SUBMIT_OP", body, on_event=events.append,
+                           timeout=timeout)
+    finally:
+        ch.close()
+    return reply.body, events
 
 
 def creds_body(account_id, token):
@@ -360,6 +371,30 @@ def test_shared_worker_rejects_plaintext_credentials(cluster):
         submit(w.addr, {"fois": sequence_to_wire([FOI("get", "/a")]),
                         "credentials": creds_body("u1", tok)})
 
+
+
+@pytest.mark.parametrize("target", ["abs", "../../../secret.txt"])
+def test_shared_worker_refuses_push_of_host_paths(cluster, tmp_path, target):
+    # push names a file the job produced; a path must not reach the host
+    # file system, with or without a preceding step to fall back on
+    secret = tmp_path / "secret.txt"
+    secret.write_bytes(b"host-only")
+    target = str(secret) if target == "abs" else target
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
+    w = cluster.worker(shared=True, scratch_dir=str(tmp_path / "w"))
+    private = cluster.worker(registered=False, scratch_dir=str(tmp_path / "p"))
+    from skyrelay.errors import DecodeError
+    with pytest.raises(DecodeError):
+        submit(w.addr, {"job_id": "j" * 12,
+                        "fois": sequence_to_wire([FOI("push", target)])})
+    with pytest.raises(DecodeError):
+        submit(private.addr, {"job_id": "j" * 12, "fois": sequence_to_wire(
+            [FOI("get", "/d/f.bin"), FOI("push", target)]),
+            "credentials": creds_body("u1", tok)})
+    for worker, scratch in ((w, "w"), (private, "p")):
+        assert worker._exposed == {}
+        assert os.listdir(tmp_path / scratch / "exposed") == []
 
 def test_registered_private_worker_accepts_plaintext(cluster):
     tok = cluster.account("u1")
