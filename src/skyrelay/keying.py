@@ -41,8 +41,7 @@ OFFSET_MAX = 512
 DEFAULT_INTERVAL_S = 180
 
 
-def _be64(t: int) -> bytes:
-    return struct.pack(">Q", t)
+_be64 = struct.Struct(">Q").pack
 
 
 def round_minute(t: float) -> int:
@@ -74,10 +73,13 @@ def rotate_key(key: bytes, epoch_time: float, offset_s: int) -> bytes:
 
 def key_at_epoch(pid: bytes, t0: float, offset_s: int, interval_s: int, epoch: int) -> bytes:
     """Fold the whole chain from scratch; O(epoch)."""
+    _check_offset(offset_s)
     key = initial_server_key(pid, t0)
     t0m = round_minute(t0)
     for n in range(1, epoch + 1):
-        key = rotate_key(key, t0m + n * interval_s, offset_s)
+        # rotate_key, inlined: offset_s is checked once above.
+        t = int(t0m + n * interval_s)
+        key = sha256(key + _be64(t - t % 60 + offset_s)).digest()
     return key
 
 
@@ -117,10 +119,10 @@ class EpochKeyState:
 
     def rotate(self) -> None:
         next_epoch = self.epoch + 1
-        self.key_previous = self.key_current
-        self.key_current = rotate_key(
-            self.key_current, self.t0 + next_epoch * self.interval_s, self.offset_s
-        )
+        self.key_previous = key = self.key_current
+        # rotate_key, inlined: offset_s was checked in create.
+        t = int(self.t0 + next_epoch * self.interval_s)
+        self.key_current = sha256(key + _be64(t - t % 60 + self.offset_s)).digest()
         self.epoch = next_epoch
 
     def rotate_to(self, epoch: int) -> None:

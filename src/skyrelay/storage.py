@@ -5,10 +5,14 @@ objects in a local directory tree with a sidecar JSON metadata index per
 account.  Byte payloads live only in the data tree, so metadata operations
 (listing, shadow sync) never touch content.
 
-State is persisted on every mutation and reloaded when the index file
-changes on disk, so separate processes pointed at the same root see each
-other's (non-racing) writes.  In-process concurrency is serialized by a
-backend-wide lock; cross-process mutations additionally hold a flock.
+State is persisted on every mutation.  Nothing is loaded when a backend is
+constructed: each call refreshes only the account it acts on, and re-parses
+that account's index only when the file's (mtime, size) has changed, so
+separate processes pointed at the same root see each other's (non-racing)
+writes.  authenticate goes through a token-to-account hint and falls back
+to a stat sweep of every account only when the hint misses.  In-process
+concurrency is serialized by a backend-wide lock; cross-process mutations
+additionally hold a flock.
 """
 
 from __future__ import annotations
@@ -130,7 +134,8 @@ class LocalDirBackend(StorageBackend):
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.RLock()
         self._accounts: dict[str, _AccountState] = {}
-        self._load_existing()
+        # token -> account_id of its last successful match; always re-checked
+        self._token_hint: dict[str, str] = {}
 
     # -- account management (test/ops surface, not part of the storage API) --
 
@@ -138,6 +143,7 @@ class LocalDirBackend(StorageBackend):
                        quota_bytes: int = DEFAULT_QUOTA_BYTES) -> str:
         """Create an account and return its first bearer token."""
         with self._lock:
+            self._load_account(account_id)
             if account_id in self._accounts:
                 raise AlreadyExists(f"account {account_id} exists")
             st = _AccountState(account_id, quota_bytes)
@@ -149,22 +155,21 @@ class LocalDirBackend(StorageBackend):
 
     def revoke_token(self, token: str):
         with self._lock:
-            for st in self._accounts.values():
-                if token in st.tokens:
-                    st.tokens.discard(token)
-                    self._persist(st)
-                    return
-            raise NotFound("unknown token")
+            st = self._account_of(token)
+            if st is None:
+                raise NotFound("unknown token")
+            st.tokens.discard(token)
+            self._token_hint.pop(token, None)
+            self._persist(st)
 
     # -- storage API --
 
     def authenticate(self, token: str) -> Session:
         with self._lock:
-            self._reload_all()
-            for st in self._accounts.values():
-                if token in st.tokens:
-                    return Session(account_id=st.account_id, token=token)
-        raise AuthError("unknown or revoked token")
+            st = self._account_of(token)
+        if st is None:
+            raise AuthError("unknown or revoked token")
+        return Session(account_id=st.account_id, token=token)
 
     def basic_op(self, session: Session, action: str, args: dict):
         with self._lock:
@@ -252,9 +257,29 @@ class LocalDirBackend(StorageBackend):
         st.tokens.add(token)
         return token
 
-    def _auth_state(self, session: Session) -> _AccountState:
+    def _account_of(self, token: str) -> _AccountState | None:
+        """The freshly loaded account holding token, or None."""
+        account_id = self._token_hint.get(token)
+        if account_id is not None:
+            self._load_account(account_id)
+            st = self._accounts.get(account_id)
+            if st is not None and token in st.tokens:
+                return st
+            del self._token_hint[token]
         self._reload_all()
-        st = self._accounts.get(session.account_id)
+        for st in self._accounts.values():
+            if token in st.tokens:
+                self._token_hint[token] = st.account_id
+                return st
+        return None
+
+    def _auth_state(self, session: Session) -> _AccountState:
+        account_id = session.account_id
+        # A forged id must not point the reload at an index outside the root.
+        if account_id not in ("", ".", "..") and "/" not in account_id \
+                and "\x00" not in account_id:
+            self._load_account(account_id)
+        st = self._accounts.get(account_id)
         if st is None or session.token not in st.tokens:
             raise AuthError("session not valid for this account")
         return st
@@ -373,38 +398,36 @@ class LocalDirBackend(StorageBackend):
             fcntl.flock(lf, fcntl.LOCK_EX)
             tmp = path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(doc, f)
+                f.write(json.dumps(doc, separators=(",", ":")))
             os.replace(tmp, path)
         s = os.stat(path)
         st.index_stat = (s.st_mtime_ns, s.st_size)
 
     def _load_account(self, account_id: str):
+        """Refresh one account from its index; parse only if the stat moved."""
         path = self._index_path(account_id)
         try:
             s = os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            return
+        index_stat = (s.st_mtime_ns, s.st_size)
+        st = self._accounts.get(account_id)
+        if st is not None and st.index_stat == index_stat:
+            return
+        try:
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
         except FileNotFoundError:
-            return
-        st = self._accounts.get(account_id)
-        if st is not None and st.index_stat == (s.st_mtime_ns, s.st_size):
             return
         st = _AccountState(account_id, doc["quota_bytes"])
         st.tokens = set(doc["tokens"])
         st.entries = doc["entries"]
         st.rev_counters = doc["rev_counters"]
-        st.index_stat = (s.st_mtime_ns, s.st_size)
+        st.index_stat = index_stat
         self._accounts[account_id] = st
 
-    def _load_existing(self):
-        for name in os.listdir(self.root):
-            if os.path.isfile(self._index_path(name)):
-                self._load_account(name)
-
     def _reload_all(self):
-        # Cheap stat check per account; picks up writes from other processes.
-        for account_id in list(self._accounts):
-            self._load_account(account_id)
+        # One stat per entry of the root; only new or changed indexes are
+        # parsed, which picks up other processes' writes and new accounts.
         for name in os.listdir(self.root):
-            if name not in self._accounts and os.path.isfile(self._index_path(name)):
-                self._load_account(name)
+            self._load_account(name)

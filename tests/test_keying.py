@@ -57,6 +57,22 @@ def test_rotation_chain_distinct_keys():
     assert k1 == by_hand
 
 
+@pytest.mark.parametrize("triple, expected", [
+    ((bytes([0x11]) * 16, 1_700_000_123, 17, 180),
+     "7064dfebed61b53fca392341320a4c4c3fb57e00110cb3004b633f293638594e"),
+    # an interval off the minute and a fractional t0 exercise the rounding
+    ((bytes(range(16)), 1_650_000_000.75, 512, 45),
+     "a2c7420468c73789d0e5c4935530ac838490b1b9b94272d161a8e0162536b518"),
+])
+def test_epoch_1000_frozen_value(triple, expected):
+    # Pinned from the chain walk built on rotate_key; the from-scratch fold
+    # and the stepping state both inline that step and must keep its value.
+    assert key_at_epoch(*triple, 1000).hex() == expected
+    st = EpochKeyState.create(*triple)
+    st.rotate_to(1000)
+    assert st.key_current.hex() == expected
+
+
 def test_offset_range():
     k = initial_server_key(ZERO_PID, 0)
     rotate_key(k, 180, 1)
@@ -66,6 +82,8 @@ def test_offset_range():
             rotate_key(k, 180, bad)
     with pytest.raises(InvalidOffset):
         EpochKeyState.create(ZERO_PID, 0, offset_s=600)
+    with pytest.raises(InvalidOffset):
+        key_at_epoch(ZERO_PID, 0, 0, 180, 1)
 
 
 def test_two_parties_agree():

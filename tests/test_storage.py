@@ -42,12 +42,18 @@ def test_unknown_token(backend):
         backend.authenticate("no-such-token")
 
 
-def test_cross_account_session_forgery(backend):
+def test_cross_account_session_forgery(backend, tmp_path):
     token_a = backend.create_account("a")
     backend.create_account("b")
-    forged = Session(account_id="b", token=token_a)
-    with pytest.raises(AuthError):
-        backend.list_meta(forged, "/")
+    # an index outside the store root that lists a's token
+    os.makedirs(tmp_path / "evil")
+    with open(tmp_path / "evil" / "index.json", "w") as f:
+        json.dump({"quota_bytes": 1, "tokens": [token_a], "entries": {},
+                   "rev_counters": {}}, f)
+    for account_id in ("b", "../evil", "..", "a/../../evil", "a\x00"):
+        forged = Session(account_id=account_id, token=token_a)
+        with pytest.raises(AuthError):
+            backend.list_meta(forged, "/")
 
 
 def test_create_delete_inverse(backend, session):
@@ -174,3 +180,63 @@ def test_second_process_sees_writes(tmp_path):
     assert b2.get_object(s2, "/seen") == b"hello"
     b2.put_object(s2, "/back", b"world")
     assert b1.get_object(s1, "/back") == b"world"
+
+
+def test_revoke_keeps_writes_from_another_backend(tmp_path):
+    root = str(tmp_path / "store")
+    b1 = LocalDirBackend(root)
+    token = b1.create_account("alice")
+    b2 = LocalDirBackend(root)
+    b2.put_object(b2.authenticate(token), "/seen", b"hello")
+    b1.revoke_token(token)
+    with open(os.path.join(root, "alice", "index.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    assert doc["tokens"] == []
+    assert "/seen" in doc["entries"]
+
+
+def test_create_refuses_account_made_by_another_backend(tmp_path):
+    root = str(tmp_path / "store")
+    b4 = LocalDirBackend(root)
+    b5 = LocalDirBackend(root)
+    token = b5.create_account("carol")
+    b5.put_object(b5.authenticate(token), "/keep", b"k")
+    with pytest.raises(AlreadyExists):
+        b4.create_account("carol")
+    assert b5.get_object(b5.authenticate(token), "/keep") == b"k"
+
+
+def test_corrupt_index_of_one_account_leaves_others_working(tmp_path):
+    backend = LocalDirBackend(str(tmp_path / "store"))
+    s = backend.authenticate(backend.create_account("alice"))
+    backend.create_account("bob")
+    with open(tmp_path / "store" / "bob" / "index.json", "w") as f:
+        f.write("{not json")
+    backend.put_object(s, "/a", b"1")
+    assert backend.get_object(s, "/a") == b"1"
+    backend.basic_op(s, "create_folder", {"path": "/d"})
+    assert set(backend.sync_shadow(s).entries) == {"/a", "/d"}
+
+
+def test_token_hint_does_not_outlive_revocation(tmp_path):
+    root = str(tmp_path / "store")
+    b1 = LocalDirBackend(root)
+    token = b1.create_account("alice")
+    s1 = b1.authenticate(token)
+    LocalDirBackend(root).revoke_token(token)
+    with pytest.raises(AuthError):
+        b1.authenticate(token)
+    with pytest.raises(AuthError):
+        b1.list_meta(s1, "/")
+
+
+def test_unchanged_index_is_not_parsed_again(backend, session, monkeypatch):
+    backend.put_object(session, "/a", b"1")
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("index parsed although its stat did not change")
+
+    monkeypatch.setattr("skyrelay.storage.json.load", no_parse)
+    assert backend.authenticate(session.token).account_id == "alice"
+    assert backend.get_object(session, "/a") == b"1"
+    assert set(backend.sync_shadow(session).entries) == {"/a"}
