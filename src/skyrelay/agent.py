@@ -308,8 +308,12 @@ class AgentSession:
 
     def _fetch_pushed(self, addr: str, descriptor: dict,
                       channels: list[Channel]) -> str:
+        # the instance picks the name; it must not steer the write elsewhere
+        name = descriptor["name"]
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise PermissionDenied(f"instance named a pushed file {name!r}")
         os.makedirs(self.cfg.download_dir or ".", exist_ok=True)
-        dst = os.path.join(self.cfg.download_dir or ".", descriptor["name"])
+        dst = os.path.join(self.cfg.download_dir or ".", name)
         ch = self._open(addr, "pull")
         channels.append(ch)
         try:

@@ -283,6 +283,25 @@ class Coordinator:
             rec.last_ping = time.time()
         self._log(f"instance {rec.pid.hex()[:8]} active")
 
+    def _grant(self, rec: InstanceRecord, user_id: str, now: float) -> dict:
+        """Issue user_id a key on rec and record the allocation; caller holds _lock."""
+        grant = issue_user_grant(rec.key_state)
+        self._allocations[(user_id, rec.pid)] = _Allocation(
+            user_id=user_id,
+            pid=rec.pid,
+            granted_at=now,
+            expires_at=now + self.cfg.alloc_ttl_s,
+        )
+        return {
+            "pid": rec.pid.hex(),
+            "addr": rec.addr,
+            "share_until": rec.share_until,
+            "certificate": rec.certificate.to_wire(),
+            "r": grant.r.hex(),
+            "key": grant.key.hex(),
+            "epoch": grant.epoch_issued,
+        }
+
     def _handle_request_instance(self, conn: ServerConn, msg: Message):
         user_id = msg.body.get("user_id", "")
         now = time.time()
@@ -301,24 +320,9 @@ class Coordinator:
                     best = rec
             if best is None:
                 raise NoInstanceAvailable("no shared instance with enough time left")
-            grant = issue_user_grant(best.key_state)
-            self._allocations[(user_id, best.pid)] = _Allocation(
-                user_id=user_id,
-                pid=best.pid,
-                granted_at=now,
-                expires_at=now + self.cfg.alloc_ttl_s,
-            )
-            body = {
-                "pid": best.pid.hex(),
-                "addr": best.addr,
-                "os_info": best.os_info,
-                "hardware_info": best.hardware_info,
-                "share_until": best.share_until,
-                "certificate": best.certificate.to_wire(),
-                "r": grant.r.hex(),
-                "key": grant.key.hex(),
-                "epoch": grant.epoch_issued,
-            }
+            body = self._grant(best, user_id, now)
+            body["os_info"] = best.os_info
+            body["hardware_info"] = best.hardware_info
         self._log(f"granted instance {body['pid'][:8]} to user {user_id} "
                   f"(epoch {body['epoch']})")
         conn.send_event("INSTANCE_GRANT", msg.seq, body)
@@ -338,22 +342,7 @@ class Coordinator:
             if alloc is None or now >= alloc.expires_at:
                 raise VerificationFailed(
                     f"no live allocation of this instance to sender {sender_id!r}")
-            grant = issue_user_grant(rec.key_state)
-            self._allocations[(user_id, pid)] = _Allocation(
-                user_id=user_id,
-                pid=pid,
-                granted_at=now,
-                expires_at=now + self.cfg.alloc_ttl_s,
-            )
-            reply = {
-                "pid": pid.hex(),
-                "addr": rec.addr,
-                "share_until": rec.share_until,
-                "certificate": rec.certificate.to_wire(),
-                "r": grant.r.hex(),
-                "key": grant.key.hex(),
-                "epoch": grant.epoch_issued,
-            }
+            reply = self._grant(rec, user_id, now)
         self._log(f"verified transfer on {pid.hex()[:8]}: sender {sender_id} -> {user_id}")
         conn.send_event("VERIFY_GRANT", msg.seq, reply)
         conn.send_ack(msg.seq)

@@ -85,9 +85,9 @@ class FileMeta:
 class FOI:
     """One File Operation Instruction.
 
-    download targets a URL, get/put target storage paths, push names the
-    produced file handed back to the requesting agent.  op_kind is present
-    exactly when verb is "op".
+    download targets a URL, get/put target storage paths, push gives the
+    display name under which the current file goes back to the requesting
+    agent.  op_kind is present exactly when verb is "op".
     """
 
     verb: str
@@ -161,10 +161,6 @@ def classify_operation(req: OperationRequest) -> str:
     raise UnknownOperation(f"unknown action: {req.action!r}")
 
 
-def derived_name(name: str, op_kind: str) -> str:
-    return f"{name}.{OP_SUFFIXES[op_kind]}"
-
-
 def uncollide(name: str, taken) -> str:
     """Insert a counter before the final suffix until name is free."""
     if name not in taken:
@@ -182,7 +178,7 @@ def uncollide(name: str, taken) -> str:
 
 def _transform_fois(path: str, op_kind: str, op_params: dict) -> FoiSequence:
     name = path.rsplit("/", 1)[-1]
-    out_name = derived_name(name, op_kind)
+    out_name = f"{name}.{OP_SUFFIXES[op_kind]}"
     fois = [
         FOI("get", path),
         FOI("op", path, op_kind=op_kind, op_params=op_params),
@@ -220,15 +216,25 @@ def compile_op_to_fois(req: OperationRequest) -> FoiSequence:
 def validate_foi_sequence(seq: FoiSequence) -> list[str]:
     """Check per-verb target constraints; violations come back as strings.
 
-    An empty list means the sequence is valid; an empty sequence is a no-op
+    Data flows step to step: op, put and push read the file the latest get,
+    download or op wrote, so each needs a get or download before it.  An
+    empty list means the sequence is valid; an empty sequence is a no-op
     and therefore valid.
     """
     violations = []
+    fetched: FOI | None = None  # the latest get/download so far
     for i, foi in enumerate(seq):
         where = f"foi[{i}]"
         if foi.verb not in VERBS:
             violations.append(f"{where}: unknown verb {foi.verb!r}")
             continue
+        if foi.verb in ("get", "download"):
+            fetched = foi
+        elif fetched is None:
+            violations.append(f"{where}: {foi.verb} without a preceding get/download")
+        elif foi.verb == "op" and fetched.verb == "get" and fetched.target != foi.target:
+            # an op names the stored file it transforms: the one fetched
+            violations.append(f"{where}: op target differs from fetched file")
         if (foi.op_kind is not None) != (foi.verb == "op"):
             violations.append(f"{where}: op_kind present iff verb is 'op'")
         if foi.verb == "op" and foi.op_kind is not None and foi.op_kind not in OP_KINDS:
@@ -246,16 +252,5 @@ def validate_foi_sequence(seq: FoiSequence) -> list[str]:
                 violations.append(f"{where}: {foi.verb} requires a storage path")
         elif foi.verb == "push":
             if is_url(foi.target) or "/" in foi.target:
-                violations.append(f"{where}: push names a produced file")
-        if foi.verb == "op":
-            # An op transforms the artifact fetched by an earlier get/download.
-            source = None
-            for prev in reversed(seq[:i]):
-                if prev.verb in ("get", "download"):
-                    source = prev
-                    break
-            if source is None:
-                violations.append(f"{where}: op without a preceding get/download")
-            elif source.verb == "get" and source.target != foi.target:
-                violations.append(f"{where}: op target differs from fetched file")
+                violations.append(f"{where}: push target is a display name, not a path")
     return violations

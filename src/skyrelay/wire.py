@@ -349,6 +349,10 @@ class Listener:
     def close(self):
         self._stopping = True
         try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # close() alone leaves accept() blocked
+        except OSError:
+            pass
+        try:
             self._sock.close()
         except OSError:
             pass

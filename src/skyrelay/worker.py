@@ -21,6 +21,7 @@ import gzip
 import hmac
 import json
 import os
+import re
 import secrets
 import shutil
 import tempfile
@@ -34,7 +35,7 @@ from typing import Callable
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import ppm
-from .core import FOI, CredentialSet, derived_name, sequence_from_wire, validate_foi_sequence
+from .core import FOI, CredentialSet, sequence_from_wire, validate_foi_sequence
 from .errors import (
     AuthError,
     ConfigError,
@@ -60,6 +61,9 @@ DEFAULT_EXPOSE_TTL_S = 900.0
 DEFAULT_BILLING_PERIOD_S = 3600.0
 DEFAULT_SAFETY_MARGIN_S = 60.0
 DEFAULT_PING_INTERVAL_S = 30.0
+
+# A job id names the job's workspace directory, so it must stay one segment.
+JOB_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
 
 
 def make_exposure_uri(addr: str, job_id: str, file_id: str) -> str:
@@ -141,6 +145,9 @@ class _Exposed:
 
 
 class _Job:
+    """One FOI sequence run as a pipeline: each get, download or op writes
+    <workspace>/<step>, and op, put and push read `file`, the latest of those."""
+
     def __init__(self, job_id: str, fois: list[FOI], conn: ServerConn, seq: int):
         self.job_id = job_id
         self.fois = fois
@@ -150,23 +157,14 @@ class _Job:
         self.work_bytes = 0
         self.status = "running"
         self.workspace: str | None = None
-        self.artifacts: dict[str, str] = {}
-        self.last_artifact: str | None = None
+        self.file: str | None = None
         self.outputs: list[dict] = []
         self.pushed: list[dict] = []
         self.abort = threading.Event()
         self.last_beat = time.monotonic()
-        self._beat_marker = 0
 
-    def save_artifact(self, name: str, path: str):
-        self.artifacts[name] = path
-        self.last_artifact = path
-
-    def resolve_artifact(self, name: str) -> str:
-        path = self.artifacts.get(name, self.last_artifact)
-        if path is None or not os.path.exists(path):
-            raise TransformError(f"no artifact named {name!r} in job workspace")
-        return path
+    def step_path(self, suffix: str = "") -> str:
+        return os.path.join(self.workspace, f"{self.step}{suffix}")
 
 
 class Worker:
@@ -516,6 +514,10 @@ class Worker:
             })
             return
         job_id = body.get("job_id") or secrets.token_hex(6)
+        if not isinstance(job_id, str) or not JOB_ID_RE.fullmatch(job_id):
+            conn.send_error(msg.seq, {
+                "code": "DECODE_ERROR", "message": f"bad job_id {job_id!r}"})
+            return
         with self._state_lock:
             if job_id in self._jobs:
                 conn.send_error(msg.seq, {
@@ -644,12 +646,15 @@ class Worker:
         elif foi.verb == "op":
             self._foi_op(job, foi)
         elif foi.verb == "push":
-            descriptor = self.expose_intermediate(
-                job.resolve_artifact(foi.target), job.job_id, foi.target)
-            job.pushed.append(descriptor)
-            job.conn.send_event("EXPOSE_GRANT", job.seq, descriptor)
+            self._push(job, job.file, foi.target)
         else:
             raise TransformError(f"unknown verb {foi.verb!r}")
+
+    def _push(self, job: _Job, path: str, name: str):
+        """Expose path under the display name and tell the requester."""
+        descriptor = self.expose_intermediate(path, job.job_id, name)
+        job.pushed.append(descriptor)
+        job.conn.send_event("EXPOSE_GRANT", job.seq, descriptor)
 
     # -- verb implementations --
 
@@ -657,8 +662,7 @@ class Worker:
         if session is None:
             raise AuthError("get requires storage credentials")
         data = self._get_backend().get_object(session, foi.target)
-        name = foi.target.rsplit("/", 1)[-1]
-        path = os.path.join(job.workspace, name)
+        path = job.step_path()
         with open(path, "wb") as f:
             for off in range(0, len(data), IO_CHUNK_BYTES):
                 chunk = data[off:off + IO_CHUNK_BYTES]
@@ -666,14 +670,12 @@ class Worker:
                 self._add_work(job, len(chunk))
         if not data:
             self._add_work(job, 0)
-        job.save_artifact(name, path)
+        job.file = path
 
     def _foi_put(self, job: _Job, foi: FOI, session):
         if session is None:
             raise AuthError("put requires storage credentials")
-        name = foi.target.rsplit("/", 1)[-1]
-        path = job.resolve_artifact(name)
-        with open(path, "rb") as f:
+        with open(job.file, "rb") as f:
             data = f.read()
         meta = self._get_backend().put_object(session, foi.target, data)
         self._add_work(job, len(data))
@@ -682,25 +684,20 @@ class Worker:
     def _foi_download(self, job: _Job, foi: FOI):
         url = foi.target
         throttle_bps = foi.op_params.get("throttle_bps")
-        name = url.split("?", 1)[0].rstrip("/").rsplit("/", 1)[-1] or "download"
-        path = os.path.join(job.workspace, name)
+        path = job.step_path()
         if url.startswith("skyrelay://"):
             self._fetch_exposed_to(job, url, foi.op_params.get("guest_token", ""), path)
-            job.save_artifact(name, path)
-            return
-        if url.startswith("file://"):
+        elif url.startswith("file://"):
             src = url[len("file://"):]
             with open(src, "rb") as fin, open(path, "wb") as fout:
                 self._pump(job, fin, fout, throttle_bps)
-            job.save_artifact(name, path)
-            return
-        if url.startswith(("http://", "https://")):
+        elif url.startswith(("http://", "https://")):
             req = urllib.request.Request(url, headers={"User-Agent": "skyrelay-worker"})
             with urllib.request.urlopen(req, timeout=30) as fin, open(path, "wb") as fout:
                 self._pump(job, fin, fout, throttle_bps)
-            job.save_artifact(name, path)
-            return
-        raise TransformError(f"unsupported download scheme in {url!r}")
+        else:
+            raise TransformError(f"unsupported download scheme in {url!r}")
+        job.file = path
 
     def _pump(self, job: _Job, fin, fout, throttle_bps=None):
         while True:
@@ -739,10 +736,8 @@ class Worker:
             ch.close()
 
     def _foi_op(self, job: _Job, foi: FOI):
-        in_name = foi.target.rsplit("/", 1)[-1]
-        in_path = job.resolve_artifact(in_name)
-        out_name = derived_name(in_name, foi.op_kind)
-        out_path = os.path.join(job.workspace, out_name)
+        in_path = job.file
+        out_path = job.step_path()
         if foi.op_kind == "compress":
             with open(in_path, "rb") as fin, open(out_path, "wb") as raw:
                 # mtime and name pinned so equal inputs compress to equal bytes
@@ -764,16 +759,12 @@ class Worker:
             with open(out_path, "wb") as f:
                 f.write(blob)
             self._add_work(job, len(data) + len(blob))
-            # second artifact: the file key goes back to the requester, never
+            # second file: the file key goes back to the requester, never
             # into storage next to the ciphertext
-            key_name = in_name + ".key"
-            key_path = os.path.join(job.workspace, key_name)
+            key_path = job.step_path(".key")
             with open(key_path, "w", encoding="utf-8") as f:
                 json.dump({"cipher": "aes-256-gcm", "key": file_key.hex()}, f)
-            job.save_artifact(key_name, key_path)
-            descriptor = self.expose_intermediate(key_path, job.job_id, key_name)
-            job.pushed.append(descriptor)
-            job.conn.send_event("EXPOSE_GRANT", job.seq, descriptor)
+            self._push(job, key_path, foi.target.rsplit("/", 1)[-1] + ".key")
         elif foi.op_kind == "convert":
             with open(in_path, "rb") as f:
                 data = f.read()
@@ -783,7 +774,7 @@ class Worker:
             self._add_work(job, len(data) + len(out))
         else:
             raise TransformError(f"unknown op kind {foi.op_kind!r}")
-        job.save_artifact(out_name, out_path)
+        job.file = out_path
 
 
 def decrypt_file_blob(blob: bytes, key: bytes) -> bytes:

@@ -163,6 +163,22 @@ def test_encrypt_saves_key_locally_and_key_decrypts(cluster, tmp_path):
     assert all(not p.endswith(".key") for p in agent.shadow.entries)
 
 
+def test_pushed_name_cannot_leave_download_dir(cluster, tmp_path):
+    # a hostile shared instance picks the name the agent saves a pushed file as
+    dl = tmp_path / "dl"
+    agent, tok = make_agent(cluster, "alice", download_dir=str(dl))
+    put_file(cluster, tok, "/d/s.bin", os.urandom(1000))
+    agent.sync()
+    w = cluster.worker(shared=True)
+    expose = w.expose_intermediate
+    w.expose_intermediate = lambda path, job_id, name: expose(
+        path, job_id, "../escaped.key")
+    with pytest.raises(PermissionDenied):
+        agent.cmd_cloud_op("encrypt", {"path": "/d/s.bin"})
+    assert not (tmp_path / "escaped.key").exists()
+    assert set(os.listdir(tmp_path)) <= {"dl", "store"}
+
+
 def test_convert_lands_locally_only(cluster, tmp_path):
     from skyrelay import ppm
     agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path))

@@ -111,6 +111,8 @@ def test_validator_flags_violations():
     assert validate_foi_sequence([FOI("get", "/f", op_kind="compress")]) != []
     assert validate_foi_sequence([FOI("op", "/f")]) != []
     assert validate_foi_sequence([FOI("op", "/f", op_kind="compress")]) != []  # no get
+    assert validate_foi_sequence([FOI("put", "/f")]) != []  # nothing to store
+    assert validate_foi_sequence([FOI("push", "f")]) != []  # nothing to expose
     assert validate_foi_sequence(
         [FOI("get", "/a"), FOI("op", "/b", op_kind="compress")]) != []
     assert validate_foi_sequence([FOI("nonsense", "/f")]) != []

@@ -89,6 +89,16 @@ def test_hundred_frames_in_order():
         listener.close()
 
 
+def test_close_wakes_accept_thread():
+    listener = Listener("127.0.0.1:0", echo_handler)
+    ch = open_channel(listener.addr)
+    ch.request("SUBMIT_OP", {})  # the accept loop has run and waits again
+    ch.close()
+    listener.close()
+    listener._thread.join(1.0)
+    assert not listener._thread.is_alive()
+
+
 def test_connect_refused():
     with pytest.raises(ConnectError):
         open_channel("127.0.0.1:1", timeout=0.5)

@@ -187,6 +187,37 @@ def test_download_http_scheme(cluster, tmp_path):
         httpd.shutdown()
 
 
+@pytest.mark.parametrize("segment", ["..", "."])
+def test_download_of_dot_segment_url(cluster, segment):
+    # the last URL segment is not a file name; the worker names its own files
+    tok = cluster.account("u1")
+    sess = cluster.backend.authenticate(tok)
+    payload = b"served for any path " * 1000
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    try:
+        w = cluster.worker(registered=False)
+        fois = [FOI("download", f"http://127.0.0.1:{httpd.server_address[1]}/files/{segment}"),
+                FOI("put", "/dl/got.bin")]
+        submit(w.addr, {"fois": sequence_to_wire(fois),
+                        "credentials": creds_body("u1", tok)})
+        assert cluster.backend.get_object(sess, "/dl/got.bin") == payload
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
 def test_intermediate_fetch_between_workers(cluster):
     # worker B pulls a file exposed on worker A: the dual-instance data path
     tok_a = cluster.account("ua")
@@ -395,6 +426,20 @@ def test_shared_worker_refuses_push_of_host_paths(cluster, tmp_path, target):
     for worker, scratch in ((w, "w"), (private, "p")):
         assert worker._exposed == {}
         assert os.listdir(tmp_path / scratch / "exposed") == []
+
+@pytest.mark.parametrize("job_id", ["../victim", "..", ".", "a/b"])
+def test_job_id_cannot_name_a_directory_outside_jobs(cluster, tmp_path, job_id):
+    # the job id names the workspace that is wiped when the job ends
+    scratch = tmp_path / "w"
+    w = cluster.worker(registered=False, scratch_dir=str(scratch))
+    victim = os.path.normpath(os.path.join(scratch, "jobs", job_id))
+    os.makedirs(victim, exist_ok=True)
+    from skyrelay.errors import DecodeError
+    with pytest.raises(DecodeError):
+        submit(w.addr, {"job_id": job_id, "fois": sequence_to_wire([FOI("get", "/a")])})
+    assert os.path.isdir(victim)
+    assert os.listdir(scratch / "exposed") == []
+
 
 def test_registered_private_worker_accepts_plaintext(cluster):
     tok = cluster.account("u1")
