@@ -1,7 +1,10 @@
 """Framed message protocol shared by agent, coordinator, and worker.
 
 Frames are a 4-byte big-endian length prefix followed by UTF-8 JSON:
-{"kind": ..., "seq": ..., "body": {...}}.  The client side of a channel
+{"kind": ..., "seq": ..., "body": {...}}.  A data frame carries raw bytes
+beside that header: its payload is a 0x00 lead byte (no JSON frame starts
+with it), the header's 4-byte length, the JSON header, then the bytes; only
+exposure-fetch replies use it.  The client side of a channel
 keeps at most one request in flight; the server may interleave event
 messages (heartbeats, grants) carrying the same seq before the single
 terminal RESULT/ACK/ERROR.
@@ -41,6 +44,8 @@ from .errors import (
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_TIMEOUT_S = 10.0
+DATA_LEAD = b"\x00"
+_U32 = struct.Struct(">I")
 
 KINDS = frozenset({
     "REGISTER_INSTANCE",
@@ -69,31 +74,51 @@ class Message:
     kind: str
     seq: int
     body: dict = field(default_factory=dict)
+    data: bytes | None = field(default=None, repr=False)  # set: a data frame
 
 
 def encode_message(m: Message) -> bytes:
     if m.kind not in KINDS:
         raise DecodeError(f"unknown kind {m.kind!r}")
-    payload = json.dumps(
+    header = json.dumps(
         {"kind": m.kind, "seq": m.seq, "body": m.body},
         separators=(",", ":"),
     ).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return struct.pack(">I", len(payload)) + payload
+    if m.data is None:
+        parts = (header,)
+    else:
+        parts = (DATA_LEAD, _U32.pack(len(header)), header, m.data)
+    length = sum(map(len, parts))
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return b"".join((_U32.pack(length), *parts))
 
 
-def decode_message(buf: bytes) -> Message:
+def decode_message(buf: bytes | bytearray) -> Message:
     """Decode exactly one complete frame."""
     if len(buf) < 4:
         raise FrameError("truncated frame: missing length prefix")
-    (length,) = struct.unpack(">I", buf[:4])
+    (length,) = _U32.unpack_from(buf)
     if length > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
     if len(buf) != 4 + length:
         raise FrameError(f"expected {4 + length} bytes, got {len(buf)}")
+    data = None
+    lead = buf[4:5]
+    if lead == DATA_LEAD:
+        if length < 5:
+            raise DecodeError("data frame too short for its header length")
+        start = 9 + _U32.unpack_from(buf, 5)[0]
+        if start > len(buf):
+            raise DecodeError("data frame header runs past the frame end")
+        header = buf[9:start]
+        data = bytes(memoryview(buf)[start:])
+    elif lead == b"{":
+        header = buf[4:]
+    else:
+        raise DecodeError(f"frame payload starts with unknown byte {bytes(lead)!r}")
     try:
-        doc = json.loads(buf[4:].decode("utf-8"))
+        doc = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DecodeError(f"bad frame payload: {e}") from e
     if not isinstance(doc, dict):
@@ -107,7 +132,7 @@ def decode_message(buf: bytes) -> Message:
         raise DecodeError(f"bad seq {seq!r}")
     if not isinstance(body, dict):
         raise DecodeError("body must be an object")
-    return Message(kind=kind, seq=seq, body=body)
+    return Message(kind=kind, seq=seq, body=body, data=data)
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
@@ -126,6 +151,8 @@ class _Framed:
 
     def __init__(self, sock: socket.socket,
                  tap: Callable[[str, bytes], None] | None = None):
+        # a frame can leave in more than one segment; don't hold the last back
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.tap = tap
         self.bytes_sent = 0
@@ -151,36 +178,36 @@ class _Framed:
         with self._recv_lock:
             try:
                 self.sock.settimeout(timeout)
-                prefix = self._recv_exact(4, allow_eof=True)
-                if prefix is None:
+                prefix = bytearray(4)
+                if not self._recv_into(memoryview(prefix), allow_eof=True):
                     raise ChannelClosed("peer closed the channel")
-                (length,) = struct.unpack(">I", prefix)
+                (length,) = _U32.unpack(prefix)
                 if length > MAX_FRAME_BYTES:
                     raise FrameError(
                         f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-                payload = self._recv_exact(length, allow_eof=False)
+                frame = bytearray(4 + length)
+                frame[:4] = prefix
+                self._recv_into(memoryview(frame)[4:], allow_eof=False)
             except socket.timeout as e:
                 raise RequestTimeout(f"no frame within {timeout}s") from e
             except OSError as e:
                 raise ChannelClosed(f"recv failed: {e}") from e
             self.bytes_received += 4 + length
-        frame = prefix + payload
         if self.tap:
             self.tap("received", frame)
         return decode_message(frame)
 
-    def _recv_exact(self, n: int, allow_eof: bool) -> bytes | None:
-        chunks = []
+    def _recv_into(self, view: memoryview, allow_eof: bool) -> bool:
+        """Fill view from the socket; False if the peer closed before any byte."""
         got = 0
-        while got < n:
-            chunk = self.sock.recv(n - got)
-            if not chunk:
+        while got < len(view):
+            n = self.sock.recv_into(view[got:])
+            if not n:
                 if allow_eof and got == 0:
-                    return None
-                raise FrameError(f"peer closed mid-frame ({got}/{n} bytes)")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+                    return False
+                raise FrameError(f"peer closed mid-frame ({got}/{len(view)} bytes)")
+            got += n
+        return True
 
     def close(self):
         self._closed = True
@@ -252,8 +279,8 @@ class ServerConn(_Framed):
     def send_event(self, kind: str, seq: int, body: dict):
         self.send_message(Message(kind=kind, seq=seq, body=body))
 
-    def send_result(self, seq: int, body: dict):
-        self.send_message(Message(kind="RESULT", seq=seq, body=body))
+    def send_result(self, seq: int, body: dict, data: bytes | None = None):
+        self.send_message(Message(kind="RESULT", seq=seq, body=body, data=data))
 
     def send_ack(self, seq: int, body: dict | None = None):
         self.send_message(Message(kind="ACK", seq=seq, body=body or {}))

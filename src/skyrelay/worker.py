@@ -16,7 +16,6 @@ the wire cap and keeps control traffic small.
 
 from __future__ import annotations
 
-import base64
 import gzip
 import hmac
 import json
@@ -40,6 +39,7 @@ from .errors import (
     AuthError,
     ConfigError,
     CredentialAuthFailure,
+    DecodeError,
     Gone,
     NotFound,
     PermissionDenied,
@@ -90,7 +90,9 @@ def fetch_reader(ch: Channel, uri: str, guest_token: str,
             "offset": offset,
             "max_bytes": FETCH_CHUNK_BYTES,
         }}, timeout=timeout)
-        return base64.b64decode(reply.body["data_b64"]), reply.body["eof"]
+        if reply.data is None:
+            raise DecodeError("fetch reply is not a data frame")
+        return reply.data, reply.body["eof"]
     return read
 
 
@@ -101,6 +103,9 @@ def pull_exposure(read: Callable[[int], tuple[bytes, bool]], path: str,
     with open(path, "wb") as f:
         while True:
             data, eof = read(offset)
+            if len(data) > FETCH_CHUNK_BYTES or not (data or eof):
+                raise DecodeError(f"read at offset {offset} returned {len(data)} bytes "
+                                  f"(eof={eof}); want 1 to {FETCH_CHUNK_BYTES}")
             f.write(data)
             offset += len(data)
             if on_chunk is not None:
@@ -377,6 +382,8 @@ class Worker:
     # -- message handling --
 
     def _handle(self, conn: ServerConn, msg: Message):
+        if msg.kind in ("DISPATCH_SSP", "KEY_INIT") and not self.cfg.coordinator_addr:
+            raise RegistrationError(f"{msg.kind} refused: this instance has no coordinator")
         if msg.kind == "DISPATCH_SSP":
             self._handle_dispatch(conn, msg)
         elif msg.kind == "KEY_INIT":
@@ -395,12 +402,16 @@ class Worker:
     def _handle_dispatch(self, conn: ServerConn, msg: Message):
         body = msg.body
         pid = bytes.fromhex(body["pid"])
-        if self.pid is not None and pid != self.pid:
-            raise RegistrationError("dispatch names a different pid")
-        self.pid = pid
-        self.certificate = Certificate.from_wire(body["certificate"])
-        cfg = body["cfg"]
-        self.share_until = int(cfg.get("share_until", self.share_until))
+        cert = Certificate.from_wire(body["certificate"])
+        with self._state_lock:
+            # the coordinator dispatches once, right after registration
+            if self.certificate is not None:
+                raise RegistrationError("service bundle already received")
+            if self.pid is not None and pid != self.pid:
+                raise RegistrationError("dispatch names a different pid")
+            self.pid = pid
+            self.certificate = cert
+            self.share_until = int(body["cfg"].get("share_until", self.share_until))
         self._log(f"service bundle received for pid={pid.hex()}")
         conn.send_ack(msg.seq)
 
@@ -413,6 +424,9 @@ class Worker:
         if epoch == 0 and key != initial_server_key(pid, t0):
             raise RegistrationError("key material does not match pid and start time")
         with self._key_lock:
+            # sent once after dispatch; later epochs come from local rotation
+            if self.key_state is not None:
+                raise RegistrationError("key chain already initialized")
             self.key_state = EpochKeyState(
                 pid=pid,
                 t0=t0,
@@ -469,6 +483,11 @@ class Worker:
 
     def _handle_fetch(self, conn: ServerConn, msg: Message):
         spec = msg.body["fetch"]
+        offset = spec.get("offset", 0)
+        max_bytes = spec.get("max_bytes", FETCH_CHUNK_BYTES)
+        if not all(type(v) is int and v >= 0 for v in (offset, max_bytes)):
+            raise DecodeError(f"fetch offset and max_bytes must be non-negative "
+                              f"integers, got {offset!r} and {max_bytes!r}")
         try:
             addr, job_id, file_id = parse_exposure_uri(spec["uri"])
         except ValueError as e:
@@ -482,17 +501,12 @@ class Worker:
             return
         try:
             data, eof, total = self.read_exposed(
-                job_id, file_id, spec.get("guest_token", ""),
-                int(spec.get("offset", 0)), int(spec.get("max_bytes", FETCH_CHUNK_BYTES)))
+                job_id, file_id, spec.get("guest_token", ""), offset, max_bytes)
         except SkyrelayError as e:
             self._log(f"fetch denied for {file_id}: {e.code}")
             conn.send_error(msg.seq, e.body())
             return
-        conn.send_result(msg.seq, {
-            "data_b64": base64.b64encode(data).decode("ascii"),
-            "eof": eof,
-            "size_total": total,
-        })
+        conn.send_result(msg.seq, {"eof": eof, "size_total": total}, data=data)
 
     # -- job intake --
 

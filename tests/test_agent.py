@@ -20,9 +20,11 @@ from skyrelay.errors import (
     NotCloudAssisted,
     NotFound,
     PermissionDenied,
+    RegistrationError,
     StartError,
     VerificationFailed,
 )
+from skyrelay.wire import open_channel
 
 
 def make_agent(cluster, name, *, seed=7, launcher=None, download_dir=None,
@@ -132,6 +134,40 @@ def test_account_token_never_crosses_wire_in_shared_mode(cluster, tmp_path):
     agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
     agent.cmd_cloud_op("encrypt", {"path": "/d/f.bin"})
     assert cluster.recorder.occurrences(tok.encode()) == []
+
+
+def test_worker_takes_key_chain_and_bundle_only_once(cluster, tmp_path):
+    agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path))
+    put_file(cluster, tok, "/d/f.bin", os.urandom(10_000))
+    agent.sync()
+    w = cluster.worker(shared=True)
+    st = w.key_state
+    ch = open_channel(w.addr)
+    try:
+        with pytest.raises(RegistrationError):
+            ch.request("KEY_INIT", {
+                "pid": w.pid.hex(), "k_serv": os.urandom(32).hex(), "epoch": 5,
+                "t0": st.t0, "offset_s": st.offset_s, "interval_s": st.interval_s})
+        with pytest.raises(RegistrationError):
+            ch.request("DISPATCH_SSP", {"pid": w.pid.hex(), "cfg": {"share_until": 0},
+                                        "certificate": w.certificate.to_wire()})
+    finally:
+        ch.close()
+    assert w.key_state is st and w.share_until > time.time()
+    agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
+    assert "/d/f.bin.gz" in agent.shadow.entries
+
+
+def test_worker_without_coordinator_refuses_control_frames(cluster):
+    w = cluster.worker(registered=False)
+    ch = open_channel(w.addr)
+    try:
+        for kind in ("KEY_INIT", "DISPATCH_SSP"):
+            with pytest.raises(RegistrationError):
+                ch.request(kind, {})
+    finally:
+        ch.close()
+    assert w.key_state is None and w.certificate is None
 
 
 def test_put_names_uncollide(cluster, tmp_path):
@@ -289,7 +325,6 @@ def test_recv_rejects_tampered_certificate(cluster, tmp_path):
 
     def counting_factory(addr, purpose):
         opened.append(addr)
-        from skyrelay.wire import open_channel
         return open_channel(addr)
 
     bob, _ = make_agent(cluster, "bob", launcher=lb, seed=2,

@@ -1,6 +1,7 @@
 """Framed message protocol, channels, byte accounting, certificates."""
 
 import random
+import socket
 import threading
 import time
 
@@ -68,6 +69,86 @@ def test_oversize_frame():
     fake_prefix = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"{}"
     with pytest.raises(FrameError):
         decode_message(fake_prefix)
+
+
+def test_json_frame_bytes_unchanged():
+    frame = encode_message(Message("RESULT", 7, {"eof": True, "n": [1, "a"]}))
+    assert frame == (b'\x00\x00\x00\x39{"kind":"RESULT","seq":7,'
+                     b'"body":{"eof":true,"n":[1,"a"]}}')
+
+
+@pytest.mark.parametrize("size", [0, 1, 4 * 1024 * 1024])
+def test_data_frame_round_trip(size):
+    data = random.Random(size).randbytes(size)
+    m = Message("RESULT", 3, {"eof": True}, data=data)
+    frame = encode_message(m)
+    assert frame[4] == 0 and len(frame) < size + 64
+    assert decode_message(frame) == m
+    assert decode_message(bytearray(frame)) == m
+
+
+def _data_frame(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def test_data_frame_refusals():
+    header = b'{"kind":"RESULT","seq":1,"body":{}}'
+    assert decode_message(_data_frame(
+        b"\x00" + len(header).to_bytes(4, "big") + header + b"xy")).data == b"xy"
+    with pytest.raises(DecodeError):  # header length past the frame end
+        decode_message(_data_frame(b"\x00" + (len(header) + 3).to_bytes(4, "big") + header))
+    with pytest.raises(DecodeError):  # too short to hold the header length
+        decode_message(_data_frame(b"\x00\x00\x00"))
+    with pytest.raises(DecodeError):  # header is not a JSON object
+        decode_message(_data_frame(b"\x00\x00\x00\x00\x02[]"))
+    with pytest.raises(DecodeError):  # unknown lead byte
+        decode_message(_data_frame(b"\x01" + header))
+    with pytest.raises(DecodeError):  # empty payload
+        decode_message(_data_frame(b""))
+    with pytest.raises(FrameError):
+        encode_message(Message("RESULT", 1, {}, data=bytes(MAX_FRAME_BYTES)))
+    with pytest.raises(FrameError):
+        decode_message((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\x00")
+
+
+def test_data_frame_over_channel_is_counted_and_tapped():
+    data = random.Random(1).randbytes(3 * 1024 * 1024 + 5)
+
+    def serve(conn, msg):
+        conn.send_result(msg.seq, {"n": len(data)}, data=data)
+
+    taps = []
+    listener = Listener("127.0.0.1:0", serve)
+    try:
+        ch = open_channel(listener.addr, tap=lambda d, f: taps.append((d, f)))
+        for _ in range(3):
+            reply = ch.request("SUBMIT_OP", {})
+            assert reply.body == {"n": len(data)} and reply.data == data
+        recv = [f for d, f in taps if d == "received"]
+        assert sum(len(f) for f in recv) == ch.bytes_received < 3 * (len(data) + 64)
+        time.sleep(0.05)
+        assert listener.total_bytes() == (ch.bytes_received, ch.bytes_sent)
+        ch.close()
+    finally:
+        listener.close()
+
+
+def test_both_ends_of_a_channel_set_nodelay():
+    seen = []
+
+    def handler(conn, msg):
+        seen.append(conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        conn.send_ack(msg.seq)
+
+    listener = Listener("127.0.0.1:0", handler)
+    try:
+        ch = open_channel(listener.addr)
+        ch.request("HEARTBEAT", {})
+        assert ch.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        assert seen == [1]
+        ch.close()
+    finally:
+        listener.close()
 
 
 def echo_handler(conn, msg):

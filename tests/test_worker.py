@@ -14,6 +14,7 @@ from skyrelay.core import FOI, sequence_to_wire
 from skyrelay.errors import (
     AuthError,
     ConfigError,
+    DecodeError,
     Gone,
     NotFound,
     PermissionDenied,
@@ -22,11 +23,13 @@ from skyrelay.errors import (
 from skyrelay.keying import key_at_epoch
 from skyrelay.wire import open_channel
 from skyrelay.worker import (
+    FETCH_CHUNK_BYTES,
     Worker,
     WorkerConfig,
     decrypt_file_blob,
     make_exposure_uri,
     parse_exposure_uri,
+    pull_exposure,
 )
 
 
@@ -284,13 +287,37 @@ def test_fetch_request_validations(cluster):
         second = ch.request("SUBMIT_OP", {"fetch": {
             "uri": desc["uri"], "guest_token": desc["guest_token"],
             "offset": 60, "max_bytes": 60}})
-        import base64
-        whole = base64.b64decode(first.body["data_b64"]) + base64.b64decode(
-            second.body["data_b64"])
-        assert not first.body["eof"] and second.body["eof"]
-        assert whole == b"y" * 100
+        assert first.body == {"eof": False, "size_total": 100}
+        assert second.body == {"eof": True, "size_total": 100}
+        assert first.data + second.data == b"y" * 100
+        for field, value in [("offset", -5), ("max_bytes", -1), ("offset", "0"),
+                             ("max_bytes", 1.5), ("offset", True), ("max_bytes", None)]:
+            with pytest.raises(DecodeError):
+                ch.request("SUBMIT_OP", {"fetch": {
+                    "uri": desc["uri"], "guest_token": desc["guest_token"],
+                    "offset": 0, "max_bytes": 10, field: value}})
     finally:
         ch.close()
+
+
+def test_pull_stops_on_a_stalled_or_overlong_read(tmp_path):
+    calls = []
+
+    def stalled(offset):
+        calls.append(offset)
+        if len(calls) > 5:
+            raise AssertionError("pull kept asking a peer that sends nothing")
+        return b"" if len(calls) > 1 else b"abc", False
+
+    with pytest.raises(DecodeError):
+        pull_exposure(stalled, str(tmp_path / "out"))
+    assert calls == [0, 3]
+    with pytest.raises(DecodeError):
+        pull_exposure(lambda offset: (b"x" * (FETCH_CHUNK_BYTES + 1), True),
+                      str(tmp_path / "out"))
+    # an empty exposure is one empty read that reports eof
+    pull_exposure(lambda offset: (b"", True), str(tmp_path / "empty"))
+    assert (tmp_path / "empty").read_bytes() == b""
 
 
 # -- validation and error surfacing --
