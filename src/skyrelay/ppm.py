@@ -6,6 +6,9 @@ no media libraries.  Other formats would plug in beside downscale_to_fit.
 
 from __future__ import annotations
 
+import array
+import sys
+
 from .errors import TransformError
 
 
@@ -66,24 +69,36 @@ def downscale_to_fit(data: bytes, max_resolution: int) -> bytes:
         return write_ppm(width, height, pixels)
     out_w = -(-width // factor)
     out_h = -(-height // factor)
-    out = bytearray(out_w * out_h * 3)
-    for oy in range(out_h):
-        y0 = oy * factor
+    # Each channel byte of a row becomes one lane of a big integer, so adding
+    # rows, and shifted copies of a row sum, adds every lane at once.  A lane
+    # must hold a whole window's sum without carrying into its neighbour.
+    lane_bytes = 4 if min(factor, height) * min(factor, width) * 255 < 1 << 32 else 8
+    pixel_bits = 3 * 8 * lane_bytes
+    row_len = 3 * width
+    wide = bytearray(row_len * lane_bytes)
+    rows = memoryview(pixels)
+    last_cols = width - (out_w - 1) * factor
+    out = bytearray()
+    for y0 in range(0, height, factor):
         y1 = min(y0 + factor, height)
-        for ox in range(out_w):
-            x0 = ox * factor
-            x1 = min(x0 + factor, width)
-            rs = gs = bs = 0
-            count = (y1 - y0) * (x1 - x0)
-            for y in range(y0, y1):
-                row = (y * width + x0) * 3
-                for x in range(x1 - x0):
-                    rs += pixels[row]
-                    gs += pixels[row + 1]
-                    bs += pixels[row + 2]
-                    row += 3
-            o = (oy * out_w + ox) * 3
-            out[o] = rs // count
-            out[o + 1] = gs // count
-            out[o + 2] = bs // count
+        total = 0
+        for y in range(y0, y1):
+            wide[0::lane_bytes] = rows[y * row_len:(y + 1) * row_len]
+            total += int.from_bytes(wide, "little")
+        # lane 3x+c now holds the sum of pixels x..x+factor-1; past the right
+        # edge the shifts bring in zeros, so a partial window sums what it has
+        acc = total
+        for k in range(1, factor):
+            acc += total >> (pixel_bits * k)
+        lanes = array.array("I" if lane_bytes == 4 else "Q",
+                            acc.to_bytes(len(wide), "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        full = (y1 - y0) * factor
+        part = (y1 - y0) * last_cols
+        row = bytearray(3 * out_w)
+        for c in range(3):
+            sums = lanes[c::3 * factor]  # one lane per window, at its first pixel
+            row[c::3] = bytes([s // full for s in sums[:-1]] + [sums[-1] // part])
+        out += row
     return write_ppm(out_w, out_h, bytes(out))

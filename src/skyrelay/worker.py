@@ -16,18 +16,21 @@ the wire cap and keeps control traffic small.
 
 from __future__ import annotations
 
-import gzip
+import collections
+import contextlib
 import hmac
 import json
 import os
 import re
 import secrets
 import shutil
+import struct
 import tempfile
 import threading
 import time
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+import zlib
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,6 +64,11 @@ DEFAULT_EXPOSE_TTL_S = 900.0
 DEFAULT_BILLING_PERIOD_S = 3600.0
 DEFAULT_SAFETY_MARGIN_S = 60.0
 DEFAULT_PING_INTERVAL_S = 30.0
+# gzip member header: deflate, no flags, mtime 0, XFL 2 (level 9), OS 255,
+# as gzip.GzipFile(mtime=0) writes it
+GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+DEFLATE_WINDOW = 32 * 1024
+GZIP_THREADS = os.cpu_count() or 1
 
 # A job id names the job's workspace directory, so it must stay one segment.
 JOB_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
@@ -98,20 +106,30 @@ def fetch_reader(ch: Channel, uri: str, guest_token: str,
 
 def pull_exposure(read: Callable[[int], tuple[bytes, bool]], path: str,
                   on_chunk: Callable[[int], None] | None = None):
-    """Copy an exposed file into path, one bounded chunk per read(offset)."""
+    """Copy an exposed file into path, one bounded chunk per read(offset).
+
+    The bytes land in path + ".part", renamed to path only at eof, so a
+    failed pull leaves nothing that looks like a finished file.
+    """
+    part = path + ".part"
     offset = 0
-    with open(path, "wb") as f:
-        while True:
-            data, eof = read(offset)
-            if len(data) > FETCH_CHUNK_BYTES or not (data or eof):
-                raise DecodeError(f"read at offset {offset} returned {len(data)} bytes "
-                                  f"(eof={eof}); want 1 to {FETCH_CHUNK_BYTES}")
-            f.write(data)
-            offset += len(data)
-            if on_chunk is not None:
-                on_chunk(len(data))
-            if eof:
-                return
+    try:
+        with open(part, "wb") as f:
+            while True:
+                data, eof = read(offset)
+                if len(data) > FETCH_CHUNK_BYTES or not (data or eof):
+                    raise DecodeError(f"read at offset {offset} returned {len(data)} bytes "
+                                      f"(eof={eof}); want 1 to {FETCH_CHUNK_BYTES}")
+                f.write(data)
+                offset += len(data)
+                if on_chunk is not None:
+                    on_chunk(len(data))
+                if eof:
+                    break
+        os.replace(part, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)  # left only when the pull failed
 
 
 @dataclass
@@ -191,6 +209,7 @@ class Worker:
 
         self._listener: Listener | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._gzip_pool: ThreadPoolExecutor | None = None
         self._jobs: dict[str, _Job] = {}
         self._exposed: dict[tuple[str, str], _Exposed] = {}
         self._backend: StorageBackend | None = cfg.backend
@@ -220,6 +239,9 @@ class Worker:
         self.share_until = int(time.time() + self.cfg.share_duration_s)
         self._executor = ThreadPoolExecutor(
             max_workers=self.cfg.max_jobs, thread_name_prefix="skyrelay-job")
+        # zlib releases the GIL, so compress jobs deflate their blocks here
+        self._gzip_pool = ThreadPoolExecutor(
+            max_workers=GZIP_THREADS, thread_name_prefix="skyrelay-gzip")
         if self.cfg.coordinator_addr:
             try:
                 self._register()
@@ -281,8 +303,7 @@ class Worker:
         if self._shutdown_timer:
             self._shutdown_timer.cancel()
         self._abort_jobs()
-        if self._executor:
-            self._executor.shutdown(wait=False)
+        self._shutdown_pools()
         if self._listener:
             self._listener.close()
         self.terminated.set()
@@ -296,8 +317,7 @@ class Worker:
         self.shutdown_at = time.monotonic()
         self._log("billing deadline reached, shutting down")
         self._abort_jobs()
-        if self._executor:
-            self._executor.shutdown(wait=False)
+        self._shutdown_pools()
         if self.cfg.coordinator_addr and self.pid is not None:
             try:
                 ch = self._open(self.cfg.coordinator_addr, "shutdown")
@@ -312,6 +332,13 @@ class Worker:
         if self._listener:
             self._listener.close()
         self.terminated.set()
+
+    def _shutdown_pools(self):
+        if self._executor:
+            self._executor.shutdown(wait=False)
+        if self._gzip_pool:
+            # a block deflates in well under a second; queued blocks are dropped
+            self._gzip_pool.shutdown(wait=True, cancel_futures=True)
 
     def _abort_jobs(self):
         with self._state_lock:
@@ -446,7 +473,9 @@ class Worker:
         file_id = secrets.token_hex(16)
         guest_token = secrets.token_hex(16)
         dst = os.path.join(self._scratch, "exposed", f"{job_id}.{file_id}")
-        shutil.copyfile(src_path, dst)
+        # the job never rewrites a step's file, and its workspace is on the
+        # same scratch volume, so a link outlives the workspace without a copy
+        os.link(src_path, dst)
         size = os.path.getsize(dst)
         expires_at = time.time() + self.cfg.expose_ttl_s
         with self._state_lock:
@@ -753,16 +782,15 @@ class Worker:
         in_path = job.file
         out_path = job.step_path()
         if foi.op_kind == "compress":
-            with open(in_path, "rb") as fin, open(out_path, "wb") as raw:
-                # mtime and name pinned so equal inputs compress to equal bytes
-                with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0,
-                                   filename="") as fout:
-                    while True:
-                        chunk = fin.read(IO_CHUNK_BYTES)
-                        if not chunk:
-                            break
-                        fout.write(chunk)
-                        self._add_work(job, len(chunk))
+            with open(in_path, "rb") as fin, open(out_path, "wb") as fout:
+                try:
+                    gzip_blocks(fin, fout, self._gzip_pool, 2 * GZIP_THREADS,
+                                lambda n: self._add_work(job, n))
+                except (RuntimeError, CancelledError):
+                    # the pool refuses or cancels work once the instance stops
+                    if not self._stopping:
+                        raise
+                    raise ShutdownError("job aborted by instance shutdown") from None
             self._add_work(job, os.path.getsize(out_path))
         elif foi.op_kind == "encrypt":
             with open(in_path, "rb") as f:
@@ -789,6 +817,51 @@ class Worker:
         else:
             raise TransformError(f"unknown op kind {foi.op_kind!r}")
         job.file = out_path
+
+
+def gzip_blocks(fin, fout, pool: ThreadPoolExecutor, max_inflight: int,
+                on_block: Callable[[int], None]):
+    """Write fin to fout as one gzip member, deflating its blocks in parallel.
+
+    Each IO_CHUNK_BYTES block is deflated on its own, primed with the
+    previous block's last 32 KiB, and ends on a sync flush (the last on
+    finish), so the blocks concatenate into one deflate stream and the
+    output depends only on the input.  All but the last block go to pool,
+    at most max_inflight at a time; on_block(n) runs once per input block
+    of n bytes.
+    """
+    fout.write(GZIP_HEADER)
+    crc = size = 0
+    pending = collections.deque()
+    block, zdict = fin.read(IO_CHUNK_BYTES), b""
+    try:
+        while True:
+            crc = zlib.crc32(block, crc)
+            size += len(block)
+            on_block(len(block))
+            nxt = fin.read(IO_CHUNK_BYTES) if block else b""
+            if not nxt:
+                break
+            pending.append(pool.submit(_deflate_block, block, zdict, False))
+            block, zdict = nxt, block[-DEFLATE_WINDOW:]
+            if len(pending) >= max_inflight:
+                fout.write(pending.popleft().result())
+        # the caller deflates the last block itself, so a one-block input
+        # never waits for a pool thread
+        tail = _deflate_block(block, zdict, True)
+        while pending:
+            fout.write(pending.popleft().result())
+    finally:
+        for fut in pending:
+            fut.cancel()
+    fout.write(tail)
+    fout.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
+
+
+def _deflate_block(data: bytes, zdict: bytes, last: bool) -> bytes:
+    c = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS, 8,
+                         zlib.Z_DEFAULT_STRATEGY, zdict)
+    return c.compress(data) + c.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
 
 
 def decrypt_file_blob(blob: bytes, key: bytes) -> bytes:

@@ -75,11 +75,18 @@ def _reference_downscale(w, h, pixels, max_resolution):
 
 def test_downscale_matches_reference():
     rng = random.Random(1234)
+    cases = []
     for _ in range(40):
         w = rng.randint(1, 48)
         h = rng.randint(1, 48)
         limit = rng.randint(1, 20)
-        pixels = rng.randbytes(w * h * 3)
+        cases.append((w, h, limit, rng.randbytes(w * h * 3)))
+    # the bench's image size, partial last windows, single rows and columns
+    for w, h, limit in [(1182, 1182, 128), (1000, 1003, 128), (37, 40, 5),
+                        (129, 132, 128), (5, 3, 1), (300, 2, 7), (1, 1000, 3),
+                        (4097, 3, 1), (4097, 3, 128)]:
+        cases.append((w, h, limit, rng.randbytes(w * h * 3)))
+    for w, h, limit, pixels in cases:
         got_w, got_h, got = parse_ppm(downscale_to_fit(write_ppm(w, h, pixels), limit))
         ref_w, ref_h, ref = _reference_downscale(w, h, pixels, limit)
         if math.ceil(max(w, h) / limit) <= 1:
@@ -88,6 +95,13 @@ def test_downscale_matches_reference():
         assert (got_w, got_h) == (ref_w, ref_h)
         assert got == ref
         assert max(got_w, got_h) <= limit
+
+
+def test_downscale_window_beyond_32_bit_lanes():
+    # 4105 x 4105 x 255 does not fit a 32-bit sum
+    n = 4105
+    data = write_ppm(n, n, b"\xff" * (n * n * 3))
+    assert parse_ppm(downscale_to_fit(data, 1)) == (1, 1, b"\xff" * 3)
 
 
 def test_downscale_rejects_bad_limit():

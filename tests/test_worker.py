@@ -2,10 +2,13 @@
 
 import gzip
 import http.server
+import io
 import json
 import os
+import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,9 +27,12 @@ from skyrelay.keying import key_at_epoch
 from skyrelay.wire import open_channel
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
+    IO_CHUNK_BYTES,
     Worker,
     WorkerConfig,
+    _Job,
     decrypt_file_blob,
+    gzip_blocks,
     make_exposure_uri,
     parse_exposure_uri,
     pull_exposure,
@@ -109,6 +115,85 @@ def test_compress_deterministic_output(cluster):
     one = cluster.backend.get_object(sess, "/d/a.bin.gz")
     two = cluster.backend.get_object(sess, "/d/b.bin.gz")
     assert one == two  # equal inputs pin equal compressed bytes
+
+
+def _text(n: int) -> bytes:
+    rng = random.Random(n)
+    words = [bytes(rng.choices(b"abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 9)))
+             for _ in range(2000)]
+    out = bytearray()
+    while len(out) < n:
+        out += b" ".join(rng.choices(words, k=10_000)) + b"\n"
+    return bytes(out[:n])
+
+
+def _parallel_gzip(data: bytes, threads: int = 2) -> bytes:
+    out = io.BytesIO()
+    with ThreadPoolExecutor(threads) as pool:
+        gzip_blocks(io.BytesIO(data), out, pool, 2 * threads, lambda n: None)
+    return out.getvalue()
+
+
+def _serial_gzip(data: bytes) -> bytes:
+    """The single-stream writer compress used before blocks were parallel."""
+    out = io.BytesIO()
+    with gzip.GzipFile(fileobj=out, mode="wb", mtime=0, filename="") as f:
+        f.write(data)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("size", [0, 1, IO_CHUNK_BYTES - 1, IO_CHUNK_BYTES,
+                                  IO_CHUNK_BYTES + 1, 3 * IO_CHUNK_BYTES + 7])
+def test_parallel_gzip_round_trips(size):
+    data = _text(size)
+    out = _parallel_gzip(data)
+    assert gzip.decompress(out) == data
+    if size <= IO_CHUNK_BYTES:
+        # one block is one deflate stream: small outputs keep their bytes
+        assert out == _serial_gzip(data)
+
+
+def test_parallel_gzip_output_independent_of_threads():
+    data = _text(3 * IO_CHUNK_BYTES + 7)
+    assert _parallel_gzip(data, threads=1) == _parallel_gzip(data, threads=2)
+
+
+def test_parallel_gzip_ratio_matches_serial():
+    data = _text(4 * IO_CHUNK_BYTES)
+    parallel, serial = len(_parallel_gzip(data)), len(_serial_gzip(data))
+    assert abs(parallel - serial) <= serial * 0.001
+
+
+def test_gzip_pool_stops_with_the_worker(cluster):
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/z.txt", _text(3 * IO_CHUNK_BYTES))
+    before = set(threading.enumerate())
+    w = cluster.worker(registered=False)
+    submit(w.addr, {"fois": sequence_to_wire([
+        FOI("get", "/d/z.txt"), FOI("op", "/d/z.txt", op_kind="compress")]),
+        "credentials": creds_body("u1", tok)})
+    pool = [t for t in set(threading.enumerate()) - before
+            if t.name.startswith("skyrelay-gzip")]
+    assert pool
+    w.stop()
+    assert not any(t.is_alive() for t in pool)
+
+
+def test_compress_raises_shutdown_when_the_pool_stops(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_bytes(_text(3 * IO_CHUNK_BYTES))
+    w = Worker(WorkerConfig(scratch_dir=str(tmp_path / "scratch")))
+    w.start()
+    job = _Job("j1", [], conn=None, seq=0)
+    job.workspace, job.file = str(tmp_path), str(src)
+    # the instance stops between two blocks; the job is not told to abort,
+    # so the next block meets a pool that takes no more work
+    w._add_work = lambda job, n: w.stop()
+    try:
+        with pytest.raises(ShutdownError):
+            w._execute_foi(job, FOI("op", "/in.txt", op_kind="compress"), None)
+    finally:
+        w.stop()
 
 
 def test_encrypt_produces_ciphertext_and_key_grant(cluster):
@@ -263,6 +348,31 @@ def test_exposure_token_and_expiry(cluster):
         w.read_exposed(job_id, desc["file_id"], desc["guest_token"], 0, 10)
 
 
+def test_exposure_outlives_its_job_workspace(cluster, tmp_path):
+    tok = cluster.account("u1")
+    payload = os.urandom(200_000)
+    seed_file(cluster, "u1", tok, "/f/y.bin", payload)
+    w = cluster.worker(registered=False, scratch_dir=str(tmp_path / "scratch"))
+    result, _ = submit(w.addr, {
+        "fois": sequence_to_wire([FOI("get", "/f/y.bin"), FOI("push", "y.bin")]),
+        "credentials": creds_body("u1", tok)})
+    workspace = tmp_path / "scratch" / "jobs" / result["job_id"]
+    deadline = time.monotonic() + 5.0
+    while workspace.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not workspace.exists()
+    desc = result["pushed"][0]
+    data, eof, _ = w.read_exposed(result["job_id"], desc["file_id"],
+                                  desc["guest_token"], 0, FETCH_CHUNK_BYTES)
+    assert eof and data == payload
+    # an exposure is a second name for the step's file, not a copy of it
+    src = tmp_path / "step"
+    src.write_bytes(b"z" * 10)
+    w.expose_intermediate(str(src), "j2", "z")
+    assert [os.path.samefile(src, tmp_path / "scratch" / "exposed" / f)
+            for f in os.listdir(tmp_path / "scratch" / "exposed") if f.startswith("j2.")] == [True]
+
+
 def test_fetch_request_validations(cluster):
     tok = cluster.account("u1")
     seed_file(cluster, "u1", tok, "/f/y.bin", b"y" * 100)
@@ -312,6 +422,8 @@ def test_pull_stops_on_a_stalled_or_overlong_read(tmp_path):
     with pytest.raises(DecodeError):
         pull_exposure(stalled, str(tmp_path / "out"))
     assert calls == [0, 3]
+    # the 3 bytes read before the stall must not pass for a finished file
+    assert os.listdir(tmp_path) == []
     with pytest.raises(DecodeError):
         pull_exposure(lambda offset: (b"x" * (FETCH_CHUNK_BYTES + 1), True),
                       str(tmp_path / "out"))
