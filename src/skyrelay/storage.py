@@ -7,23 +7,31 @@ account.  Byte payloads live only in the data tree, so metadata operations
 
 State is persisted on every mutation.  Nothing is loaded when a backend is
 constructed: each call refreshes only the account it acts on, and re-parses
-that account's index only when the file's (mtime, size) has changed, so
-separate processes pointed at the same root see each other's (non-racing)
-writes.  authenticate goes through a token-to-account hint and falls back
-to a stat sweep of every account only when the hint misses.  In-process
-concurrency is serialized by a backend-wide lock; cross-process mutations
-additionally hold a flock.
+that account's index only when the file's (mtime, size, inode) has changed,
+so separate processes pointed at the same root see each other's writes.
+A mutation holds the account's flock from the reload through the index
+write, so concurrent backends do not lose each other's changes; in-process
+concurrency is also serialized by a backend-wide lock.
+
+Tokens are stored only as SHA-256 hex digests.  The root's token map,
+``<root>/.tokens/<digest>``, is a symlink per token whose target is the
+account id, so authenticate reads one link and loads one account; the
+account's index stays the authority, and a link whose digest the index
+does not list grants nothing.  Stores written when indexes held plaintext
+tokens are not migrated.
 """
 
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
 import secrets
 import shutil
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .core import MAX_PATH_BYTES, FileMeta
@@ -36,6 +44,21 @@ from .errors import (
 )
 
 DEFAULT_QUOTA_BYTES = 1 << 30  # 1 GiB per account
+TOKEN_DIR = ".tokens"  # reserved name under the root: the token map
+
+
+def _valid_account_id(account_id) -> bool:
+    """True if account_id names one directory directly under the root."""
+    return (isinstance(account_id, str)
+            and account_id not in ("", ".", "..", TOKEN_DIR)
+            and "/" not in account_id and "\x00" not in account_id)
+
+
+def token_digest(token) -> str:
+    """The form in which a token is stored: its SHA-256 hex digest."""
+    if not isinstance(token, str):
+        raise AuthError("token must be a string")
+    return hashlib.sha256(token.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def normalize_path(path: str) -> str:
@@ -118,12 +141,13 @@ class _AccountState:
     def __init__(self, account_id: str, quota_bytes: int):
         self.account_id = account_id
         self.quota_bytes = quota_bytes
-        self.tokens: set[str] = set()
+        self.tokens: set[str] = set()  # token digests
         # path -> {kind, size_bytes, modified_at, revision:int}
         self.entries: dict[str, dict] = {}
         # survives delete/recreate so revisions stay monotone per path
         self.rev_counters: dict[str, int] = {}
-        self.index_stat: tuple[int, int] | None = None
+        self.usage = 0  # bytes of all files, kept in step with entries
+        self.index_stat: tuple[int, int, int] | None = None
 
 
 class LocalDirBackend(StorageBackend):
@@ -134,49 +158,56 @@ class LocalDirBackend(StorageBackend):
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.RLock()
         self._accounts: dict[str, _AccountState] = {}
-        # token -> account_id of its last successful match; always re-checked
-        self._token_hint: dict[str, str] = {}
 
     # -- account management (test/ops surface, not part of the storage API) --
 
     def create_account(self, account_id: str,
                        quota_bytes: int = DEFAULT_QUOTA_BYTES) -> str:
         """Create an account and return its first bearer token."""
-        with self._lock:
+        if not _valid_account_id(account_id):
+            raise PermissionDenied(f"invalid account id: {account_id!r}")
+        os.makedirs(self._account_dir(account_id), exist_ok=True)
+        token = secrets.token_hex(16)
+        digest = token_digest(token)
+        with self._flock(account_id), self._lock:
             self._load_account(account_id)
             if account_id in self._accounts:
                 raise AlreadyExists(f"account {account_id} exists")
             st = _AccountState(account_id, quota_bytes)
-            self._accounts[account_id] = st
-            os.makedirs(self._data_dir(account_id), exist_ok=True)
-            token = self._mint_token(st)
+            st.tokens.add(digest)
             self._persist(st)
-            return token
+            self._accounts[account_id] = st
+        os.makedirs(os.path.join(self.root, TOKEN_DIR), exist_ok=True)
+        os.symlink(account_id, self._token_entry(digest))
+        return token
 
     def revoke_token(self, token: str):
+        digest = token_digest(token)
         with self._lock:
-            st = self._account_of(token)
-            if st is None:
-                raise NotFound("unknown token")
-            st.tokens.discard(token)
-            self._token_hint.pop(token, None)
+            st = self._account_of(digest)
+        if st is None:
+            raise NotFound("unknown token")
+        # The map entry goes first, so every entry's digest stays listed.
+        os.unlink(self._token_entry(digest))
+        with self._writing(Session(st.account_id, token)) as st:
+            st.tokens.discard(digest)
             self._persist(st)
 
     # -- storage API --
 
     def authenticate(self, token: str) -> Session:
+        digest = token_digest(token)
         with self._lock:
-            st = self._account_of(token)
+            st = self._account_of(digest)
         if st is None:
             raise AuthError("unknown or revoked token")
         return Session(account_id=st.account_id, token=token)
 
     def basic_op(self, session: Session, action: str, args: dict):
-        with self._lock:
-            st = self._auth_state(session)
-            if action == "create_file":
-                return self._put(st, normalize_path(args["path"]),
-                                 args.get("data", b""), must_create=True)
+        if action == "create_file":
+            return self._put(session, normalize_path(args["path"]),
+                             args.get("data", b""), must_create=True)
+        with self._writing(session) as st:
             if action == "create_folder":
                 path = normalize_path(args["path"])
                 if path in st.entries or path == "/":
@@ -190,9 +221,10 @@ class LocalDirBackend(StorageBackend):
                 ent = st.entries.get(path)
                 if ent is None:
                     raise NotFound(path)
-                for p in self._subtree(st, path):
-                    st.entries.pop(p, None)
-                st.entries.pop(path)
+                for p in self._subtree(st, path) + [path]:
+                    gone = st.entries.pop(p)
+                    if gone["kind"] == "file":
+                        st.usage -= gone["size_bytes"]
                 fs = self._fs_path(st.account_id, path)
                 if ent["kind"] == "file":
                     if os.path.isfile(fs):
@@ -218,9 +250,7 @@ class LocalDirBackend(StorageBackend):
             return f.read()
 
     def put_object(self, session: Session, path: str, data: bytes) -> FileMeta:
-        with self._lock:
-            st = self._auth_state(session)
-            return self._put(st, normalize_path(path), data, must_create=False)
+        return self._put(session, normalize_path(path), data, must_create=False)
 
     def list_meta(self, session: Session, path: str = "/",
                   recursive: bool = False) -> list[FileMeta]:
@@ -252,37 +282,51 @@ class LocalDirBackend(StorageBackend):
 
     # -- internals --
 
-    def _mint_token(self, st: _AccountState) -> str:
-        token = secrets.token_hex(16)
-        st.tokens.add(token)
-        return token
+    def _token_entry(self, digest: str) -> str:
+        return os.path.join(self.root, TOKEN_DIR, digest)
 
-    def _account_of(self, token: str) -> _AccountState | None:
-        """The freshly loaded account holding token, or None."""
-        account_id = self._token_hint.get(token)
-        if account_id is not None:
-            self._load_account(account_id)
-            st = self._accounts.get(account_id)
-            if st is not None and token in st.tokens:
-                return st
-            del self._token_hint[token]
-        self._reload_all()
-        for st in self._accounts.values():
-            if token in st.tokens:
-                self._token_hint[token] = st.account_id
-                return st
-        return None
+    def _account_of(self, digest: str) -> _AccountState | None:
+        """The freshly loaded account listing the token digest, or None."""
+        try:
+            account_id = os.readlink(self._token_entry(digest))
+        except OSError:
+            return None
+        if not _valid_account_id(account_id):
+            return None
+        self._load_account(account_id)
+        st = self._accounts.get(account_id)
+        if st is None or digest not in st.tokens:
+            return None
+        return st
 
     def _auth_state(self, session: Session) -> _AccountState:
         account_id = session.account_id
         # A forged id must not point the reload at an index outside the root.
-        if account_id not in ("", ".", "..") and "/" not in account_id \
-                and "\x00" not in account_id:
+        if _valid_account_id(account_id):
             self._load_account(account_id)
         st = self._accounts.get(account_id)
-        if st is None or session.token not in st.tokens:
+        if st is None or token_digest(session.token) not in st.tokens:
             raise AuthError("session not valid for this account")
         return st
+
+    @contextmanager
+    def _writing(self, session: Session):
+        """Yield the session's account, reloaded and flocked until the end.
+
+        The session is checked before the lock file is opened, so a forged
+        account id creates nothing.
+        """
+        with self._lock:
+            account_id = self._auth_state(session).account_id
+        with self._flock(account_id), self._lock:
+            yield self._auth_state(session)
+
+    @contextmanager
+    def _flock(self, account_id: str):
+        """Hold the account's cross-process lock."""
+        with open(os.path.join(self._account_dir(account_id), ".lock"), "a") as lf:
+            fcntl.flock(lf, fcntl.LOCK_EX)
+            yield
 
     def _account_dir(self, account_id: str) -> str:
         return os.path.join(self.root, account_id)
@@ -329,33 +373,40 @@ class LocalDirBackend(StorageBackend):
         for p in reversed(missing):
             self._set_entry(st, p, kind="folder", size=0)
 
-    def _usage(self, st: _AccountState) -> int:
-        return sum(e["size_bytes"] for e in st.entries.values() if e["kind"] == "file")
-
-    def _put(self, st: _AccountState, path: str, data: bytes,
+    def _put(self, session: Session, path: str, data: bytes,
              must_create: bool) -> FileMeta:
         if path == "/":
             raise PermissionDenied("cannot write the account root")
-        existing = st.entries.get(path)
-        if existing is not None:
-            if must_create:
-                raise AlreadyExists(path)
-            if existing["kind"] == "folder":
-                raise AlreadyExists(f"folder exists at {path}")
-        old_size = existing["size_bytes"] if existing else 0
-        if self._usage(st) - old_size + len(data) > st.quota_bytes:
-            raise QuotaError(
-                f"quota {st.quota_bytes} exceeded on {st.account_id}")
-        self._ensure_parents(st, path)
-        fs = self._fs_path(st.account_id, path)
-        os.makedirs(os.path.dirname(fs), exist_ok=True)
-        tmp = fs + ".tmp"
+        with self._lock:
+            self._auth_state(session)  # a forged session writes nothing
+        # The payload is staged before the flock so writers overlap on it.
+        tmp = os.path.join(self._account_dir(session.account_id),
+                           f"put-{secrets.token_hex(8)}.tmp")
         with open(tmp, "wb") as f:
             f.write(data)
-        os.replace(tmp, fs)
-        self._set_entry(st, path, kind="file", size=len(data))
-        self._persist(st)
-        return self._meta(st, path)
+        try:
+            with self._writing(session) as st:
+                existing = st.entries.get(path)
+                if existing is not None:
+                    if must_create:
+                        raise AlreadyExists(path)
+                    if existing["kind"] == "folder":
+                        raise AlreadyExists(f"folder exists at {path}")
+                old_size = existing["size_bytes"] if existing else 0
+                if st.usage - old_size + len(data) > st.quota_bytes:
+                    raise QuotaError(
+                        f"quota {st.quota_bytes} exceeded on {st.account_id}")
+                self._ensure_parents(st, path)
+                fs = self._fs_path(st.account_id, path)
+                os.makedirs(os.path.dirname(fs), exist_ok=True)
+                os.replace(tmp, fs)
+                self._set_entry(st, path, kind="file", size=len(data))
+                st.usage += len(data) - old_size
+                self._persist(st)
+                return self._meta(st, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     def _rename(self, st: _AccountState, src: str, dst: str):
         if src not in st.entries:
@@ -385,7 +436,7 @@ class LocalDirBackend(StorageBackend):
         return os.path.join(self._account_dir(account_id), "index.json")
 
     def _persist(self, st: _AccountState):
-        lock_path = os.path.join(self._account_dir(st.account_id), ".lock")
+        """Write st's index; the caller holds the account's flock."""
         doc = {
             "account_id": st.account_id,
             "quota_bytes": st.quota_bytes,
@@ -394,14 +445,12 @@ class LocalDirBackend(StorageBackend):
             "rev_counters": st.rev_counters,
         }
         path = self._index_path(st.account_id)
-        with open(lock_path, "w") as lf:
-            fcntl.flock(lf, fcntl.LOCK_EX)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as f:
-                f.write(json.dumps(doc, separators=(",", ":")))
-            os.replace(tmp, path)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(json.dumps(doc, separators=(",", ":")))
+        os.replace(tmp, path)
         s = os.stat(path)
-        st.index_stat = (s.st_mtime_ns, s.st_size)
+        st.index_stat = (s.st_mtime_ns, s.st_size, s.st_ino)
 
     def _load_account(self, account_id: str):
         """Refresh one account from its index; parse only if the stat moved."""
@@ -410,7 +459,7 @@ class LocalDirBackend(StorageBackend):
             s = os.stat(path)
         except (FileNotFoundError, NotADirectoryError):
             return
-        index_stat = (s.st_mtime_ns, s.st_size)
+        index_stat = (s.st_mtime_ns, s.st_size, s.st_ino)
         st = self._accounts.get(account_id)
         if st is not None and st.index_stat == index_stat:
             return
@@ -423,11 +472,7 @@ class LocalDirBackend(StorageBackend):
         st.tokens = set(doc["tokens"])
         st.entries = doc["entries"]
         st.rev_counters = doc["rev_counters"]
+        st.usage = sum(e["size_bytes"] for e in st.entries.values()
+                       if e["kind"] == "file")
         st.index_stat = index_stat
         self._accounts[account_id] = st
-
-    def _reload_all(self):
-        # One stat per entry of the root; only new or changed indexes are
-        # parsed, which picks up other processes' writes and new accounts.
-        for name in os.listdir(self.root):
-            self._load_account(name)

@@ -3,6 +3,8 @@
 import json
 import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -14,7 +16,13 @@ from skyrelay.errors import (
     PermissionDenied,
     QuotaError,
 )
-from skyrelay.storage import LocalDirBackend, Session, ShadowFS
+from skyrelay.storage import (
+    TOKEN_DIR,
+    LocalDirBackend,
+    Session,
+    ShadowFS,
+    token_digest,
+)
 
 
 @pytest.fixture
@@ -240,3 +248,165 @@ def test_unchanged_index_is_not_parsed_again(backend, session, monkeypatch):
     assert backend.authenticate(session.token).account_id == "alice"
     assert backend.get_object(session, "/a") == b"1"
     assert set(backend.sync_shadow(session).entries) == {"/a"}
+
+
+def _files_under(root):
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            yield os.path.join(dirpath, name)
+
+
+def test_no_plaintext_token_at_rest(tmp_path):
+    root = str(tmp_path / "store")
+    backend = LocalDirBackend(root)
+    tokens = [backend.create_account(name) for name in ("alice", "bob")]
+    backend.put_object(backend.authenticate(tokens[0]), "/a", b"1")
+    backend.revoke_token(tokens[1])
+    for path in _files_under(root):
+        for token in tokens:
+            assert token not in path
+            if os.path.islink(path):
+                assert token not in os.readlink(path)
+            elif os.path.isfile(path):
+                with open(path, "rb") as f:
+                    assert token.encode() not in f.read()
+    with open(os.path.join(root, "alice", "index.json"), encoding="utf-8") as f:
+        assert json.load(f)["tokens"] == [token_digest(tokens[0])]
+
+
+def test_fresh_backend_authenticate_parses_one_index(tmp_path, monkeypatch):
+    root = str(tmp_path / "store")
+    maker = LocalDirBackend(root)
+    tokens = [maker.create_account(f"u{i:03d}") for i in range(256)]
+    loads = []
+    real_load = json.load
+
+    def counting_load(*args, **kwargs):
+        loads.append(1)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr("skyrelay.storage.json.load", counting_load)
+    assert LocalDirBackend(root).authenticate(tokens[137]).account_id == "u137"
+    assert len(loads) == 1
+
+
+def test_token_entry_left_after_revoke_is_refused(tmp_path):
+    root = str(tmp_path / "store")
+    backend = LocalDirBackend(root)
+    token = backend.create_account("alice")
+    backend.revoke_token(token)
+    os.symlink("alice", os.path.join(root, TOKEN_DIR, token_digest(token)))
+    for b in (backend, LocalDirBackend(root)):
+        with pytest.raises(AuthError):
+            b.authenticate(token)
+
+
+def test_token_entry_naming_an_account_without_the_digest_is_refused(tmp_path):
+    root = str(tmp_path / "store")
+    backend = LocalDirBackend(root)
+    token = backend.create_account("alice")
+    backend.create_account("bob")
+    entry = os.path.join(root, TOKEN_DIR, token_digest(token))
+    # an index outside the root that lists the digest
+    os.makedirs(tmp_path / "evil")
+    with open(tmp_path / "evil" / "index.json", "w") as f:
+        json.dump({"quota_bytes": 1, "tokens": [token_digest(token)],
+                   "entries": {}, "rev_counters": {}}, f)
+    for target in ("bob", "../evil", TOKEN_DIR):
+        os.unlink(entry)
+        os.symlink(target, entry)
+        for b in (backend, LocalDirBackend(root)):
+            with pytest.raises(AuthError):
+                b.authenticate(token)
+
+
+def test_account_id_rule(tmp_path):
+    root = tmp_path / "store"
+    backend = LocalDirBackend(str(root))
+    for bad in ("", ".", "..", "../escaped", "a/b", "/abs", "a\x00", TOKEN_DIR):
+        with pytest.raises(PermissionDenied):
+            backend.create_account(bad)
+    assert os.listdir(tmp_path) == ["store"]
+    assert os.listdir(root) == []
+    token = backend.create_account("alice")
+    for forged in (TOKEN_DIR, "../escaped"):
+        with pytest.raises(AuthError):
+            backend.put_object(Session(account_id=forged, token=token), "/x", b"x")
+    assert sorted(os.listdir(root)) == [TOKEN_DIR, "alice"]
+    assert os.listdir(tmp_path) == ["store"]
+
+
+def test_concurrent_backends_lose_no_puts(tmp_path):
+    root = str(tmp_path / "store")
+    token = LocalDirBackend(root).create_account("alice")
+    errors = []
+
+    def writer(name):
+        try:
+            b = LocalDirBackend(root)
+            s = b.authenticate(token)
+            for i in range(300):
+                b.put_object(s, f"/{name}/f{i:03d}", b"x")
+        except Exception as e:  # surfaced by the assert below
+            errors.append(e)
+
+    threads = [threading.Thread(target=writer, args=(n,)) for n in ("p", "q")]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    b = LocalDirBackend(root)
+    listed = b.list_meta(b.authenticate(token), "/", recursive=True)
+    assert sum(m.kind == "file" for m in listed) == 600
+
+
+def test_same_size_rewrite_within_one_mtime_is_reloaded(tmp_path):
+    root = str(tmp_path / "store")
+    b1 = LocalDirBackend(root)
+    token = b1.create_account("alice")
+    s1 = b1.authenticate(token)
+    b1.put_object(s1, "/a", b"1")
+    index = os.path.join(root, "alice", "index.json")
+    before = os.stat(index)
+    b2 = LocalDirBackend(root)
+    b2.put_object(b2.authenticate(token), "/a", b"2")
+    # a coarse clock would give the rewrite the same mtime
+    os.utime(index, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(index).st_size == before.st_size
+    assert b1.list_meta(s1, "/a")[0].revision == "2"
+
+
+def test_quota_follows_overwrite_delete_rename_and_reload(tmp_path):
+    root = str(tmp_path / "store")
+    b1 = LocalDirBackend(root)
+    token = b1.create_account("tiny", quota_bytes=1000)
+    s = b1.authenticate(token)
+    b1.put_object(s, "/a", b"x" * 600)
+    b1.put_object(s, "/a", b"x" * 900)  # an overwrite frees the old size
+    with pytest.raises(QuotaError):
+        b1.put_object(s, "/b", b"x" * 101)
+    b1.basic_op(s, "delete", {"path": "/a"})
+    b1.put_object(s, "/d/x", b"x" * 500)
+    b1.put_object(s, "/d/sub/y", b"x" * 400)
+    b1.basic_op(s, "rename", {"src": "/d", "dst": "/e"})
+    with pytest.raises(QuotaError):
+        b1.put_object(s, "/c", b"x" * 101)
+    b1.put_object(s, "/c", b"x" * 100)
+    b1.basic_op(s, "delete", {"path": "/e"})  # a subtree frees every file
+    b1.put_object(s, "/f", b"x" * 900)
+    # changes made by another backend count once b1 reloads
+    b2 = LocalDirBackend(root)
+    s2 = b2.authenticate(token)
+    b2.basic_op(s2, "delete", {"path": "/f"})
+    b1.put_object(s, "/g", b"x" * 900)
+    b2.put_object(s2, "/c", b"x" * 10)
+    with pytest.raises(QuotaError):
+        b1.put_object(s, "/h", b"x" * 91)
+    b1.put_object(s, "/h", b"x" * 90)
