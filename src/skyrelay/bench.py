@@ -200,13 +200,6 @@ class _Stack:
             ))
             w.start()
             self.workers.append(w)
-        # the pool flips instances to active only after the dispatch round
-        # trip lands; wait here so the workload starts against a full pool
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if len(self.coordinator.instances(status="active")) >= spec.shared_workers:
-                break
-            time.sleep(0.01)
         self.private_workers: dict[str, Worker] = {}
         self.alice = self._agent("alice", self.tok_a, seed=spec.seed + 10)
         self.bob = self._agent("bob", self.tok_b, seed=spec.seed + 11)

@@ -6,6 +6,12 @@ anything), hands agents instance grants with per-user keys, verifies
 sender/receiver pairings for transfers through shared instances, and signs
 instance certificates so agents can authenticate what a worker claims.
 
+Registration is one request and one reply on the channel the instance
+opened: the reply carries the pid, the certificate and the chain (a random
+32-byte root plus t0, offset and interval).  The paper derives the root as
+H(pid || t0); both of those are in every certificate, so any grantee could
+recompute the chain, and the root here is drawn at random instead.
+
 It never touches file bytes: everything here is control traffic.
 """
 
@@ -24,14 +30,17 @@ from .errors import (
     NoInstanceAvailable,
     NotFound,
     RegistrationError,
+    SkyrelayError,
     VerificationFailed,
 )
 from .keying import (
     DEFAULT_INTERVAL_S,
+    KEY_BYTES,
     OFFSET_MAX,
     OFFSET_MIN,
     EpochKeyState,
     issue_user_grant,
+    round_minute,
 )
 from .wire import (
     Certificate,
@@ -72,7 +81,7 @@ class InstanceRecord:
     capacity: int
     key_state: EpochKeyState
     certificate: Certificate
-    status: str = "pending"  # pending -> active -> retired
+    status: str = "active"  # active -> retired
     registered_at: float = field(default_factory=time.time)
     last_ping: float = field(default_factory=time.time)
 
@@ -210,14 +219,26 @@ class Coordinator:
         now = time.time()
         if share_until <= now:
             raise RegistrationError("share_until is already in the past")
+        # an instance whose listener cannot be reached never turns active
+        try:
+            self._open(addr, "probe").close()
+        except SkyrelayError as e:
+            raise RegistrationError(f"cannot reach {addr}: {e}") from e
         with self._lock:
             for rec in self._instances.values():
-                if rec.addr == addr and rec.status in ("pending", "active"):
+                if rec.addr == addr and rec.status == "active":
                     raise AlreadyRegistered(f"address {addr} is already registered")
             pid = os.urandom(16)
-            t0 = int(now)
-            offset_s = self.rng.randint(OFFSET_MIN, OFFSET_MAX)
-            key_state = EpochKeyState.create(pid, t0, offset_s, self.cfg.interval_s)
+            # random root, not H(pid || t0): see the module docstring
+            key_state = EpochKeyState(
+                pid=pid,
+                t0=round_minute(now),
+                offset_s=self.rng.randint(OFFSET_MIN, OFFSET_MAX),
+                interval_s=self.cfg.interval_s,
+                epoch=0,
+                key_current=os.urandom(KEY_BYTES),
+                key_previous=None,
+            )
             certificate = issue_certificate(
                 self._signing_key,
                 subject={"pid": pid.hex(), "addr": addr, "shared": bool(body.get("shared", True))},
@@ -238,50 +259,16 @@ class Coordinator:
             self._instances[pid] = rec
         self._log(f"registered instance {pid.hex()[:8]} at {addr} "
                   f"(shared={rec.shared}, until {share_until})")
+        # the chain root goes back on the channel the instance opened
         conn.send_ack(msg.seq, {
             "pid": pid.hex(),
             "coordinator_pub": self.public_key.hex(),
+            "k_root": key_state.key_current.hex(),
+            "t0": key_state.t0,
+            "offset_s": key_state.offset_s,
+            "interval_s": key_state.interval_s,
+            "certificate": certificate.to_wire(),
         })
-        # Dial back on a fresh channel: the service bundle and the key chain
-        # root go to the instance's own listener, not down the register pipe.
-        t = threading.Thread(target=self._dispatch_ssp, args=(rec,), daemon=True)
-        t.start()
-        self._threads.append(t)
-
-    def _dispatch_ssp(self, rec: InstanceRecord):
-        try:
-            ch = self._open(rec.addr, "dispatch")
-            try:
-                ch.request("DISPATCH_SSP", {
-                    "pid": rec.pid.hex(),
-                    "cfg": {
-                        "t0": rec.key_state.t0,
-                        "offset_s": rec.key_state.offset_s,
-                        "interval_s": rec.key_state.interval_s,
-                        "share_until": rec.share_until,
-                        "coordinator": self.addr,
-                    },
-                    "certificate": rec.certificate.to_wire(),
-                })
-                ch.request("KEY_INIT", {
-                    "pid": rec.pid.hex(),
-                    "k_serv": rec.key_state.key_current.hex(),
-                    "epoch": rec.key_state.epoch,
-                    "t0": rec.key_state.t0,
-                    "offset_s": rec.key_state.offset_s,
-                    "interval_s": rec.key_state.interval_s,
-                })
-            finally:
-                ch.close()
-        except Exception as e:  # noqa: BLE001 - registration must not wedge the pool
-            with self._lock:
-                rec.status = "retired"
-            self._log(f"dispatch to {rec.addr} failed: {e}")
-            return
-        with self._lock:
-            rec.status = "active"
-            rec.last_ping = time.time()
-        self._log(f"instance {rec.pid.hex()[:8]} active")
 
     def _grant(self, rec: InstanceRecord, user_id: str, now: float) -> dict:
         """Issue user_id a key on rec and record the allocation; caller holds _lock."""

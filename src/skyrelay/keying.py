@@ -1,11 +1,16 @@
 """Temporal key chain and credential envelopes.
 
-The coordinator and each shared worker agree on a chain of epoch keys
-derived from the worker's process id and a start time, then rotate in
-lockstep on a fixed interval.  Storage credentials handed to a shared
-worker are encrypted under a per-user key derived from the epoch key and a
-fresh random value, so an instance owner who inspects the channel later
-cannot recover them.
+The coordinator and each shared worker agree on a chain of epoch keys,
+then rotate in lockstep on a fixed interval.  Storage credentials handed to
+a shared worker are encrypted under a per-user key derived from the epoch
+key and a fresh random value, so an instance owner who inspects the channel
+later cannot recover them.
+
+initial_server_key is the paper's epoch-0 key, H(pid || minute(t0)).  The
+live coordinator does not use it: pid and t0 are in every instance
+certificate, so anyone holding a grant could recompute the whole chain.
+It draws a random root instead and hands it to the worker in the
+registration reply; rotation is the same from there on.
 
 Byte encodings are pinned so both sides agree bit-exactly: pid is 16 raw
 bytes, timestamps are 8-byte big-endian seconds, and concatenation is plain
@@ -196,22 +201,22 @@ def seal_credentials(state: EpochKeyState, sc: CredentialSet) -> CredentialCiphe
 def decrypt_credentials(state: EpochKeyState, ct: CredentialCiphertext) -> CredentialSet:
     """Open a credential envelope against the worker's chain state.
 
-    The epoch hint selects the chain key; envelopes from the immediately
-    preceding epoch still open via key_previous, anything older fails.
+    The epoch hint names the one chain key to try: key_current for the
+    current epoch, key_previous for the one before, nothing for any other.
     """
-    candidates = []
     if ct.epoch_hint == state.epoch:
-        candidates.append(state.key_current)
-        if state.key_previous is not None:
-            candidates.append(state.key_previous)
-    elif ct.epoch_hint == state.epoch - 1 and state.key_previous is not None:
-        candidates.append(state.key_previous)
-    for k_serv in candidates:
+        k_serv = state.key_current
+    elif ct.epoch_hint == state.epoch - 1:
+        k_serv = state.key_previous
+    else:
+        k_serv = None
+    if k_serv is not None:
         try:
             plain = AESGCM(derive_user_key(k_serv, ct.r)).decrypt(ct.nonce, ct.body, None)
         except InvalidTag:
-            continue
-        return CredentialSet.from_wire(json.loads(plain.decode("utf-8")))
+            pass
+        else:
+            return CredentialSet.from_wire(json.loads(plain.decode("utf-8")))
     raise CredentialAuthFailure(
         f"cannot open credential envelope (hint epoch {ct.epoch_hint}, state epoch {state.epoch})"
     )

@@ -49,8 +49,6 @@ _U32 = struct.Struct(">I")
 
 KINDS = frozenset({
     "REGISTER_INSTANCE",
-    "DISPATCH_SSP",
-    "KEY_INIT",
     "REQUEST_INSTANCE",
     "INSTANCE_GRANT",
     "SUBMIT_OP",
@@ -339,8 +337,8 @@ class Listener:
             while not self._stopping:
                 try:
                     msg = conn.recv_message(timeout=None)
-                except (ChannelClosed, FrameError, RequestTimeout):
-                    return
+                except (ChannelClosed, DecodeError, FrameError, RequestTimeout):
+                    return  # a malformed or unknown-kind frame closes the connection
                 try:
                     self._handler(conn, msg)
                 except Exception as e:  # handler bug: report, keep serving

@@ -1,10 +1,11 @@
 """Worker service: executes FOI sequences against the storage backend.
 
-A worker binds a listener, optionally registers with a coordinator (which
-hands it a process id, a certificate, and the epoch-key chain), then accepts
-jobs.  Each job runs in its own workspace, sends heartbeat events while it
-works, and is wiped afterward; decrypted storage credentials exist only
-inside the running job.
+A worker binds a listener, optionally registers with a coordinator (whose
+reply hands it a process id, a certificate, and the epoch-key chain), then
+accepts jobs.  The chain's root is random, not the paper's H(pid || t0):
+pid and t0 are in the certificate every grantee holds.  Each job runs in
+its own workspace, sends heartbeat events while it works, and is wiped
+afterward; decrypted storage credentials exist only inside the running job.
 
 Workers shut themselves down shortly before the next billing boundary so an
 instance shared for the remainder of a paid period never incurs another
@@ -46,13 +47,11 @@ from .errors import (
     Gone,
     NotFound,
     PermissionDenied,
-    RegistrationError,
     ShutdownError,
     SkyrelayError,
-    StartError,
     TransformError,
 )
-from .keying import EpochKeyState, CredentialCiphertext, decrypt_credentials, initial_server_key
+from .keying import EpochKeyState, CredentialCiphertext, decrypt_credentials
 from .storage import LocalDirBackend, StorageBackend
 from .wire import Certificate, Channel, Listener, Message, ServerConn, open_channel
 
@@ -150,7 +149,6 @@ class WorkerConfig:
     expose_ttl_s: float = DEFAULT_EXPOSE_TTL_S
     ping_interval_s: float = DEFAULT_PING_INTERVAL_S
     startup_delay_s: float = 0.0
-    register_timeout_s: float = 10.0
     # bench hooks: client channel factory (addr, purpose) and server-side taps
     channel_factory: Callable[[str, str], Channel] | None = None
     tap_factory: Callable[[str], Callable[[str, bytes], None] | None] | None = None
@@ -217,7 +215,6 @@ class Worker:
         self._state_lock = threading.Lock()
         self._log_lock = threading.Lock()
         self._stopping = False
-        self._ready = threading.Event()
         self._shutdown_timer: threading.Timer | None = None
         self._threads: list[threading.Thread] = []
         self._scratch_owned = cfg.scratch_dir is None
@@ -269,11 +266,23 @@ class Worker:
             })
         finally:
             ch.close()
-        self.pid = bytes.fromhex(reply.body["pid"])
-        self.coordinator_pub = bytes.fromhex(reply.body["coordinator_pub"])
-        self._log(f"registered pid={self.pid.hex()} at {self.cfg.coordinator_addr}")
-        if not self._ready.wait(self.cfg.register_timeout_s):
-            raise StartError("coordinator never dispatched the service bundle")
+        body = reply.body
+        pid = bytes.fromhex(body["pid"])
+        with self._key_lock:
+            self.pid = pid
+            self.coordinator_pub = bytes.fromhex(body["coordinator_pub"])
+            self.certificate = Certificate.from_wire(body["certificate"])
+            # the rotation loop catches up from t0 on its next poll
+            self.key_state = EpochKeyState(
+                pid=pid,
+                t0=int(body["t0"]),
+                offset_s=int(body["offset_s"]),
+                interval_s=int(body["interval_s"]),
+                epoch=0,
+                key_current=bytes.fromhex(body["k_root"]),
+                key_previous=None,
+            )
+        self._log(f"registered pid={pid.hex()} at {self.cfg.coordinator_addr}")
 
     def _start_service(self):
         self.started_at = time.monotonic()
@@ -409,13 +418,7 @@ class Worker:
     # -- message handling --
 
     def _handle(self, conn: ServerConn, msg: Message):
-        if msg.kind in ("DISPATCH_SSP", "KEY_INIT") and not self.cfg.coordinator_addr:
-            raise RegistrationError(f"{msg.kind} refused: this instance has no coordinator")
-        if msg.kind == "DISPATCH_SSP":
-            self._handle_dispatch(conn, msg)
-        elif msg.kind == "KEY_INIT":
-            self._handle_key_init(conn, msg)
-        elif msg.kind == "SUBMIT_OP":
+        if msg.kind == "SUBMIT_OP":
             if "fetch" in msg.body:
                 self._handle_fetch(conn, msg)
             else:
@@ -425,47 +428,6 @@ class Worker:
                 "code": "DECODE_ERROR",
                 "message": f"worker does not accept {msg.kind}",
             })
-
-    def _handle_dispatch(self, conn: ServerConn, msg: Message):
-        body = msg.body
-        pid = bytes.fromhex(body["pid"])
-        cert = Certificate.from_wire(body["certificate"])
-        with self._state_lock:
-            # the coordinator dispatches once, right after registration
-            if self.certificate is not None:
-                raise RegistrationError("service bundle already received")
-            if self.pid is not None and pid != self.pid:
-                raise RegistrationError("dispatch names a different pid")
-            self.pid = pid
-            self.certificate = cert
-            self.share_until = int(body["cfg"].get("share_until", self.share_until))
-        self._log(f"service bundle received for pid={pid.hex()}")
-        conn.send_ack(msg.seq)
-
-    def _handle_key_init(self, conn: ServerConn, msg: Message):
-        body = msg.body
-        pid = bytes.fromhex(body["pid"])
-        key = bytes.fromhex(body["k_serv"])
-        t0 = int(body["t0"])
-        epoch = int(body["epoch"])
-        if epoch == 0 and key != initial_server_key(pid, t0):
-            raise RegistrationError("key material does not match pid and start time")
-        with self._key_lock:
-            # sent once after dispatch; later epochs come from local rotation
-            if self.key_state is not None:
-                raise RegistrationError("key chain already initialized")
-            self.key_state = EpochKeyState(
-                pid=pid,
-                t0=t0,
-                offset_s=int(body["offset_s"]),
-                interval_s=int(body["interval_s"]),
-                epoch=epoch,
-                key_current=key,
-                key_previous=None,
-            )
-        self._log(f"key chain initialized at epoch {epoch}")
-        conn.send_ack(msg.seq)
-        self._ready.set()
 
     # -- exposure --
 

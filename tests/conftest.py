@@ -1,7 +1,6 @@
 """Shared fixtures: booted components with cleanup, and a frame recorder."""
 
 import threading
-import time
 
 import pytest
 
@@ -77,15 +76,6 @@ def cluster(tmp_path):
             w = Worker(cfg)
             w.start()
             self.workers.append(w)
-            if registered:
-                # the pool flips to active only after the dispatch round
-                # trip completes; wait so tests see a grantable instance
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    rows = self.coordinator.instances(status="active")
-                    if any(r["pid"] == w.pid.hex() for r in rows):
-                        break
-                    time.sleep(0.005)
             return w
 
         def close(self):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import socket
+import struct
 import threading
 import time
 
@@ -20,11 +22,10 @@ from skyrelay.errors import (
     NotCloudAssisted,
     NotFound,
     PermissionDenied,
-    RegistrationError,
     StartError,
     VerificationFailed,
 )
-from skyrelay.wire import open_channel
+from skyrelay.wire import open_channel, parse_addr
 
 
 def make_agent(cluster, name, *, seed=7, launcher=None, download_dir=None,
@@ -136,38 +137,29 @@ def test_account_token_never_crosses_wire_in_shared_mode(cluster, tmp_path):
     assert cluster.recorder.occurrences(tok.encode()) == []
 
 
-def test_worker_takes_key_chain_and_bundle_only_once(cluster, tmp_path):
-    agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path))
-    put_file(cluster, tok, "/d/f.bin", os.urandom(10_000))
-    agent.sync()
-    w = cluster.worker(shared=True)
-    st = w.key_state
-    ch = open_channel(w.addr)
-    try:
-        with pytest.raises(RegistrationError):
-            ch.request("KEY_INIT", {
-                "pid": w.pid.hex(), "k_serv": os.urandom(32).hex(), "epoch": 5,
-                "t0": st.t0, "offset_s": st.offset_s, "interval_s": st.interval_s})
-        with pytest.raises(RegistrationError):
-            ch.request("DISPATCH_SSP", {"pid": w.pid.hex(), "cfg": {"share_until": 0},
-                                        "certificate": w.certificate.to_wire()})
-    finally:
-        ch.close()
-    assert w.key_state is st and w.share_until > time.time()
-    agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
-    assert "/d/f.bin.gz" in agent.shadow.entries
+def _conn_threads():
+    return {t for t in threading.enumerate() if t.name.endswith("(_conn_loop)")}
 
 
-def test_worker_without_coordinator_refuses_control_frames(cluster):
-    w = cluster.worker(registered=False)
-    ch = open_channel(w.addr)
-    try:
-        for kind in ("KEY_INIT", "DISPATCH_SSP"):
-            with pytest.raises(RegistrationError):
-                ch.request(kind, {})
-    finally:
-        ch.close()
-    assert w.key_state is None and w.certificate is None
+@pytest.mark.parametrize("registered", [True, False], ids=["registered", "unregistered"])
+def test_key_init_frame_closes_the_connection(cluster, monkeypatch, registered):
+    # KEY_INIT is not a wire kind: key material reaches a worker only in its
+    # registration reply, so the frame is refused from any peer
+    w = cluster.worker(registered=registered)
+    st, cert = w.key_state, w.certificate
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", seen.append)
+    before = _conn_threads()
+    payload = json.dumps({"kind": "KEY_INIT", "seq": 1, "body": {
+        "pid": "00" * 16, "k_serv": os.urandom(32).hex(), "epoch": 0,
+        "t0": 0, "offset_s": 1, "interval_s": 180}}).encode()
+    with socket.create_connection(parse_addr(w.addr), timeout=5.0) as sock:
+        sock.sendall(struct.pack(">I", len(payload)) + payload)
+        assert sock.recv(1) == b""  # closed with no reply
+    for t in _conn_threads() - before:
+        t.join(5.0)
+    assert seen == []
+    assert w.key_state is st and w.certificate is cert
 
 
 def test_put_names_uncollide(cluster, tmp_path):

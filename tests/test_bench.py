@@ -36,7 +36,7 @@ def test_empty_workload_is_quiet():
     assert report.passed()
     assert report.ops == []
     assert report.reconciliation["delta"] == 0
-    # registration and key dispatch still crossed the wire
+    # registration, which carries the key chain, still crossed the wire
     assert report.reconciliation["total_sent"] > 0
 
 

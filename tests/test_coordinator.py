@@ -13,7 +13,7 @@ from skyrelay.errors import (
     RegistrationError,
     VerificationFailed,
 )
-from skyrelay.keying import derive_user_key
+from skyrelay.keying import OFFSET_MAX, OFFSET_MIN, derive_user_key, key_at_epoch
 from skyrelay.scheduler import plan_batch
 from skyrelay.wire import Certificate, open_channel, verify_certificate
 
@@ -32,13 +32,14 @@ def request(addr, kind, body, timeout=10.0):
 
 def test_register_activates_and_lists(cluster):
     w = cluster.worker(shared=True)
+    # active as soon as start() returns: no polling
     rows = cluster.coordinator.instances(status="active")
     assert len(rows) == 1
     row = rows[0]
     assert row["pid"] == w.pid.hex()
     assert row["addr"] == w.addr
     assert row["shared"] is True
-    # the certificate handed over in dispatch covers exactly this instance
+    # the certificate in the registration reply covers exactly this instance
     assert w.certificate.subject["pid"] == w.pid.hex()
     assert w.certificate.subject["addr"] == w.addr
     verify_certificate(cluster.coordinator.public_key, w.certificate)
@@ -79,6 +80,31 @@ def test_grant_contains_working_user_key(cluster):
     assert bytes.fromhex(g["key"]) == expect
     assert expect == hashlib.sha256(
         rec.key_state.key_current + bytes.fromhex(g["r"])).digest()
+
+
+def test_grant_key_not_derivable_from_certificate(cluster):
+    # pid and issued_at are public in every certificate; with a hashed
+    # chain root they would give away the instance key behind the grant
+    cluster.worker(shared=True)
+    _, events = request(cluster.coordinator.addr, "REQUEST_INSTANCE", {"user_id": "alice"})
+    g = [e.body for e in events if e.kind == "INSTANCE_GRANT"][0]
+    cert = Certificate.from_wire(g["certificate"])
+    pid = bytes.fromhex(cert.subject["pid"])
+    r, key = bytes.fromhex(g["r"]), bytes.fromhex(g["key"])
+    for epoch in {0, 1, g["epoch"]}:
+        for interval_s in (60, 180, 300):
+            for offset_s in range(OFFSET_MIN, OFFSET_MAX + 1):
+                k = key_at_epoch(pid, cert.issued_at, offset_s, interval_s, epoch)
+                assert derive_user_key(k, r) != key
+
+
+def test_unreachable_address_never_registers(cluster):
+    with pytest.raises(RegistrationError):
+        request(cluster.coordinator.addr, "REGISTER_INSTANCE", {
+            "addr": "127.0.0.1:1", "shared": True,
+            "share_until": int(time.time()) + 600, "capacity": 1,
+        })
+    assert cluster.coordinator.instances() == []
 
 
 def test_no_pool_means_no_grant(cluster):
@@ -171,6 +197,8 @@ def test_missed_pings_retire_instance(cluster):
                 break
             time.sleep(0.05)
         assert any(r["pid"] == pid for r in coord.instances(status="retired"))
+        assert any(f"retired instance {pid[:8]} (missed pings)" in line
+                   for line in coord.log)
     finally:
         coord.stop()
 

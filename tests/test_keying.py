@@ -176,6 +176,19 @@ def test_grace_window_one_epoch():
         decrypt_credentials(st, ct)  # n+2: gone
 
 
+def test_hint_picks_the_key_exactly():
+    st = EpochKeyState.create(os.urandom(16), 0, 99)
+    sc = CredentialSet(account_id="a", token="t")
+    ct = seal_credentials(st, sc)
+    st.rotate()
+    # sealed at epoch n, relabelled n+1: key_current is tried, and only it
+    relabelled = CredentialCiphertext(nonce=ct.nonce, body=ct.body, r=ct.r,
+                                      epoch_hint=st.epoch)
+    with pytest.raises(CredentialAuthFailure):
+        decrypt_credentials(st, relabelled)
+    assert decrypt_credentials(st, ct) == sc
+
+
 def test_wrong_chain_never_decrypts():
     st = EpochKeyState.create(os.urandom(16), 0, 12)
     ct = seal_credentials(st, CredentialSet(account_id="a", token="t"))

@@ -1,5 +1,6 @@
 """Worker service tests: FOI execution, heartbeats, exposure, shutdown."""
 
+import copy
 import gzip
 import http.server
 import io
@@ -23,7 +24,7 @@ from skyrelay.errors import (
     PermissionDenied,
     ShutdownError,
 )
-from skyrelay.keying import key_at_epoch
+from skyrelay.keying import OFFSET_MAX, OFFSET_MIN, key_at_epoch
 from skyrelay.wire import open_channel
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
@@ -527,10 +528,15 @@ def test_registered_worker_chain_matches_coordinator(cluster):
     w = cluster.worker(shared=True)
     assert w.pid is not None and w.key_state is not None
     rec = cluster.coordinator._instances[w.pid]
-    assert rec.key_state.key_current == w.key_state.key_current
-    assert rec.key_state.epoch == w.key_state.epoch == 0
+    assert rec.key_state == w.key_state and rec.key_state is not w.key_state
     st = w.key_state
-    assert st.key_current == key_at_epoch(st.pid, st.t0, st.offset_s, st.interval_s, 0)
+    assert st.epoch == 0
+    # the root is random: the chain named by pid and t0 is not this one
+    for epoch in (0, 1):
+        nxt = copy.copy(st)
+        nxt.rotate_to(epoch)
+        assert all(nxt.key_current != key_at_epoch(st.pid, st.t0, o, st.interval_s, epoch)
+                   for o in range(OFFSET_MIN, OFFSET_MAX + 1))
     assert w.certificate is not None
 
 
