@@ -48,7 +48,7 @@ from .wire import (
     open_channel,
     verify_certificate,
 )
-from .worker import fetch_reader, parse_exposure_uri, pull_exposure
+from .worker import fetch_reader, pull_exposure
 
 DEFAULT_TICKET_TIMEOUT_S = 60.0
 
@@ -335,13 +335,8 @@ class AgentSession:
         channels: list[Channel] = []
         events: list[Message] = []
         grant = self._place(mode or self.cfg.mode, channels)
-        _, result = self._submit(fois, grant, channels, events)
-        saved = []
-        for ev in events:
-            if ev.kind == "EXPOSE_GRANT":
-                addr, _, _ = parse_exposure_uri(ev.body["uri"])
-                saved.append(self._fetch_pushed(addr, ev.body, channels))
-        result["saved"] = saved
+        addr, result = self._submit(fois, grant, channels, events)
+        result["saved"] = [self._fetch_pushed(addr, d, channels) for d in result["pushed"]]
         self.sync()
         self._record(action, channels, started, events)
         return result

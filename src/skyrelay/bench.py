@@ -292,6 +292,7 @@ def run_scenario(spec: ScenarioSpec) -> MetricsReport:
                     if w.started_at is None or time.monotonic() - w.started_at > target:
                         break
                     time.sleep(0.05)
+        stack.coordinator.instances()  # settles retirements no request has read yet
         for line in stack.coordinator.log:
             if "shut down" in line:
                 stack.events.append("shutdown_notice")

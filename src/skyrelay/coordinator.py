@@ -1,10 +1,15 @@
 """Coordinator: the trusted rendezvous between agents and worker instances.
 
-The coordinator registers instances, walks each one's epoch key chain in
+The coordinator registers instances, keeps each one's epoch key chain in
 lockstep (it issued the chain, so it never needs to ask the instance
 anything), hands agents instance grants with per-user keys, verifies
 sender/receiver pairings for transfers through shared instances, and signs
 instance certificates so agents can authenticate what a worker claims.
+
+It runs no thread of its own.  Chain position, retirement (share window
+over, or no ping within ping_miss_limit intervals) and allocation expiry
+are all functions of the clock, so each request settles the records it
+reads to the current time before it uses them.
 
 Registration is one request and one reply on the channel the instance
 opened: the reply carries the pid, the certificate and the chain (a random
@@ -17,6 +22,7 @@ It never touches file bytes: everything here is control traffic.
 
 from __future__ import annotations
 
+import collections
 import os
 import random
 import threading
@@ -54,6 +60,7 @@ from .wire import (
 
 DEFAULT_MIN_SHARE_REMAINING_S = 60.0
 DEFAULT_ALLOC_TTL_S = 600.0
+LOG_MAX_LINES = 10_000
 
 
 @dataclass
@@ -64,7 +71,6 @@ class CoordinatorConfig:
     interval_s: int = DEFAULT_INTERVAL_S
     ping_miss_limit: int = 3
     ping_interval_s: float = 30.0
-    sweep_interval_s: float = 1.0
     rng: random.Random | None = None
     channel_factory: object | None = None  # (addr, purpose) -> Channel
     tap_factory: object | None = None
@@ -112,7 +118,7 @@ class Coordinator:
         self.cfg = cfg or CoordinatorConfig()
         self.rng = self.cfg.rng or random.Random()
         self.addr: str | None = None
-        self.log: list[str] = []
+        self._log_lines: collections.deque[str] = collections.deque(maxlen=LOG_MAX_LINES)
         self._signing_key = Ed25519PrivateKey.generate()
         self.public_key = self._signing_key.public_key().public_bytes_raw()
         self._instances: dict[bytes, InstanceRecord] = {}
@@ -120,8 +126,6 @@ class Coordinator:
         self._lock = threading.Lock()
         self._log_lock = threading.Lock()
         self._listener: Listener | None = None
-        self._stopping = threading.Event()
-        self._threads: list[threading.Thread] = []
 
     # -- lifecycle --
 
@@ -129,23 +133,22 @@ class Coordinator:
         self._listener = Listener(self.cfg.listen_addr, self._handle,
                                   tap_factory=self.cfg.tap_factory)
         self.addr = self._listener.addr
-        t = threading.Thread(target=self._rotation_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
-        t = threading.Thread(target=self._retire_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
         self._log(f"coordinator listening at {self.addr}")
         return self.addr
 
     def stop(self):
-        self._stopping.set()
         if self._listener:
             self._listener.close()
 
+    @property
+    def log(self) -> list[str]:
+        """The latest LOG_MAX_LINES log lines, oldest first."""
+        with self._log_lock:
+            return list(self._log_lines)
+
     def _log(self, line: str):
         with self._log_lock:
-            self.log.append(f"{time.time():.3f} {line}")
+            self._log_lines.append(f"{time.time():.3f} {line}")
 
     def wire_totals(self) -> tuple[int, int]:
         """(sent, received) on the coordinator's listener, cumulative."""
@@ -158,40 +161,26 @@ class Coordinator:
             return self.cfg.channel_factory(addr, purpose)
         return open_channel(addr)
 
-    # -- background sweeps --
+    # -- settling clock-driven state; callers hold _lock --
 
-    def _rotation_loop(self):
-        # Walk every registered chain on its own schedule; replicas stay in
-        # lockstep with the instance without any traffic.
-        while not self._stopping.wait(0.2):
-            now = time.time()
-            with self._lock:
-                for rec in self._instances.values():
-                    if rec.status == "retired":
-                        continue
-                    st = rec.key_state
-                    rotated = False
-                    while now >= st.next_rotation_at():
-                        st.rotate()
-                        rotated = True
-                    if rotated:
-                        self._log(f"instance {rec.pid.hex()[:8]} advanced to epoch {st.epoch}")
+    def _settle(self, rec: InstanceRecord, now: float):
+        """Retire rec if its share window or pings lapsed, else walk its chain to now."""
+        if rec.status != "active":
+            return
+        over = now >= rec.share_until
+        if over or now - rec.last_ping > self.cfg.ping_interval_s * self.cfg.ping_miss_limit:
+            rec.status = "retired"
+            self._log(f"retired instance {rec.pid.hex()[:8]} "
+                      f"({'share window over' if over else 'missed pings'})")
+        elif rec.key_state.advance(now):
+            self._log(f"instance {rec.pid.hex()[:8]} advanced to epoch {rec.key_state.epoch}")
 
-    def _retire_loop(self):
-        while not self._stopping.wait(self.cfg.sweep_interval_s):
-            now = time.time()
-            miss_window = self.cfg.ping_interval_s * self.cfg.ping_miss_limit
-            with self._lock:
-                for rec in self._instances.values():
-                    if rec.status != "active":
-                        continue
-                    if now >= rec.share_until or now - rec.last_ping > miss_window:
-                        rec.status = "retired"
-                        self._log(f"retired instance {rec.pid.hex()[:8]} "
-                                  f"({'share window over' if now >= rec.share_until else 'missed pings'})")
-                dead = [k for k, a in self._allocations.items() if now >= a.expires_at]
-                for k in dead:
-                    del self._allocations[k]
+    def _sweep(self, now: float):
+        """Settle every record and drop expired allocations."""
+        for rec in self._instances.values():
+            self._settle(rec, now)
+        self._allocations = {k: a for k, a in self._allocations.items()
+                             if now < a.expires_at}
 
     # -- message handling --
 
@@ -225,6 +214,7 @@ class Coordinator:
         except SkyrelayError as e:
             raise RegistrationError(f"cannot reach {addr}: {e}") from e
         with self._lock:
+            self._sweep(time.time())
             for rec in self._instances.values():
                 if rec.addr == addr and rec.status == "active":
                     raise AlreadyRegistered(f"address {addr} is already registered")
@@ -293,6 +283,7 @@ class Coordinator:
         user_id = msg.body.get("user_id", "")
         now = time.time()
         with self._lock:
+            self._sweep(now)
             best: InstanceRecord | None = None
             for rec in self._instances.values():
                 if rec.status != "active" or not rec.shared:
@@ -322,11 +313,12 @@ class Coordinator:
         pid = bytes.fromhex(body["pid"])
         now = time.time()
         with self._lock:
+            self._sweep(now)
             rec = self._instances.get(pid)
             if rec is None or rec.status != "active":
                 raise VerificationFailed("instance is not active")
             alloc = self._allocations.get((sender_id, pid))
-            if alloc is None or now >= alloc.expires_at:
+            if alloc is None:
                 raise VerificationFailed(
                     f"no live allocation of this instance to sender {sender_id!r}")
             reply = self._grant(rec, user_id, now)
@@ -340,12 +332,17 @@ class Coordinator:
             rec = self._instances.get(pid)
             if rec is None:
                 raise NotFound(f"unknown instance {msg.body['pid']}")
-            rec.last_ping = time.time()
+            # a ping after the miss window retires its instance, not revives it
+            now = time.time()
+            self._settle(rec, now)
+            if rec.status == "active":
+                rec.last_ping = now
         conn.send_ack(msg.seq)
 
     def _handle_shutdown_notice(self, conn: ServerConn, msg: Message):
         pid = bytes.fromhex(msg.body["pid"])
         with self._lock:
+            self._sweep(time.time())
             rec = self._instances.get(pid)
             if rec is None:
                 raise NotFound(f"unknown instance {msg.body['pid']}")
@@ -360,5 +357,6 @@ class Coordinator:
 
     def instances(self, status: str | None = None) -> list[dict]:
         with self._lock:
+            self._sweep(time.time())
             recs = sorted(self._instances.values(), key=lambda r: r.registered_at)
             return [r.summary() for r in recs if status is None or r.status == status]

@@ -1,10 +1,12 @@
 """Temporal key chain and credential envelopes.
 
-The coordinator and each shared worker agree on a chain of epoch keys,
-then rotate in lockstep on a fixed interval.  Storage credentials handed to
-a shared worker are encrypted under a per-user key derived from the epoch
-key and a fresh random value, so an instance owner who inspects the channel
-later cannot recover them.
+The coordinator and each shared worker agree on a chain of epoch keys.
+The epoch is a pure function of (t0, interval_s, now), so each side
+rotates on its own with no traffic: EpochKeyState.advance(now) walks the
+chain through every boundary at or before now, whenever its holder reads
+it.  Storage credentials handed to a shared worker are encrypted under a
+per-user key derived from the epoch key and a fresh random value, so an
+instance owner who inspects the channel later cannot recover them.
 
 initial_server_key is the paper's epoch-0 key, H(pid || minute(t0)).  The
 live coordinator does not use it: pid and t0 are in every instance
@@ -92,9 +94,9 @@ def key_at_epoch(pid: bytes, t0: float, offset_s: int, interval_s: int, epoch: i
 class EpochKeyState:
     """One side's view of the chain.
 
-    Mutated only by a single rotation driver; other threads must work from
-    snapshots or hold the owner's lock.  key_previous is kept for exactly
-    one epoch so envelopes sealed just before a rotation still open.
+    Not thread-safe: callers hold the owner's lock or work on a copy.
+    key_previous is kept for exactly one epoch so envelopes sealed just
+    before a rotation still open.
     """
 
     pid: bytes
@@ -129,6 +131,13 @@ class EpochKeyState:
         t = int(self.t0 + next_epoch * self.interval_s)
         self.key_current = sha256(key + _be64(t - t % 60 + self.offset_s)).digest()
         self.epoch = next_epoch
+
+    def advance(self, now: float) -> bool:
+        """Rotate through every boundary at or before now; True if any."""
+        start = self.epoch
+        while now >= self.next_rotation_at():
+            self.rotate()
+        return self.epoch != start
 
     def rotate_to(self, epoch: int) -> None:
         while self.epoch < epoch:

@@ -10,9 +10,9 @@ messages (heartbeats, grants) carrying the same seq before the single
 terminal RESULT/ACK/ERROR.
 
 Every channel endpoint counts the exact bytes it puts on and takes off the
-socket, which is what the bench harness reconciles.  Transport encryption
-is a pluggable wrapper and is off by default; credential secrecy does not
-depend on it.
+socket, which is what the bench harness reconciles.  Channels are plain
+TCP with no transport encryption: credential secrecy rests on the sealed
+envelope (keying.encrypt_credentials), never on the channel.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ KINDS = frozenset({
     "SUBMIT_OP",
     "HEARTBEAT",
     "RESULT",
-    "EXPOSE_GRANT",
     "TRANSFER_NOTIFY",
     "VERIFY_TRANSFER",
     "VERIFY_GRANT",
@@ -314,7 +313,8 @@ class Listener:
         self._closed_sent = 0
         self._closed_received = 0
         self._stopping = False
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread = threading.Thread(target=self._accept_loop,
+                                        name="skyrelay-accept", daemon=True)
         self._thread.start()
 
     def _accept_loop(self):
@@ -328,9 +328,8 @@ class Listener:
             conn = ServerConn(sock, peer_s, tap=tap)
             with self._conns_lock:
                 self._conns.append(conn)
-            threading.Thread(
-                target=self._conn_loop, args=(conn,), daemon=True
-            ).start()
+            threading.Thread(target=self._conn_loop, args=(conn,),
+                             name="skyrelay-conn", daemon=True).start()
 
     def _conn_loop(self, conn: ServerConn):
         try:

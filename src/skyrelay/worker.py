@@ -9,8 +9,13 @@ afterward; decrypted storage credentials exist only inside the running job.
 
 Workers shut themselves down shortly before the next billing boundary so an
 instance shared for the remainder of a paid period never incurs another
-charge.  Produced files that must reach the requesting agent (or a transfer
-peer) are not sent on the job channel; they are placed in a token-guarded
+charge.  One clock thread keeps time: it sleeps until the earliest of the
+next key rotation, the next exposure sweep and that billing deadline.  A
+job also walks the chain to the current time before it opens sealed
+credentials, so it never depends on how late the clock thread woke.
+
+Produced files that must reach the requesting agent (or a transfer peer)
+are not sent on the job channel; they are placed in a token-guarded
 exposure area and fetched in bounded chunks, which keeps every frame under
 the wire cap and keeps control traffic small.
 """
@@ -63,6 +68,7 @@ DEFAULT_EXPOSE_TTL_S = 900.0
 DEFAULT_BILLING_PERIOD_S = 3600.0
 DEFAULT_SAFETY_MARGIN_S = 60.0
 DEFAULT_PING_INTERVAL_S = 30.0
+LOG_MAX_LINES = 10_000
 # gzip member header: deflate, no flags, mtime 0, XFL 2 (level 9), OS 255,
 # as gzip.GzipFile(mtime=0) writes it
 GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
@@ -176,12 +182,12 @@ class _Job:
         self.seq = seq
         self.step = 0
         self.work_bytes = 0
-        self.status = "running"
         self.workspace: str | None = None
         self.file: str | None = None
         self.outputs: list[dict] = []
         self.pushed: list[dict] = []
         self.abort = threading.Event()
+        self.finished = threading.Event()  # set once _run_job has cleaned up
         self.last_beat = time.monotonic()
 
     def step_path(self, suffix: str = "") -> str:
@@ -199,8 +205,7 @@ class Worker:
         self.coordinator_pub: bytes | None = None
         self.key_state: EpochKeyState | None = None
         self.share_until: int = 0
-        self.log: list[str] = []
-        self.exposure_served_bytes = 0
+        self._log_lines: collections.deque[str] = collections.deque(maxlen=LOG_MAX_LINES)
         self.started_at: float | None = None
         self.shutdown_at: float | None = None
         self.terminated = threading.Event()
@@ -215,8 +220,6 @@ class Worker:
         self._state_lock = threading.Lock()
         self._log_lock = threading.Lock()
         self._stopping = False
-        self._shutdown_timer: threading.Timer | None = None
-        self._threads: list[threading.Thread] = []
         self._scratch_owned = cfg.scratch_dir is None
         self._scratch = cfg.scratch_dir or tempfile.mkdtemp(prefix="skyrelay-w-")
         os.makedirs(os.path.join(self._scratch, "jobs"), exist_ok=True)
@@ -272,7 +275,7 @@ class Worker:
             self.pid = pid
             self.coordinator_pub = bytes.fromhex(body["coordinator_pub"])
             self.certificate = Certificate.from_wire(body["certificate"])
-            # the rotation loop catches up from t0 on its next poll
+            # epoch 0 at t0; the clock thread walks it up to now
             self.key_state = EpochKeyState(
                 pid=pid,
                 t0=int(body["t0"]),
@@ -290,27 +293,16 @@ class Worker:
             self.share_until,
             time.time() + self.cfg.billing_period_s,
         ) - self.cfg.safety_margin_s
-        delay = max(0.0, deadline - time.time())
-        self._shutdown_timer = threading.Timer(delay, self._auto_shutdown)
-        self._shutdown_timer.daemon = True
-        self._shutdown_timer.start()
+        threading.Thread(target=self._clock_loop, args=(deadline,),
+                         name="skyrelay-clock", daemon=True).start()
         if self.cfg.coordinator_addr:
-            t = threading.Thread(target=self._ping_loop, daemon=True)
-            t.start()
-            self._threads.append(t)
-        t = threading.Thread(target=self._rotation_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
-        t = threading.Thread(target=self._sweep_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+            threading.Thread(target=self._ping_loop,
+                             name="skyrelay-ping", daemon=True).start()
         self._log(f"service ready at {self.addr}")
 
     def stop(self):
         """Tear down without the billing-deadline protocol (tests, CLI exit)."""
         self._stopping = True
-        if self._shutdown_timer:
-            self._shutdown_timer.cancel()
         self._abort_jobs()
         self._shutdown_pools()
         if self._listener:
@@ -356,10 +348,38 @@ class Worker:
             job.abort.set()
         deadline = time.monotonic() + 1.0
         for job in jobs:
-            while job.status == "running" and time.monotonic() < deadline:
-                time.sleep(0.01)
+            job.finished.wait(deadline - time.monotonic())
 
     # -- background loops --
+
+    def _clock_loop(self, deadline: float):
+        """Rotate the key chain, expire exposures and shut down at the
+        billing deadline, sleeping until the earliest of the three."""
+        sweep_every = max(0.05, min(self.cfg.expose_ttl_s / 4, 30.0))
+        next_sweep = time.time() + sweep_every
+        while True:
+            now = time.time()
+            if now >= deadline:
+                self._auto_shutdown()
+                return
+            if now >= next_sweep:
+                next_sweep = now + sweep_every
+                with self._state_lock:
+                    for k in [k for k, e in self._exposed.items() if now >= e.expires_at]:
+                        with contextlib.suppress(OSError):
+                            os.remove(self._exposed.pop(k).path)
+            wake = min(deadline, next_sweep)
+            with self._key_lock:
+                if self.key_state is not None:
+                    self._advance_keys(now)
+                    wake = min(wake, self.key_state.next_rotation_at())
+            if self.terminated.wait(wake - time.time()):
+                return
+
+    def _advance_keys(self, now: float):
+        """Walk the chain through now; caller holds _key_lock."""
+        if self.key_state.advance(now):
+            self._log(f"rotated to epoch {self.key_state.epoch}")
 
     def _ping_loop(self):
         ch: Channel | None = None
@@ -377,37 +397,15 @@ class Worker:
         if ch is not None:
             ch.close()
 
-    def _rotation_loop(self):
-        while not self._stopping:
-            with self._key_lock:
-                st = self.key_state
-                wait = 1.0 if st is None else max(0.05, st.next_rotation_at() - time.time())
-            if self.terminated.wait(min(wait, 1.0)):
-                return
-            with self._key_lock:
-                st = self.key_state
-                if st is not None and time.time() >= st.next_rotation_at():
-                    # catch up fully; a delayed poll must not leave us behind
-                    while time.time() >= st.next_rotation_at():
-                        st.rotate()
-                    self._log(f"rotated to epoch {st.epoch}")
-
-    def _sweep_loop(self):
-        interval = max(0.05, min(self.cfg.expose_ttl_s / 4, 30.0))
-        while not self.terminated.wait(interval):
-            now = time.time()
-            with self._state_lock:
-                dead = [k for k, e in self._exposed.items() if now >= e.expires_at]
-                for k in dead:
-                    e = self._exposed.pop(k)
-                    try:
-                        os.remove(e.path)
-                    except OSError:
-                        pass
+    @property
+    def log(self) -> list[str]:
+        """The latest LOG_MAX_LINES log lines, oldest first."""
+        with self._log_lock:
+            return list(self._log_lines)
 
     def _log(self, line: str):
         with self._log_lock:
-            self.log.append(f"{time.time():.3f} {line}")
+            self._log_lines.append(f"{time.time():.3f} {line}")
 
     def wire_totals(self) -> tuple[int, int]:
         """(sent, received) on this worker's listener, cumulative."""
@@ -468,8 +466,6 @@ class Worker:
             f.seek(offset)
             data = f.read(max_bytes)
         eof = offset + len(data) >= entry.size_bytes
-        with self._state_lock:
-            self.exposure_served_bytes += len(data)
         return data, eof, entry.size_bytes
 
     def _handle_fetch(self, conn: ServerConn, msg: Message):
@@ -574,10 +570,7 @@ class Worker:
         # Liveness guarantee: a beat at least every HEARTBEAT_BACKSTOP_S while
         # the job runs.  Progress beats normally come much faster, so this
         # stays silent on any healthy run.
-        while job.status == "running":
-            time.sleep(HEARTBEAT_BACKSTOP_S / 4)
-            if job.status != "running":
-                return
+        while not job.finished.wait(job.last_beat + HEARTBEAT_BACKSTOP_S - time.monotonic()):
             if time.monotonic() - job.last_beat >= HEARTBEAT_BACKSTOP_S:
                 self._beat(job)
 
@@ -590,8 +583,8 @@ class Worker:
 
     def _run_job(self, job: _Job, ct: CredentialCiphertext | None,
                  creds: CredentialSet | None):
-        backstop = threading.Thread(target=self._backstop_loop, args=(job,), daemon=True)
-        backstop.start()
+        threading.Thread(target=self._backstop_loop, args=(job,),
+                         name="skyrelay-backstop", daemon=True).start()
         job.workspace = os.path.join(self._scratch, "jobs", job.job_id)
         os.makedirs(job.workspace, exist_ok=True)
         session = None
@@ -601,6 +594,7 @@ class Worker:
                 with self._key_lock:
                     if self.key_state is None:
                         raise CredentialAuthFailure("instance holds no key chain")
+                    self._advance_keys(time.time())
                     sc = decrypt_credentials(self.key_state, ct)
             if sc is not None:
                 session = self._get_backend().authenticate(sc.token)
@@ -611,7 +605,6 @@ class Worker:
                 self._beat(job)
                 self._execute_foi(job, foi, session)
                 self._log(f"job {job.job_id}: step {i} ({foi.verb}) done")
-            job.status = "done"
             job.conn.send_result(job.seq, {
                 "job_id": job.job_id,
                 "outputs": job.outputs,
@@ -620,18 +613,15 @@ class Worker:
             })
             self._log(f"job {job.job_id}: done, work_bytes={job.work_bytes}")
         except SkyrelayError as e:
-            job.status = "failed"
             self._send_job_error(job, e.body(step=job.step))
         except Exception as e:  # noqa: BLE001 - report, never hang the agent
-            job.status = "failed"
             self._send_job_error(job, {
                 "code": "INTERNAL", "message": str(e), "step": job.step})
         finally:
-            if job.status == "running":
-                job.status = "failed"
             shutil.rmtree(job.workspace, ignore_errors=True)
             with self._state_lock:
                 self._jobs.pop(job.job_id, None)
+            job.finished.set()
 
     def _send_job_error(self, job: _Job, body: dict):
         self._log(f"job {job.job_id}: failed at step {body.get('step')}: "
@@ -656,10 +646,8 @@ class Worker:
             raise TransformError(f"unknown verb {foi.verb!r}")
 
     def _push(self, job: _Job, path: str, name: str):
-        """Expose path under the display name and tell the requester."""
-        descriptor = self.expose_intermediate(path, job.job_id, name)
-        job.pushed.append(descriptor)
-        job.conn.send_event("EXPOSE_GRANT", job.seq, descriptor)
+        """Expose path under the display name; the RESULT lists it in "pushed"."""
+        job.pushed.append(self.expose_intermediate(path, job.job_id, name))
 
     # -- verb implementations --
 

@@ -179,7 +179,7 @@ def test_heartbeat_unknown_pid(cluster):
 
 def test_missed_pings_retire_instance(cluster):
     coord = Coordinator(CoordinatorConfig(
-        ping_interval_s=0.1, ping_miss_limit=2, sweep_interval_s=0.05))
+        ping_interval_s=0.1, ping_miss_limit=2))
     addr = coord.start()
     try:
         # worker pings slower than the coordinator demands, then stops
@@ -197,6 +197,26 @@ def test_missed_pings_retire_instance(cluster):
                 break
             time.sleep(0.05)
         assert any(r["pid"] == pid for r in coord.instances(status="retired"))
+        assert any(f"retired instance {pid[:8]} (missed pings)" in line
+                   for line in coord.log)
+    finally:
+        coord.stop()
+
+
+def test_late_heartbeat_leaves_instance_retired(cluster):
+    coord = Coordinator(CoordinatorConfig(ping_interval_s=0.1, ping_miss_limit=2))
+    addr = coord.start()
+    try:
+        w = cluster.worker(shared=True, registered=False)
+        reply, _ = request(addr, "REGISTER_INSTANCE", {
+            "addr": w.addr, "shared": True,
+            "share_until": int(time.time()) + 600, "capacity": 1,
+            "os_info": "linux", "hardware_info": "test",
+        })
+        pid = reply.body["pid"]
+        time.sleep(0.3)  # past the 0.2 s miss window, and nothing read the record
+        request(addr, "HEARTBEAT", {"pid": pid})
+        assert [r["pid"] for r in coord.instances(status="retired")] == [pid]
         assert any(f"retired instance {pid[:8]} (missed pings)" in line
                    for line in coord.log)
     finally:
@@ -230,7 +250,8 @@ def test_rotation_lockstep_under_short_interval():
             time.sleep(0.05)
         assert w.key_state.epoch >= 2  # several rotations happened
         rec = coord._instances[w.pid]
-        for _ in range(40):  # both drivers poll; allow them to converge
+        for _ in range(40):  # the worker's clock thread may wake a beat late
+            coord.instances()  # settles the record to now
             if (rec.key_state.epoch == w.key_state.epoch
                     and rec.key_state.key_current == w.key_state.key_current):
                 break

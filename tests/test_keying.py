@@ -111,6 +111,18 @@ def test_state_tracks_previous_key():
     assert st.epoch == 1 and st.key_previous == k0
 
 
+def test_advance_rotates_through_every_boundary_up_to_now():
+    st = EpochKeyState.create(ZERO_PID, 1_700_000_000, 7, interval_s=60)
+    first = st.next_rotation_at()
+    assert not st.advance(first - 0.001) and st.epoch == 0
+    assert st.advance(first) and st.epoch == 1  # a boundary at now counts
+    assert not st.advance(first + 59.9) and st.epoch == 1
+    assert st.advance(first + 60 * 4 + 1) and st.epoch == 5
+    ref = EpochKeyState.create(ZERO_PID, 1_700_000_000, 7, interval_s=60)
+    ref.rotate_to(5)
+    assert st == ref
+
+
 def test_derive_user_key_independent_r():
     k_serv = os.urandom(32)
     seen = set()

@@ -14,7 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from skyrelay import ppm
-from skyrelay.core import FOI, sequence_to_wire
+from skyrelay import coordinator as sky_coordinator
+from skyrelay import worker as sky_worker
+from skyrelay.coordinator import Coordinator, CoordinatorConfig
+from skyrelay.core import FOI, CredentialSet, sequence_to_wire
 from skyrelay.errors import (
     AuthError,
     ConfigError,
@@ -24,7 +27,7 @@ from skyrelay.errors import (
     PermissionDenied,
     ShutdownError,
 )
-from skyrelay.keying import OFFSET_MAX, OFFSET_MIN, key_at_epoch
+from skyrelay.keying import OFFSET_MAX, OFFSET_MIN, encrypt_credentials, key_at_epoch
 from skyrelay.wire import open_channel
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
@@ -208,9 +211,10 @@ def test_encrypt_produces_ciphertext_and_key_grant(cluster):
                                      "credentials": creds_body("u1", tok)})
     blob = cluster.backend.get_object(sess, "/d/s.bin.enc")
     assert blob != data and len(blob) == len(data) + 12 + 16
-    grants = [e.body for e in events if e.kind == "EXPOSE_GRANT"]
+    # the key file travels only as a RESULT descriptor; events are beats
+    grants = result["pushed"]
     assert len(grants) == 1 and grants[0]["name"] == "s.bin.key"
-    assert result["pushed"] == grants
+    assert {e.kind for e in events} == {"HEARTBEAT"}
     # fetch the key file through the exposure protocol and decrypt
     chunk, eof, total = w.read_exposed(
         result["job_id"], grants[0]["file_id"], grants[0]["guest_token"], 0, 1 << 20)
@@ -522,6 +526,39 @@ def test_heartbeats_reproducible_for_equal_jobs(cluster):
     assert seen[0] == seen[1]
 
 
+def test_backstop_beats_a_silent_step_and_ends_with_the_job(cluster, tmp_path,
+                                                           monkeypatch):
+    backstop_s = 0.3
+    monkeypatch.setattr(sky_worker, "HEARTBEAT_BACKSTOP_S", backstop_s)
+    tok = cluster.account("u1")
+    src = tmp_path / "slow.bin"
+    src.write_bytes(os.urandom(80_000))
+    w = cluster.worker(registered=False)
+    # one chunk, then a 0.8 s throttle wait with no progress beat
+    fois = [FOI("download", f"file://{src}", op_params={"throttle_bps": 100_000}),
+            FOI("put", "/d/slow.bin")]
+    before = set(threading.enumerate())
+    beats = []
+    ch = open_channel(w.addr)
+    try:
+        ch.request("SUBMIT_OP", {"fois": sequence_to_wire(fois),
+                                 "credentials": creds_body("u1", tok)},
+                   on_event=lambda e: beats.append((time.monotonic(), e.body)),
+                   timeout=30.0)
+    finally:
+        ch.close()
+    step0 = [(t, b) for t, b in beats if b["step"] == 0]
+    assert len(step0) >= 2  # the step's own beat, then backstop beats
+    assert all(b["work_bytes"] == 80_000 for _, b in step0[1:])
+    gaps = [b[0] - a[0] for a, b in zip(step0, step0[1:])]
+    assert min(gaps) >= backstop_s * 0.9
+    backstops = [t for t in set(threading.enumerate()) - before
+                 if t.name == "skyrelay-backstop"]
+    for t in backstops:
+        t.join(1.0)
+        assert not t.is_alive()
+
+
 # -- registration, key chain, shared-mode rules --
 
 def test_registered_worker_chain_matches_coordinator(cluster):
@@ -538,6 +575,43 @@ def test_registered_worker_chain_matches_coordinator(cluster):
         assert all(nxt.key_current != key_at_epoch(st.pid, st.t0, o, st.interval_s, epoch)
                    for o in range(OFFSET_MIN, OFFSET_MAX + 1))
     assert w.certificate is not None
+
+
+def test_shared_job_opens_on_a_chain_behind_the_coordinator(cluster, tmp_path):
+    # The job, not the clock thread, brings the chain up to the grant's epoch.
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
+    coord = Coordinator(CoordinatorConfig(interval_s=1))
+    coord.start()
+    w = Worker(WorkerConfig(coordinator_addr=coord.addr, shared=True,
+                            backend=cluster.backend, scratch_dir=str(tmp_path / "w")))
+    w.start()
+    try:
+        coord.instances()
+        stale = copy.deepcopy(coord._instances[w.pid].key_state)
+        # just past the next boundary: the clock thread has rotated and
+        # sleeps most of a second before it reads the chain again
+        time.sleep(max(0.0, stale.next_rotation_at() + 0.05 - time.time()))
+        with w._key_lock:
+            w.key_state = stale
+        ch = open_channel(coord.addr)
+        try:
+            grants = []
+            ch.request("REQUEST_INSTANCE", {"user_id": "u1"}, on_event=grants.append)
+        finally:
+            ch.close()
+        grant = grants[0].body
+        assert grant["epoch"] > stale.epoch
+        ct = encrypt_credentials(bytes.fromhex(grant["key"]), CredentialSet("u1", tok),
+                                 bytes.fromhex(grant["r"]), grant["epoch"])
+        result, _ = submit(w.addr, {"fois": sequence_to_wire(
+            [FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")]),
+            "credentials_ct": ct.to_wire()})
+        assert result["work_bytes"] == 20
+        assert w.key_state.epoch >= grant["epoch"]
+    finally:
+        w.stop()
+        coord.stop()
 
 
 def test_shared_worker_rejects_plaintext_credentials(cluster):
@@ -661,6 +735,47 @@ def test_past_share_window_means_immediate_shutdown():
         assert w.terminated.wait(1.0)
     finally:
         w.stop()
+
+
+def test_thread_census(tmp_path):
+    def new_threads():
+        return [t for t in threading.enumerate() if t not in before]
+
+    def settle(pred):
+        deadline = time.monotonic() + 1.0
+        while not pred() and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    def names():
+        # connection threads end when their channel closes
+        settle(lambda: all(t.name != "skyrelay-conn" for t in new_threads()))
+        return sorted(t.name for t in new_threads())
+
+    before = set(threading.enumerate())
+    coord = Coordinator()
+    coord.start()
+    assert names() == ["skyrelay-accept"]
+    w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path)))
+    w.start()
+    try:
+        assert names() == ["skyrelay-accept", "skyrelay-accept",
+                           "skyrelay-clock", "skyrelay-ping"]
+    finally:
+        w.stop()
+        coord.stop()
+    settle(lambda: not new_threads())
+    assert new_threads() == []
+
+
+def test_logs_keep_only_the_latest_lines(tmp_path):
+    for svc, bound in ((Worker(WorkerConfig(scratch_dir=str(tmp_path))),
+                        sky_worker.LOG_MAX_LINES),
+                       (Coordinator(), sky_coordinator.LOG_MAX_LINES)):
+        for i in range(bound + 5):
+            svc._log(f"line {i}")
+        assert len(svc.log) == bound
+        assert svc.log[0].endswith(" line 5")
+        assert svc.log[-1].endswith(f" line {bound + 4}")
 
 
 def test_parallel_jobs_on_separate_channels(cluster):
