@@ -37,7 +37,7 @@ from .errors import (
     SkyrelayError,
     StartError,
 )
-from .keying import encrypt_credentials
+from .keying import encrypt_credentials, job_binding
 from .storage import ShadowFS, StorageBackend, parent_of
 from .wire import (
     Certificate,
@@ -297,7 +297,9 @@ class AgentSession:
             addr = grant["addr"]
             body["credentials_ct"] = encrypt_credentials(
                 bytes.fromhex(grant["key"]), self.creds,
-                bytes.fromhex(grant["r"]), int(grant["epoch"])).to_wire()
+                bytes.fromhex(grant["r"]), int(grant["epoch"]),
+                aad=job_binding(bytes.fromhex(grant["pid"]), body["job_id"],
+                                body["fois"])).to_wire()
         ch = self._open(addr, "job")
         channels.append(ch)
         try:

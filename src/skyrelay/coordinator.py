@@ -337,7 +337,10 @@ class Coordinator:
             self._settle(rec, now)
             if rec.status == "active":
                 rec.last_ping = now
-        conn.send_ack(msg.seq)
+                reply = None
+            else:
+                reply = {"status": "retired"}  # the instance stops on this
+        conn.send_ack(msg.seq, reply)
 
     def _handle_shutdown_notice(self, conn: ServerConn, msg: Message):
         pid = bytes.fromhex(msg.body["pid"])

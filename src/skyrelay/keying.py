@@ -193,11 +193,21 @@ class CredentialCiphertext:
         )
 
 
-def encrypt_credentials(key: bytes, sc: CredentialSet, r: bytes,
-                        epoch_hint: int) -> CredentialCiphertext:
-    """Seal sc under an already-derived user key (AES-256-GCM, fresh nonce)."""
+def job_binding(pid: bytes, job_id: str, fois_wire: list) -> bytes:
+    """Associated data that ties an envelope to one job on one instance.
+
+    pid || job_id || sha256(canonical fois): pid has a fixed length and the
+    digest ends the string, so distinct jobs never share a binding.
+    """
+    return pid + job_id.encode("utf-8") + sha256(canonical_json(fois_wire)).digest()
+
+
+def encrypt_credentials(key: bytes, sc: CredentialSet, r: bytes, epoch_hint: int,
+                        aad: bytes | None = None) -> CredentialCiphertext:
+    """Seal sc under an already-derived user key (AES-256-GCM, fresh nonce),
+    bound to aad, which opening must present unchanged."""
     nonce = os.urandom(NONCE_BYTES)
-    body = AESGCM(key).encrypt(nonce, canonical_json(sc.to_wire()), None)
+    body = AESGCM(key).encrypt(nonce, canonical_json(sc.to_wire()), aad)
     return CredentialCiphertext(nonce=nonce, body=body, r=r, epoch_hint=epoch_hint)
 
 
@@ -207,7 +217,8 @@ def seal_credentials(state: EpochKeyState, sc: CredentialSet) -> CredentialCiphe
     return encrypt_credentials(grant.key, sc, grant.r, grant.epoch_issued)
 
 
-def decrypt_credentials(state: EpochKeyState, ct: CredentialCiphertext) -> CredentialSet:
+def decrypt_credentials(state: EpochKeyState, ct: CredentialCiphertext, *,
+                        aad: bytes | None = None) -> CredentialSet:
     """Open a credential envelope against the worker's chain state.
 
     The epoch hint names the one chain key to try: key_current for the
@@ -221,7 +232,7 @@ def decrypt_credentials(state: EpochKeyState, ct: CredentialCiphertext) -> Crede
         k_serv = None
     if k_serv is not None:
         try:
-            plain = AESGCM(derive_user_key(k_serv, ct.r)).decrypt(ct.nonce, ct.body, None)
+            plain = AESGCM(derive_user_key(k_serv, ct.r)).decrypt(ct.nonce, ct.body, aad)
         except InvalidTag:
             pass
         else:

@@ -1,36 +1,34 @@
 """Token-authenticated object store standing in for Dropbox/S3.
 
 The backend interface is pluggable; the one required implementation keeps
-objects in a local directory tree with a sidecar JSON metadata index per
-account.  Byte payloads live only in the data tree, so metadata operations
-(listing, shadow sync) never touch content.
+objects in a local directory tree and all metadata in one SQLite database
+per store root.  Byte payloads live only in the data tree, so metadata
+operations (listing, shadow sync) never touch content.
 
-State is persisted on every mutation.  Nothing is loaded when a backend is
-constructed: each call refreshes only the account it acts on, and re-parses
-that account's index only when the file's (mtime, size, inode) has changed,
-so separate processes pointed at the same root see each other's writes.
-A mutation holds the account's flock from the reload through the index
-write, so concurrent backends do not lose each other's changes; in-process
-concurrency is also serialized by a backend-wide lock.
+The database, ``<root>/.meta/store.db``, holds the accounts and their
+quotas, the token digests, every entry and each path's revision counter,
+which survives a delete so revisions stay monotone per path.  It runs in
+write-ahead-log mode: each mutation is one ``BEGIN IMMEDIATE`` transaction
+that checks the session inside it, so backends in other threads or
+processes on the same root neither lose each other's changes nor read a
+stale view.  A put stages its payload before the transaction and moves it
+into place inside it.
 
-Tokens are stored only as SHA-256 hex digests.  The root's token map,
-``<root>/.tokens/<digest>``, is a symlink per token whose target is the
-account id, so authenticate reads one link and loads one account; the
-account's index stays the authority, and a link whose digest the index
-does not list grants nothing.  Stores written when indexes held plaintext
-tokens are not migrated.
+Tokens are stored only as SHA-256 hex digests.  Stores written in earlier
+layouts (JSON indexes, plaintext tokens) are not migrated.
 """
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import os
 import secrets
 import shutil
+import sqlite3
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -38,19 +36,33 @@ from .core import MAX_PATH_BYTES, FileMeta
 from .errors import (
     AlreadyExists,
     AuthError,
+    ConfigError,
     NotFound,
     PermissionDenied,
     QuotaError,
 )
 
 DEFAULT_QUOTA_BYTES = 1 << 30  # 1 GiB per account
-TOKEN_DIR = ".tokens"  # reserved name under the root: the token map
+META_DIR = ".meta"  # reserved name under the root: the database and staged puts
+# upsert needs 3.24, RETURNING 3.35 and built-in JSON functions 3.38
+MIN_SQLITE = (3, 38, 0)
+
+_SCHEMA = """
+CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL);
+CREATE TABLE tokens(digest TEXT PRIMARY KEY, account TEXT NOT NULL);
+CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
+                     size INTEGER NOT NULL, mtime INTEGER NOT NULL,
+                     rev INTEGER NOT NULL, PRIMARY KEY (account, path))
+    WITHOUT ROWID;
+CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
+                  PRIMARY KEY (account, path)) WITHOUT ROWID;
+"""
 
 
 def _valid_account_id(account_id) -> bool:
     """True if account_id names one directory directly under the root."""
     return (isinstance(account_id, str)
-            and account_id not in ("", ".", "..", TOKEN_DIR)
+            and account_id not in ("", ".", "..", META_DIR)
             and "/" not in account_id and "\x00" not in account_id)
 
 
@@ -81,6 +93,16 @@ def normalize_path(path: str) -> str:
 
 def parent_of(path: str) -> str:
     return path.rsplit("/", 1)[0] or "/"
+
+
+def _below(path: str) -> tuple[str, str]:
+    """Bounds (exclusive) of the paths strictly under path, in byte order."""
+    prefix = "" if path == "/" else path
+    return prefix + "/", prefix + "0"  # "0" is the character after "/"
+
+
+# an entry and everything below it; parameters (account, path, *_below(path))
+_SUBTREE = " FROM entries WHERE account = ? AND (path = ? OR path > ? AND path < ?)"
 
 
 @dataclass
@@ -137,27 +159,24 @@ class StorageBackend:
         raise NotImplementedError
 
 
-class _AccountState:
-    def __init__(self, account_id: str, quota_bytes: int):
-        self.account_id = account_id
-        self.quota_bytes = quota_bytes
-        self.tokens: set[str] = set()  # token digests
-        # path -> {kind, size_bytes, modified_at, revision:int}
-        self.entries: dict[str, dict] = {}
-        # survives delete/recreate so revisions stay monotone per path
-        self.rev_counters: dict[str, int] = {}
-        self.usage = 0  # bytes of all files, kept in step with entries
-        self.index_stat: tuple[int, int, int] | None = None
+def _meta(path: str, kind: str, size: int, mtime: int, rev: int) -> FileMeta:
+    # positional: a shadow builds one per entry, and keywords cost a third more
+    return FileMeta(path, path.rsplit("/", 1)[-1], kind, size, mtime, str(rev))
 
 
 class LocalDirBackend(StorageBackend):
-    """Directory-tree store: <root>/<account>/data/... plus index sidecars."""
+    """Directory-tree store: <root>/<account>/data/... plus the metadata database."""
 
     def __init__(self, root: str):
+        if sqlite3.sqlite_version_info < MIN_SQLITE:
+            raise ConfigError(
+                f"SQLite {sqlite3.sqlite_version} found; the store needs "
+                f"{'.'.join(map(str, MIN_SQLITE))} or newer")
         self.root = os.path.abspath(root)
-        os.makedirs(self.root, exist_ok=True)
-        self._lock = threading.RLock()
-        self._accounts: dict[str, _AccountState] = {}
+        self._meta_dir = os.path.join(self.root, META_DIR)
+        os.makedirs(self._meta_dir, exist_ok=True)
+        self._lock = threading.Lock()  # guards _conn, which threads share
+        self._conn: sqlite3.Connection | None = None
 
     # -- account management (test/ops surface, not part of the storage API) --
 
@@ -166,86 +185,74 @@ class LocalDirBackend(StorageBackend):
         """Create an account and return its first bearer token."""
         if not _valid_account_id(account_id):
             raise PermissionDenied(f"invalid account id: {account_id!r}")
-        os.makedirs(self._account_dir(account_id), exist_ok=True)
         token = secrets.token_hex(16)
-        digest = token_digest(token)
-        with self._flock(account_id), self._lock:
-            self._load_account(account_id)
-            if account_id in self._accounts:
-                raise AlreadyExists(f"account {account_id} exists")
-            st = _AccountState(account_id, quota_bytes)
-            st.tokens.add(digest)
-            self._persist(st)
-            self._accounts[account_id] = st
-        os.makedirs(os.path.join(self.root, TOKEN_DIR), exist_ok=True)
-        os.symlink(account_id, self._token_entry(digest))
+        try:
+            with self._transaction() as db:
+                db.execute("INSERT INTO accounts VALUES (?, ?)", (account_id, quota_bytes))
+                db.execute("INSERT INTO tokens VALUES (?, ?)",
+                           (token_digest(token), account_id))
+        except sqlite3.IntegrityError:
+            raise AlreadyExists(f"account {account_id} exists") from None
         return token
 
     def revoke_token(self, token: str):
         digest = token_digest(token)
         with self._lock:
-            st = self._account_of(digest)
-        if st is None:
-            raise NotFound("unknown token")
-        # The map entry goes first, so every entry's digest stays listed.
-        os.unlink(self._token_entry(digest))
-        with self._writing(Session(st.account_id, token)) as st:
-            st.tokens.discard(digest)
-            self._persist(st)
+            gone = self._db().execute("DELETE FROM tokens WHERE digest = ?", (digest,))
+            if gone.rowcount == 0:
+                raise NotFound("unknown token")
 
     # -- storage API --
 
     def authenticate(self, token: str) -> Session:
         digest = token_digest(token)
         with self._lock:
-            st = self._account_of(digest)
-        if st is None:
+            row = self._db().execute(
+                "SELECT account FROM tokens WHERE digest = ?", (digest,)).fetchone()
+        if row is None:
             raise AuthError("unknown or revoked token")
-        return Session(account_id=st.account_id, token=token)
+        return Session(account_id=row[0], token=token)
 
     def basic_op(self, session: Session, action: str, args: dict):
         if action == "create_file":
             return self._put(session, normalize_path(args["path"]),
                              args.get("data", b""), must_create=True)
-        with self._writing(session) as st:
+        account = session.account_id
+        with self._transaction() as db:
+            self._check(db, session)
             if action == "create_folder":
                 path = normalize_path(args["path"])
-                if path in st.entries or path == "/":
+                if path == "/" or self._entry(db, account, path) is not None:
                     raise AlreadyExists(path)
-                self._ensure_parents(st, path)
-                self._set_entry(st, path, kind="folder", size=0)
-                self._persist(st)
-                return self._meta(st, path)
+                self._ensure_parents(db, account, path)
+                return self._set_entry(db, account, path, kind="folder", size=0)
             if action == "delete":
                 path = normalize_path(args["path"])
-                ent = st.entries.get(path)
+                ent = self._entry(db, account, path)
                 if ent is None:
                     raise NotFound(path)
-                for p in self._subtree(st, path) + [path]:
-                    gone = st.entries.pop(p)
-                    if gone["kind"] == "file":
-                        st.usage -= gone["size_bytes"]
-                fs = self._fs_path(st.account_id, path)
-                if ent["kind"] == "file":
+                db.execute("DELETE" + _SUBTREE, (account, path, *_below(path)))
+                fs = self._fs_path(account, path)
+                if ent[0] == "file":
                     if os.path.isfile(fs):
                         os.remove(fs)
                 else:
                     shutil.rmtree(fs, ignore_errors=True)
-                self._persist(st)
                 return None
             if action == "rename":
-                return self._rename(st, normalize_path(args["src"]),
+                return self._rename(db, account, normalize_path(args["src"]),
                                     normalize_path(args["dst"]))
             raise ValueError(f"unknown basic action: {action!r}")
 
     def get_object(self, session: Session, path: str) -> bytes:
         with self._lock:
-            st = self._auth_state(session)
+            db = self._db()
+            self._check(db, session)
             path = normalize_path(path)
-            ent = st.entries.get(path)
-            if ent is None or ent["kind"] != "file":
+            ent = self._entry(db, session.account_id, path)
+            if ent is None or ent[0] != "file":
                 raise NotFound(path)
-            fs = self._fs_path(st.account_id, path)
+            fs = self._fs_path(session.account_id, path)
         with open(fs, "rb") as f:
             return f.read()
 
@@ -254,225 +261,185 @@ class LocalDirBackend(StorageBackend):
 
     def list_meta(self, session: Session, path: str = "/",
                   recursive: bool = False) -> list[FileMeta]:
+        account = session.account_id
         with self._lock:
-            st = self._auth_state(session)
+            db = self._db()
+            self._check(db, session)
             path = normalize_path(path)
             if path != "/":
-                ent = st.entries.get(path)
+                ent = self._entry(db, account, path)
                 if ent is None:
                     raise NotFound(path)
-                if ent["kind"] == "file":
-                    return [self._meta(st, path)]
-            prefix = "" if path == "/" else path
-            out = []
-            for p in sorted(st.entries):
-                if not p.startswith(prefix + "/"):
-                    continue
-                if not recursive and "/" in p[len(prefix) + 1:]:
-                    continue
-                out.append(self._meta(st, p))
-            return out
+                if ent[0] == "file":
+                    return [_meta(path, *ent)]
+            lo, hi = _below(path)
+            rows = db.execute(
+                "SELECT path, kind, size, mtime, rev FROM entries"
+                " WHERE account = ? AND path > ? AND path < ? ORDER BY path",
+                (account, lo, hi)).fetchall()
+        return [_meta(*row) for row in rows if recursive or "/" not in row[0][len(lo):]]
 
     def sync_shadow(self, session: Session) -> ShadowFS:
+        # one row, so the session check and the listing cost one step
         with self._lock:
-            st = self._auth_state(session)
-            entries = {p: self._meta(st, p) for p in st.entries}
-            return ShadowFS(account_id=st.account_id, entries=entries,
-                            synced_at=int(time.time()))
+            row = self._db().execute(
+                "SELECT (SELECT json_group_object(path, json_array(kind, size, mtime, rev))"
+                " FROM entries WHERE account = t.account)"
+                " FROM tokens t WHERE digest = ? AND account = ?",
+                (token_digest(session.token), session.account_id)).fetchone()
+        if row is None:
+            raise AuthError("session not valid for this account")
+        entries = {p: _meta(p, *v) for p, v in json.loads(row[0]).items()}
+        return ShadowFS(account_id=session.account_id, entries=entries,
+                        synced_at=int(time.time()))
 
     # -- internals --
 
-    def _token_entry(self, digest: str) -> str:
-        return os.path.join(self.root, TOKEN_DIR, digest)
+    def _db(self) -> sqlite3.Connection:
+        """The backend's connection, opened on first use; caller holds _lock."""
+        if self._conn is None:
+            path = os.path.join(self._meta_dir, "store.db")
+            if not os.path.exists(path):
+                self._create_db(path)
+            self._conn = sqlite3.connect(path, isolation_level=None,
+                                         check_same_thread=False)
+            # the connection sits in a reference cycle with its statement
+            # cache, so only the cyclic collector would free it: close it
+            # when the backend goes, or its descriptors outlive the backend
+            weakref.finalize(self, self._conn.close)
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+        return self._conn
 
-    def _account_of(self, digest: str) -> _AccountState | None:
-        """The freshly loaded account listing the token digest, or None."""
-        try:
-            account_id = os.readlink(self._token_entry(digest))
-        except OSError:
-            return None
-        if not _valid_account_id(account_id):
-            return None
-        self._load_account(account_id)
-        st = self._accounts.get(account_id)
-        if st is None or digest not in st.tokens:
-            return None
-        return st
+    def _create_db(self, path: str):
+        """Build the schema in a private file and link it into place.
 
-    def _auth_state(self, session: Session) -> _AccountState:
-        account_id = session.account_id
-        # A forged id must not point the reload at an index outside the root.
-        if _valid_account_id(account_id):
-            self._load_account(account_id)
-        st = self._accounts.get(account_id)
-        if st is None or token_digest(session.token) not in st.tokens:
-            raise AuthError("session not valid for this account")
-        return st
-
-    @contextmanager
-    def _writing(self, session: Session):
-        """Yield the session's account, reloaded and flocked until the end.
-
-        The session is checked before the lock file is opened, so a forged
-        account id creates nothing.
+        The link is atomic, so backends that open a fresh root at once see
+        one schema, built once; the losers drop theirs.
         """
-        with self._lock:
-            account_id = self._auth_state(session).account_id
-        with self._flock(account_id), self._lock:
-            yield self._auth_state(session)
+        tmp = f"{path}.{secrets.token_hex(8)}.new"
+        conn = sqlite3.connect(tmp, isolation_level=None)
+        try:
+            # no journal or sync while the file is private; WAL mode is
+            # recorded in the file, so later opens set no journal_mode
+            conn.executescript("PRAGMA journal_mode=OFF; PRAGMA synchronous=OFF; BEGIN;"
+                               + _SCHEMA + "COMMIT; PRAGMA journal_mode=WAL;")
+        finally:
+            conn.close()
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            pass
+        finally:
+            os.remove(tmp)
 
     @contextmanager
-    def _flock(self, account_id: str):
-        """Hold the account's cross-process lock."""
-        with open(os.path.join(self._account_dir(account_id), ".lock"), "a") as lf:
-            fcntl.flock(lf, fcntl.LOCK_EX)
-            yield
+    def _transaction(self):
+        """Hold the backend lock and one write transaction on the store."""
+        with self._lock:
+            db = self._db()
+            db.execute("BEGIN IMMEDIATE")
+            try:
+                yield db
+                db.execute("COMMIT")
+            except BaseException:
+                if db.in_transaction:
+                    db.execute("ROLLBACK")
+                raise
 
-    def _account_dir(self, account_id: str) -> str:
-        return os.path.join(self.root, account_id)
+    @staticmethod
+    def _check(db: sqlite3.Connection, session: Session):
+        """Raise AuthError unless the session's token belongs to its account."""
+        if db.execute("SELECT 1 FROM tokens WHERE digest = ? AND account = ?",
+                      (token_digest(session.token), session.account_id)).fetchone() is None:
+            raise AuthError("session not valid for this account")
 
-    def _data_dir(self, account_id: str) -> str:
-        return os.path.join(self._account_dir(account_id), "data")
+    @staticmethod
+    def _entry(db: sqlite3.Connection, account: str, path: str):
+        """(kind, size, mtime, rev) of one entry, or None."""
+        return db.execute("SELECT kind, size, mtime, rev FROM entries"
+                          " WHERE account = ? AND path = ?", (account, path)).fetchone()
 
     def _fs_path(self, account_id: str, path: str) -> str:
-        dd = self._data_dir(account_id)
+        dd = os.path.join(self.root, account_id, "data")
         fs = os.path.normpath(os.path.join(dd, path.lstrip("/")))
         if fs != dd and not fs.startswith(dd + os.sep):
             raise PermissionDenied(f"path escapes account root: {path!r}")
         return fs
 
-    def _meta(self, st: _AccountState, path: str) -> FileMeta:
-        ent = st.entries[path]
-        return FileMeta(
-            path=path,
-            name=path.rsplit("/", 1)[-1],
-            kind=ent["kind"],
-            size_bytes=ent["size_bytes"],
-            modified_at=ent["modified_at"],
-            revision=str(ent["revision"]),
-        )
+    @staticmethod
+    def _set_entry(db: sqlite3.Connection, account: str, path: str,
+                   kind: str, size: int) -> FileMeta:
+        rev = db.execute("INSERT INTO revs VALUES (?, ?, 1) ON CONFLICT (account, path)"
+                         " DO UPDATE SET rev = rev + 1 RETURNING rev",
+                         (account, path)).fetchone()[0]
+        mtime = int(time.time())
+        db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?)",
+                   (account, path, kind, size, mtime, rev))
+        return _meta(path, kind, size, mtime, rev)
 
-    def _set_entry(self, st: _AccountState, path: str, kind: str, size: int):
-        rev = st.rev_counters.get(path, 0) + 1
-        st.rev_counters[path] = rev
-        st.entries[path] = {
-            "kind": kind,
-            "size_bytes": size,
-            "modified_at": int(time.time()),
-            "revision": rev,
-        }
-
-    def _ensure_parents(self, st: _AccountState, path: str):
+    def _ensure_parents(self, db: sqlite3.Connection, account: str, path: str):
         parent = parent_of(path)
         missing = []
-        while parent != "/" and parent not in st.entries:
+        while parent != "/":
+            ent = self._entry(db, account, parent)
+            if ent is not None:
+                if ent[0] != "folder":
+                    raise NotFound(f"parent is a file: {parent}")
+                break
             missing.append(parent)
             parent = parent_of(parent)
-        if parent != "/" and st.entries[parent]["kind"] != "folder":
-            raise NotFound(f"parent is a file: {parent}")
         for p in reversed(missing):
-            self._set_entry(st, p, kind="folder", size=0)
+            self._set_entry(db, account, p, kind="folder", size=0)
 
     def _put(self, session: Session, path: str, data: bytes,
              must_create: bool) -> FileMeta:
         if path == "/":
             raise PermissionDenied("cannot write the account root")
-        with self._lock:
-            self._auth_state(session)  # a forged session writes nothing
-        # The payload is staged before the flock so writers overlap on it.
-        tmp = os.path.join(self._account_dir(session.account_id),
-                           f"put-{secrets.token_hex(8)}.tmp")
+        # staged outside every account, so a forged session writes nothing
+        tmp = os.path.join(self._meta_dir, f"put-{secrets.token_hex(8)}.tmp")
         with open(tmp, "wb") as f:
             f.write(data)
+        account = session.account_id
         try:
-            with self._writing(session) as st:
-                existing = st.entries.get(path)
+            with self._transaction() as db:
+                self._check(db, session)
+                existing = self._entry(db, account, path)
                 if existing is not None:
                     if must_create:
                         raise AlreadyExists(path)
-                    if existing["kind"] == "folder":
+                    if existing[0] == "folder":
                         raise AlreadyExists(f"folder exists at {path}")
-                old_size = existing["size_bytes"] if existing else 0
-                if st.usage - old_size + len(data) > st.quota_bytes:
-                    raise QuotaError(
-                        f"quota {st.quota_bytes} exceeded on {st.account_id}")
-                self._ensure_parents(st, path)
-                fs = self._fs_path(st.account_id, path)
+                old_size = existing[1] if existing else 0
+                # folders have size 0, so the sum counts files only
+                quota, used = db.execute(
+                    "SELECT quota, (SELECT coalesce(sum(size), 0) FROM entries"
+                    " WHERE account = accounts.id) FROM accounts WHERE id = ?",
+                    (account,)).fetchone()
+                if used - old_size + len(data) > quota:
+                    raise QuotaError(f"quota {quota} exceeded on {account}")
+                self._ensure_parents(db, account, path)
+                fs = self._fs_path(account, path)
                 os.makedirs(os.path.dirname(fs), exist_ok=True)
                 os.replace(tmp, fs)
-                self._set_entry(st, path, kind="file", size=len(data))
-                st.usage += len(data) - old_size
-                self._persist(st)
-                return self._meta(st, path)
+                return self._set_entry(db, account, path, kind="file", size=len(data))
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
 
-    def _rename(self, st: _AccountState, src: str, dst: str):
-        if src not in st.entries:
+    def _rename(self, db: sqlite3.Connection, account: str, src: str, dst: str):
+        if self._entry(db, account, src) is None:
             raise NotFound(src)
-        if dst in st.entries:
+        if self._entry(db, account, dst) is not None:
             raise AlreadyExists(dst)
-        self._ensure_parents(st, dst)
-        moved = [(p, p.replace(src, dst, 1)) for p in self._subtree(st, src)]
-        moved.append((src, dst))
-        src_fs = self._fs_path(st.account_id, src)
-        dst_fs = self._fs_path(st.account_id, dst)
+        self._ensure_parents(db, account, dst)
+        params = (account, src, *_below(src))
+        moved = db.execute("SELECT path, kind, size" + _SUBTREE, params).fetchall()
+        src_fs = self._fs_path(account, src)
+        dst_fs = self._fs_path(account, dst)
         if os.path.exists(src_fs):
             os.makedirs(os.path.dirname(dst_fs), exist_ok=True)
             os.replace(src_fs, dst_fs)
-        for old, new in moved:
-            ent = st.entries.pop(old)
-            self._set_entry(st, new, kind=ent["kind"], size=ent["size_bytes"])
-        self._persist(st)
-        return self._meta(st, dst)
-
-    def _subtree(self, st: _AccountState, path: str) -> list[str]:
-        return [p for p in st.entries if p.startswith(path + "/")]
-
-    # -- persistence --
-
-    def _index_path(self, account_id: str) -> str:
-        return os.path.join(self._account_dir(account_id), "index.json")
-
-    def _persist(self, st: _AccountState):
-        """Write st's index; the caller holds the account's flock."""
-        doc = {
-            "account_id": st.account_id,
-            "quota_bytes": st.quota_bytes,
-            "tokens": sorted(st.tokens),
-            "entries": st.entries,
-            "rev_counters": st.rev_counters,
-        }
-        path = self._index_path(st.account_id)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(json.dumps(doc, separators=(",", ":")))
-        os.replace(tmp, path)
-        s = os.stat(path)
-        st.index_stat = (s.st_mtime_ns, s.st_size, s.st_ino)
-
-    def _load_account(self, account_id: str):
-        """Refresh one account from its index; parse only if the stat moved."""
-        path = self._index_path(account_id)
-        try:
-            s = os.stat(path)
-        except (FileNotFoundError, NotADirectoryError):
-            return
-        index_stat = (s.st_mtime_ns, s.st_size, s.st_ino)
-        st = self._accounts.get(account_id)
-        if st is not None and st.index_stat == index_stat:
-            return
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except FileNotFoundError:
-            return
-        st = _AccountState(account_id, doc["quota_bytes"])
-        st.tokens = set(doc["tokens"])
-        st.entries = doc["entries"]
-        st.rev_counters = doc["rev_counters"]
-        st.usage = sum(e["size_bytes"] for e in st.entries.values()
-                       if e["kind"] == "file")
-        st.index_stat = index_stat
-        self._accounts[account_id] = st
+        db.execute("DELETE" + _SUBTREE, params)
+        for old, kind, size in moved:
+            self._set_entry(db, account, dst + old[len(src):], kind=kind, size=size)
+        return _meta(dst, *self._entry(db, account, dst))

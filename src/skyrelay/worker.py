@@ -43,7 +43,13 @@ from typing import Callable
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import ppm
-from .core import FOI, CredentialSet, sequence_from_wire, validate_foi_sequence
+from .core import (
+    FOI,
+    CredentialSet,
+    sequence_from_wire,
+    sequence_to_wire,
+    validate_foi_sequence,
+)
 from .errors import (
     AuthError,
     ConfigError,
@@ -56,7 +62,7 @@ from .errors import (
     SkyrelayError,
     TransformError,
 )
-from .keying import EpochKeyState, CredentialCiphertext, decrypt_credentials
+from .keying import EpochKeyState, CredentialCiphertext, decrypt_credentials, job_binding
 from .storage import LocalDirBackend, StorageBackend
 from .wire import Certificate, Channel, Listener, Message, ServerConn, open_channel
 
@@ -311,15 +317,17 @@ class Worker:
         if self._scratch_owned:
             shutil.rmtree(self._scratch, ignore_errors=True)
 
-    def _auto_shutdown(self):
+    def _shut_down(self, reason: str, notify: bool):
+        """Stop serving; with notify, send SHUTDOWN_NOTICE (a retired
+        instance skips it: its coordinator has already dropped it)."""
         if self.terminated.is_set():
             return
         self._stopping = True
         self.shutdown_at = time.monotonic()
-        self._log("billing deadline reached, shutting down")
+        self._log(f"{reason}, shutting down")
         self._abort_jobs()
         self._shutdown_pools()
-        if self.cfg.coordinator_addr and self.pid is not None:
+        if notify and self.cfg.coordinator_addr and self.pid is not None:
             try:
                 ch = self._open(self.cfg.coordinator_addr, "shutdown")
                 try:
@@ -360,7 +368,7 @@ class Worker:
         while True:
             now = time.time()
             if now >= deadline:
-                self._auto_shutdown()
+                self._shut_down("billing deadline reached", notify=True)
                 return
             if now >= next_sweep:
                 next_sweep = now + sweep_every
@@ -389,11 +397,14 @@ class Worker:
             try:
                 if ch is None:
                     ch = self._open(self.cfg.coordinator_addr, "liveness")
-                ch.request("HEARTBEAT", {"pid": self.pid.hex()}, timeout=5.0)
+                reply = ch.request("HEARTBEAT", {"pid": self.pid.hex()}, timeout=5.0)
             except SkyrelayError:
                 if ch is not None:
                     ch.close()
                 ch = None
+                continue
+            if reply.body.get("status") == "retired":
+                self._shut_down("retired by the coordinator", notify=False)
         if ch is not None:
             ch.close()
 
@@ -595,7 +606,8 @@ class Worker:
                     if self.key_state is None:
                         raise CredentialAuthFailure("instance holds no key chain")
                     self._advance_keys(time.time())
-                    sc = decrypt_credentials(self.key_state, ct)
+                    sc = decrypt_credentials(self.key_state, ct, aad=job_binding(
+                        self.pid, job.job_id, sequence_to_wire(job.fois)))
             if sc is not None:
                 session = self._get_backend().authenticate(sc.token)
                 if session.account_id != sc.account_id:

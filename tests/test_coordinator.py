@@ -8,6 +8,7 @@ import pytest
 from skyrelay.coordinator import Coordinator, CoordinatorConfig
 from skyrelay.errors import (
     AlreadyRegistered,
+    ConnectError,
     NoInstanceAvailable,
     NotFound,
     RegistrationError,
@@ -215,12 +216,26 @@ def test_late_heartbeat_leaves_instance_retired(cluster):
         })
         pid = reply.body["pid"]
         time.sleep(0.3)  # past the 0.2 s miss window, and nothing read the record
-        request(addr, "HEARTBEAT", {"pid": pid})
+        late, _ = request(addr, "HEARTBEAT", {"pid": pid})
+        assert late.body == {"status": "retired"}
         assert [r["pid"] for r in coord.instances(status="retired")] == [pid]
         assert any(f"retired instance {pid[:8]} (missed pings)" in line
                    for line in coord.log)
     finally:
         coord.stop()
+
+
+def test_retired_worker_stops_on_its_next_ping(cluster):
+    w = cluster.worker(shared=True, ping_interval_s=0.1)
+    live, _ = request(cluster.coordinator.addr, "HEARTBEAT", {"pid": w.pid.hex()})
+    assert live.body == {}
+    # retire the record behind the worker's back
+    request(cluster.coordinator.addr, "SHUTDOWN_NOTICE",
+            {"pid": w.pid.hex(), "addr": w.addr})
+    assert w.terminated.wait(1.0)
+    assert any("retired by the coordinator, shutting down" in line for line in w.log)
+    with pytest.raises(ConnectError):
+        open_channel(w.addr)
 
 
 def test_shutdown_notice_retires_and_drops_allocations(cluster):

@@ -1,8 +1,10 @@
 """Local directory object store: auth, basic ops, objects, shadow sync."""
 
+import gc
 import json
 import os
 import random
+import sqlite3
 import sys
 import threading
 
@@ -12,12 +14,13 @@ from skyrelay.core import canonical_json
 from skyrelay.errors import (
     AlreadyExists,
     AuthError,
+    ConfigError,
     NotFound,
     PermissionDenied,
     QuotaError,
 )
 from skyrelay.storage import (
-    TOKEN_DIR,
+    META_DIR,
     LocalDirBackend,
     Session,
     ShadowFS,
@@ -52,16 +55,20 @@ def test_unknown_token(backend):
 
 def test_cross_account_session_forgery(backend, tmp_path):
     token_a = backend.create_account("a")
-    backend.create_account("b")
-    # an index outside the store root that lists a's token
-    os.makedirs(tmp_path / "evil")
-    with open(tmp_path / "evil" / "index.json", "w") as f:
-        json.dump({"quota_bytes": 1, "tokens": [token_a], "entries": {},
-                   "rev_counters": {}}, f)
+    token_b = backend.create_account("b")
+    backend.put_object(backend.authenticate(token_b), "/secret", b"b's")
     for account_id in ("b", "../evil", "..", "a/../../evil", "a\x00"):
         forged = Session(account_id=account_id, token=token_a)
         with pytest.raises(AuthError):
             backend.list_meta(forged, "/")
+        with pytest.raises(AuthError):
+            backend.sync_shadow(forged)
+        with pytest.raises(AuthError):
+            backend.get_object(forged, "/secret")
+        with pytest.raises(AuthError):
+            backend.put_object(forged, "/x", b"x")
+    assert sorted(os.listdir(tmp_path)) == ["store"]
+    assert sorted(os.listdir(tmp_path / "store")) == [META_DIR, "b"]
 
 
 def test_create_delete_inverse(backend, session):
@@ -115,7 +122,7 @@ def test_revisions_monotone(backend, session):
     r2 = int(backend.put_object(session, "/f", b"v2").revision)
     backend.basic_op(session, "delete", {"path": "/f"})
     r3 = int(backend.put_object(session, "/f", b"v3").revision)
-    assert r1 < r2 < r3
+    assert (r1, r2, r3) == (1, 2, 3)
 
 
 def test_quota(backend):
@@ -197,10 +204,10 @@ def test_revoke_keeps_writes_from_another_backend(tmp_path):
     b2 = LocalDirBackend(root)
     b2.put_object(b2.authenticate(token), "/seen", b"hello")
     b1.revoke_token(token)
-    with open(os.path.join(root, "alice", "index.json"), encoding="utf-8") as f:
-        doc = json.load(f)
-    assert doc["tokens"] == []
-    assert "/seen" in doc["entries"]
+    db = _open_db(root)
+    assert db.execute("SELECT * FROM tokens").fetchall() == []
+    assert db.execute("SELECT path FROM entries WHERE account = 'alice'").fetchall() \
+        == [("/seen",)]
 
 
 def test_create_refuses_account_made_by_another_backend(tmp_path):
@@ -212,18 +219,6 @@ def test_create_refuses_account_made_by_another_backend(tmp_path):
     with pytest.raises(AlreadyExists):
         b4.create_account("carol")
     assert b5.get_object(b5.authenticate(token), "/keep") == b"k"
-
-
-def test_corrupt_index_of_one_account_leaves_others_working(tmp_path):
-    backend = LocalDirBackend(str(tmp_path / "store"))
-    s = backend.authenticate(backend.create_account("alice"))
-    backend.create_account("bob")
-    with open(tmp_path / "store" / "bob" / "index.json", "w") as f:
-        f.write("{not json")
-    backend.put_object(s, "/a", b"1")
-    assert backend.get_object(s, "/a") == b"1"
-    backend.basic_op(s, "create_folder", {"path": "/d"})
-    assert set(backend.sync_shadow(s).entries) == {"/a", "/d"}
 
 
 def test_token_hint_does_not_outlive_revocation(tmp_path):
@@ -238,16 +233,8 @@ def test_token_hint_does_not_outlive_revocation(tmp_path):
         b1.list_meta(s1, "/")
 
 
-def test_unchanged_index_is_not_parsed_again(backend, session, monkeypatch):
-    backend.put_object(session, "/a", b"1")
-
-    def no_parse(*args, **kwargs):
-        raise AssertionError("index parsed although its stat did not change")
-
-    monkeypatch.setattr("skyrelay.storage.json.load", no_parse)
-    assert backend.authenticate(session.token).account_id == "alice"
-    assert backend.get_object(session, "/a") == b"1"
-    assert set(backend.sync_shadow(session).entries) == {"/a"}
+def _open_db(root):
+    return sqlite3.connect(os.path.join(root, META_DIR, "store.db"))
 
 
 def _files_under(root):
@@ -262,6 +249,8 @@ def test_no_plaintext_token_at_rest(tmp_path):
     tokens = [backend.create_account(name) for name in ("alice", "bob")]
     backend.put_object(backend.authenticate(tokens[0]), "/a", b"1")
     backend.revoke_token(tokens[1])
+    names = {os.path.basename(p) for p in _files_under(root)}
+    assert {"store.db", "store.db-wal", "store.db-shm"} <= names
     for path in _files_under(root):
         for token in tokens:
             assert token not in path
@@ -270,69 +259,40 @@ def test_no_plaintext_token_at_rest(tmp_path):
             elif os.path.isfile(path):
                 with open(path, "rb") as f:
                     assert token.encode() not in f.read()
-    with open(os.path.join(root, "alice", "index.json"), encoding="utf-8") as f:
-        assert json.load(f)["tokens"] == [token_digest(tokens[0])]
+    assert _open_db(root).execute("SELECT digest, account FROM tokens").fetchall() \
+        == [(token_digest(tokens[0]), "alice")]
 
 
-def test_fresh_backend_authenticate_parses_one_index(tmp_path, monkeypatch):
+def test_fresh_backend_ls_runs_two_statements(tmp_path):
     root = str(tmp_path / "store")
     maker = LocalDirBackend(root)
     tokens = [maker.create_account(f"u{i:03d}") for i in range(256)]
-    loads = []
-    real_load = json.load
-
-    def counting_load(*args, **kwargs):
-        loads.append(1)
-        return real_load(*args, **kwargs)
-
-    monkeypatch.setattr("skyrelay.storage.json.load", counting_load)
-    assert LocalDirBackend(root).authenticate(tokens[137]).account_id == "u137"
-    assert len(loads) == 1
-
-
-def test_token_entry_left_after_revoke_is_refused(tmp_path):
-    root = str(tmp_path / "store")
-    backend = LocalDirBackend(root)
-    token = backend.create_account("alice")
-    backend.revoke_token(token)
-    os.symlink("alice", os.path.join(root, TOKEN_DIR, token_digest(token)))
-    for b in (backend, LocalDirBackend(root)):
-        with pytest.raises(AuthError):
-            b.authenticate(token)
-
-
-def test_token_entry_naming_an_account_without_the_digest_is_refused(tmp_path):
-    root = str(tmp_path / "store")
-    backend = LocalDirBackend(root)
-    token = backend.create_account("alice")
-    backend.create_account("bob")
-    entry = os.path.join(root, TOKEN_DIR, token_digest(token))
-    # an index outside the root that lists the digest
-    os.makedirs(tmp_path / "evil")
-    with open(tmp_path / "evil" / "index.json", "w") as f:
-        json.dump({"quota_bytes": 1, "tokens": [token_digest(token)],
-                   "entries": {}, "rev_counters": {}}, f)
-    for target in ("bob", "../evil", TOKEN_DIR):
-        os.unlink(entry)
-        os.symlink(target, entry)
-        for b in (backend, LocalDirBackend(root)):
-            with pytest.raises(AuthError):
-                b.authenticate(token)
+    maker.put_object(maker.authenticate(tokens[137]), "/a", b"1")
+    fresh = LocalDirBackend(root)
+    with fresh._lock:
+        db = fresh._db()  # connect and set the pragma
+    statements = []
+    db.set_trace_callback(statements.append)
+    s = fresh.authenticate(tokens[137])
+    assert s.account_id == "u137"
+    assert set(fresh.sync_shadow(s).entries) == {"/a"}
+    assert len(statements) == 2
 
 
 def test_account_id_rule(tmp_path):
     root = tmp_path / "store"
     backend = LocalDirBackend(str(root))
-    for bad in ("", ".", "..", "../escaped", "a/b", "/abs", "a\x00", TOKEN_DIR):
+    for bad in ("", ".", "..", "../escaped", "a/b", "/abs", "a\x00", META_DIR):
         with pytest.raises(PermissionDenied):
             backend.create_account(bad)
     assert os.listdir(tmp_path) == ["store"]
-    assert os.listdir(root) == []
+    assert os.listdir(root) == [META_DIR]
     token = backend.create_account("alice")
-    for forged in (TOKEN_DIR, "../escaped"):
+    for forged in (META_DIR, "../escaped"):
         with pytest.raises(AuthError):
             backend.put_object(Session(account_id=forged, token=token), "/x", b"x")
-    assert sorted(os.listdir(root)) == [TOKEN_DIR, "alice"]
+    assert os.listdir(root) == [META_DIR]
+    assert set(os.listdir(root / META_DIR)) <= {"store.db", "store.db-wal", "store.db-shm"}
     assert os.listdir(tmp_path) == ["store"]
 
 
@@ -373,13 +333,13 @@ def test_same_size_rewrite_within_one_mtime_is_reloaded(tmp_path):
     token = b1.create_account("alice")
     s1 = b1.authenticate(token)
     b1.put_object(s1, "/a", b"1")
-    index = os.path.join(root, "alice", "index.json")
-    before = os.stat(index)
+    files = [os.path.join(root, META_DIR, "store.db" + end) for end in ("", "-wal")]
+    before = [os.stat(f) for f in files]
     b2 = LocalDirBackend(root)
     b2.put_object(b2.authenticate(token), "/a", b"2")
     # a coarse clock would give the rewrite the same mtime
-    os.utime(index, ns=(before.st_atime_ns, before.st_mtime_ns))
-    assert os.stat(index).st_size == before.st_size
+    for f, st in zip(files, before):
+        os.utime(f, ns=(st.st_atime_ns, st.st_mtime_ns))
     assert b1.list_meta(s1, "/a")[0].revision == "2"
 
 
@@ -410,3 +370,55 @@ def test_quota_follows_overwrite_delete_rename_and_reload(tmp_path):
     with pytest.raises(QuotaError):
         b1.put_object(s, "/h", b"x" * 91)
     b1.put_object(s, "/h", b"x" * 90)
+
+
+def test_backends_opening_a_fresh_root_at_once_build_one_schema(tmp_path):
+    names = ("p", "q", "r", "s")
+    for attempt in range(8):
+        root = str(tmp_path / f"store{attempt}")
+        barrier = threading.Barrier(len(names))
+        tokens, errors = {}, []
+
+        def opener(name):
+            try:
+                b = LocalDirBackend(root)
+                barrier.wait(timeout=10)
+                tokens[name] = b.create_account(name)
+            except Exception as e:  # surfaced by the assert below
+                errors.append(e)
+
+        threads = [threading.Thread(target=opener, args=(n,)) for n in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        b = LocalDirBackend(root)
+        assert {n: b.authenticate(t).account_id for n, t in tokens.items()} \
+            == {n: n for n in names}
+        assert not [n for n in os.listdir(os.path.join(root, META_DIR)) if n.endswith(".new")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropped_backend_closes_its_database(tmp_path):
+    keep = LocalDirBackend(str(tmp_path / "store"))
+    token = keep.create_account("alice")
+    gc.disable()  # the close must not wait for the cyclic collector
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            b = LocalDirBackend(str(tmp_path / "store"))
+            b.sync_shadow(b.authenticate(token))
+            del b
+        assert len(os.listdir("/proc/self/fd")) <= before + 2
+    finally:
+        gc.enable()
+
+
+def test_old_sqlite_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 37, 2))
+    monkeypatch.setattr(sqlite3, "sqlite_version", "3.37.2")
+    with pytest.raises(ConfigError, match=r"3\.37\.2.*3\.38\.0"):
+        LocalDirBackend(str(tmp_path / "store"))
+    assert not (tmp_path / "store").exists()

@@ -21,13 +21,20 @@ from skyrelay.core import FOI, CredentialSet, sequence_to_wire
 from skyrelay.errors import (
     AuthError,
     ConfigError,
+    CredentialAuthFailure,
     DecodeError,
     Gone,
     NotFound,
     PermissionDenied,
     ShutdownError,
 )
-from skyrelay.keying import OFFSET_MAX, OFFSET_MIN, encrypt_credentials, key_at_epoch
+from skyrelay.keying import (
+    OFFSET_MAX,
+    OFFSET_MIN,
+    encrypt_credentials,
+    job_binding,
+    key_at_epoch,
+)
 from skyrelay.wire import open_channel
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
@@ -602,16 +609,56 @@ def test_shared_job_opens_on_a_chain_behind_the_coordinator(cluster, tmp_path):
             ch.close()
         grant = grants[0].body
         assert grant["epoch"] > stale.epoch
+        fois = sequence_to_wire([FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")])
         ct = encrypt_credentials(bytes.fromhex(grant["key"]), CredentialSet("u1", tok),
-                                 bytes.fromhex(grant["r"]), grant["epoch"])
-        result, _ = submit(w.addr, {"fois": sequence_to_wire(
-            [FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")]),
-            "credentials_ct": ct.to_wire()})
+                                 bytes.fromhex(grant["r"]), grant["epoch"],
+                                 aad=job_binding(w.pid, "behind", fois))
+        result, _ = submit(w.addr, {"job_id": "behind", "fois": fois,
+                                    "credentials_ct": ct.to_wire()})
         assert result["work_bytes"] == 20
         assert w.key_state.epoch >= grant["epoch"]
     finally:
         w.stop()
         coord.stop()
+
+
+def _sealed(cluster, w, tok, job_id, fois) -> dict:
+    """u1's credentials sealed under a fresh grant on w, bound to job_id and fois."""
+    ch = open_channel(cluster.coordinator.addr)
+    try:
+        grants = []
+        ch.request("REQUEST_INSTANCE", {"user_id": "u1"}, on_event=grants.append)
+    finally:
+        ch.close()
+    grant = grants[0].body
+    assert grant["pid"] == w.pid.hex()
+    return encrypt_credentials(bytes.fromhex(grant["key"]), CredentialSet("u1", tok),
+                               bytes.fromhex(grant["r"]), grant["epoch"],
+                               aad=job_binding(w.pid, job_id, fois)).to_wire()
+
+
+def test_sealed_credentials_do_not_open_under_another_job_id(cluster):
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
+    w = cluster.worker(shared=True)
+    fois = sequence_to_wire([FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")])
+    ct = _sealed(cluster, w, tok, "job-a", fois)
+    result, _ = submit(w.addr, {"job_id": "job-a", "fois": fois, "credentials_ct": ct})
+    assert result["work_bytes"] == 20
+    with pytest.raises(CredentialAuthFailure):
+        submit(w.addr, {"job_id": "job-b", "fois": fois, "credentials_ct": ct})
+
+
+def test_sealed_credentials_do_not_run_altered_fois(cluster):
+    tok = cluster.account("u1")
+    sess = seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
+    w = cluster.worker(shared=True)
+    fois = [FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")]
+    ct = _sealed(cluster, w, tok, "job-a", sequence_to_wire(fois))
+    altered = sequence_to_wire(fois[:1] + [FOI("put", "/d/stolen.bin")])
+    with pytest.raises(CredentialAuthFailure):
+        submit(w.addr, {"job_id": "job-a", "fois": altered, "credentials_ct": ct})
+    assert [m.path for m in cluster.backend.list_meta(sess, "/d")] == ["/d/f.bin"]
 
 
 def test_shared_worker_rejects_plaintext_credentials(cluster):
