@@ -85,11 +85,19 @@ def downscale_to_fit(data: bytes, max_resolution: int) -> bytes:
         for y in range(y0, y1):
             wide[0::lane_bytes] = rows[y * row_len:(y + 1) * row_len]
             total += int.from_bytes(wide, "little")
-        # lane 3x+c now holds the sum of pixels x..x+factor-1; past the right
-        # edge the shifts bring in zeros, so a partial window sums what it has
-        acc = total
-        for k in range(1, factor):
-            acc += total >> (pixel_bits * k)
+        # sum windows by doubling: lane 3x+c of span holds the sum of pixels
+        # x..x+run-1, and acc adds one span per set bit of factor, so it ends
+        # with the sums of pixels x..x+factor-1; past the right edge the
+        # shifts bring in zeros, so a partial window sums what it has
+        acc, done, span, run = 0, 0, total, 1
+        while True:
+            if factor & run:
+                acc += span >> (pixel_bits * done)
+                done += run
+            if done == factor:
+                break
+            span += span >> (pixel_bits * run)
+            run *= 2
         lanes = array.array("I" if lane_bytes == 4 else "Q",
                             acc.to_bytes(len(wide), "little"))
         if sys.byteorder == "big":

@@ -14,12 +14,18 @@ processes on the same root neither lose each other's changes nor read a
 stale view.  A put stages its payload before the transaction and moves it
 into place inside it.
 
+Data files are never written in place: a put stages a new file and
+replaces the old name, a delete unlinks and a rename moves.  So a reader
+may hard-link a data file and keep a stable snapshot, and a writer may hand
+over a file by link, as long as nothing writes that file again.
+
 Tokens are stored only as SHA-256 hex digests.  Stores written in earlier
 layouts (JSON indexes, plaintext tokens) are not migrated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -43,6 +49,7 @@ from .errors import (
 )
 
 DEFAULT_QUOTA_BYTES = 1 << 30  # 1 GiB per account
+COPY_CHUNK_BYTES = 1024 * 1024  # when a data file cannot be linked
 META_DIR = ".meta"  # reserved name under the root: the database and staged puts
 # upsert needs 3.24, RETURNING 3.35 and built-in JSON functions 3.38
 MIN_SQLITE = (3, 38, 0)
@@ -158,6 +165,33 @@ class StorageBackend:
     def sync_shadow(self, session: Session) -> ShadowFS:
         raise NotImplementedError
 
+    def get_object_to(self, session: Session, path: str, dst: str) -> int:
+        """Write the object at path to the new file dst; returns its size.
+
+        dst must not exist.  This fallback holds the object in memory; a
+        backend that can do better overrides it.
+        """
+        data = self.get_object(session, path)
+        with open(dst, "xb") as f:
+            f.write(data)
+        return len(data)
+
+    def put_object_from(self, session: Session, path: str, src: str) -> FileMeta:
+        """Store the file src at path.  src must be a file the caller will
+        not write again: a backend may keep it by link instead of a copy."""
+        with open(src, "rb") as f:
+            return self.put_object(session, path, f.read())
+
+
+def _link_or_copy(src: str, dst: str):
+    """Make dst a hard link to src, or a chunked copy where no link can be
+    made; dst must not exist, so nothing is ever written through a link."""
+    try:
+        os.link(src, dst)
+    except OSError:
+        with open(src, "rb") as fin, open(dst, "xb") as fout:
+            shutil.copyfileobj(fin, fout, COPY_CHUNK_BYTES)
+
 
 def _meta(path: str, kind: str, size: int, mtime: int, rev: int) -> FileMeta:
     # positional: a shadow builds one per entry, and keywords cost a third more
@@ -245,19 +279,18 @@ class LocalDirBackend(StorageBackend):
             raise ValueError(f"unknown basic action: {action!r}")
 
     def get_object(self, session: Session, path: str) -> bytes:
-        with self._lock:
-            db = self._db()
-            self._check(db, session)
-            path = normalize_path(path)
-            ent = self._entry(db, session.account_id, path)
-            if ent is None or ent[0] != "file":
-                raise NotFound(path)
-            fs = self._fs_path(session.account_id, path)
-        with open(fs, "rb") as f:
+        with open(self._data_file(session, path), "rb") as f:
             return f.read()
 
     def put_object(self, session: Session, path: str, data: bytes) -> FileMeta:
         return self._put(session, normalize_path(path), data, must_create=False)
+
+    def get_object_to(self, session: Session, path: str, dst: str) -> int:
+        _link_or_copy(self._data_file(session, path), dst)
+        return os.stat(dst).st_size
+
+    def put_object_from(self, session: Session, path: str, src: str) -> FileMeta:
+        return self._put(session, normalize_path(path), None, must_create=False, src=src)
 
     def list_meta(self, session: Session, path: str = "/",
                   recursive: bool = False) -> list[FileMeta]:
@@ -359,6 +392,17 @@ class LocalDirBackend(StorageBackend):
         return db.execute("SELECT kind, size, mtime, rev FROM entries"
                           " WHERE account = ? AND path = ?", (account, path)).fetchone()
 
+    def _data_file(self, session: Session, path: str) -> str:
+        """The data file of the file entry at path, after the session check."""
+        with self._lock:
+            db = self._db()
+            self._check(db, session)
+            path = normalize_path(path)
+            ent = self._entry(db, session.account_id, path)
+            if ent is None or ent[0] != "file":
+                raise NotFound(path)
+        return self._fs_path(session.account_id, path)
+
     def _fs_path(self, account_id: str, path: str) -> str:
         dd = os.path.join(self.root, account_id, "data")
         fs = os.path.normpath(os.path.join(dd, path.lstrip("/")))
@@ -391,16 +435,22 @@ class LocalDirBackend(StorageBackend):
         for p in reversed(missing):
             self._set_entry(db, account, p, kind="folder", size=0)
 
-    def _put(self, session: Session, path: str, data: bytes,
-             must_create: bool) -> FileMeta:
+    def _put(self, session: Session, path: str, data: bytes | None,
+             must_create: bool, src: str | None = None) -> FileMeta:
+        """Store data, or the file src by link where it can, at path."""
         if path == "/":
             raise PermissionDenied("cannot write the account root")
         # staged outside every account, so a forged session writes nothing
         tmp = os.path.join(self._meta_dir, f"put-{secrets.token_hex(8)}.tmp")
-        with open(tmp, "wb") as f:
-            f.write(data)
         account = session.account_id
         try:
+            if src is None:
+                with open(tmp, "wb") as f:
+                    f.write(data)
+                size = len(data)
+            else:
+                _link_or_copy(src, tmp)
+                size = os.stat(tmp).st_size
             with self._transaction() as db:
                 self._check(db, session)
                 existing = self._entry(db, account, path)
@@ -415,16 +465,16 @@ class LocalDirBackend(StorageBackend):
                     "SELECT quota, (SELECT coalesce(sum(size), 0) FROM entries"
                     " WHERE account = accounts.id) FROM accounts WHERE id = ?",
                     (account,)).fetchone()
-                if used - old_size + len(data) > quota:
+                if used - old_size + size > quota:
                     raise QuotaError(f"quota {quota} exceeded on {account}")
                 self._ensure_parents(db, account, path)
                 fs = self._fs_path(account, path)
                 os.makedirs(os.path.dirname(fs), exist_ok=True)
                 os.replace(tmp, fs)
-                return self._set_entry(db, account, path, kind="file", size=len(data))
+                return self._set_entry(db, account, path, kind="file", size=size)
         finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)  # left if the put failed or src already was the data file
 
     def _rename(self, db: sqlite3.Connection, account: str, src: str, dst: str):
         if self._entry(db, account, src) is None:

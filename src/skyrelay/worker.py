@@ -79,6 +79,9 @@ LOG_MAX_LINES = 10_000
 # as gzip.GzipFile(mtime=0) writes it
 GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
 DEFLATE_WINDOW = 32 * 1024
+# a full block is stored unless a level-1 deflate of these slices shrinks
+SAMPLE_SLICES = 4
+SAMPLE_SLICE_BYTES = 4 * 1024
 GZIP_THREADS = os.cpu_count() or 1
 
 # A job id names the job's workspace directory, so it must stay one segment.
@@ -462,8 +465,8 @@ class Worker:
             "expires_at": int(expires_at),
         }
 
-    def read_exposed(self, job_id: str, file_id: str, guest_token: str,
-                     offset: int, max_bytes: int) -> tuple[bytes, bool, int]:
+    def _exposure(self, job_id: str, file_id: str, guest_token: str) -> _Exposed:
+        """The live exposure the guest token opens, or the reason it opens none."""
         with self._state_lock:
             entry = self._exposed.get((job_id, file_id))
         if entry is None:
@@ -472,6 +475,11 @@ class Worker:
             raise Gone(f"exposure {file_id} expired")
         if not hmac.compare_digest(entry.guest_token, guest_token or ""):
             raise PermissionDenied("bad guest token")
+        return entry
+
+    def read_exposed(self, job_id: str, file_id: str, guest_token: str,
+                     offset: int, max_bytes: int) -> tuple[bytes, bool, int]:
+        entry = self._exposure(job_id, file_id, guest_token)
         max_bytes = max(0, min(max_bytes, FETCH_CHUNK_BYTES))
         with open(entry.path, "rb") as f:
             f.seek(offset)
@@ -666,24 +674,16 @@ class Worker:
     def _foi_get(self, job: _Job, foi: FOI, session):
         if session is None:
             raise AuthError("get requires storage credentials")
-        data = self._get_backend().get_object(session, foi.target)
         path = job.step_path()
-        with open(path, "wb") as f:
-            for off in range(0, len(data), IO_CHUNK_BYTES):
-                chunk = data[off:off + IO_CHUNK_BYTES]
-                f.write(chunk)
-                self._add_work(job, len(chunk))
-        if not data:
-            self._add_work(job, 0)
+        self._add_work(job, self._get_backend().get_object_to(session, foi.target, path))
         job.file = path
 
     def _foi_put(self, job: _Job, foi: FOI, session):
+        # a job never writes a step's file again, so the store may keep it by link
         if session is None:
             raise AuthError("put requires storage credentials")
-        with open(job.file, "rb") as f:
-            data = f.read()
-        meta = self._get_backend().put_object(session, foi.target, data)
-        self._add_work(job, len(data))
+        meta = self._get_backend().put_object_from(session, foi.target, job.file)
+        self._add_work(job, meta.size_bytes)
         job.outputs.append(meta.to_wire())
 
     def _foi_download(self, job: _Job, foi: FOI):
@@ -727,16 +727,17 @@ class Worker:
 
     def _fetch_exposed_to(self, job: _Job, uri: str, guest_token: str, path: str):
         addr, exp_job, file_id = parse_exposure_uri(uri)
-        on_chunk = lambda n: self._add_work(job, n)
         if addr == self.addr:
-            # transfer through one shared instance: the exposure is local
-            pull_exposure(lambda offset: self.read_exposed(
-                exp_job, file_id, guest_token, offset, FETCH_CHUNK_BYTES)[:2],
-                path, on_chunk)
+            # transfer through one shared instance: the exposure is a local
+            # file that nothing writes again, so the step takes a link to it
+            entry = self._exposure(exp_job, file_id, guest_token)
+            os.link(entry.path, path)
+            self._add_work(job, entry.size_bytes)
             return
         ch = self._open(addr, "intermediate-fetch")
         try:
-            pull_exposure(fetch_reader(ch, uri, guest_token, timeout=30.0), path, on_chunk)
+            pull_exposure(fetch_reader(ch, uri, guest_token, timeout=30.0), path,
+                          lambda n: self._add_work(job, n))
         finally:
             ch.close()
 
@@ -785,10 +786,10 @@ def gzip_blocks(fin, fout, pool: ThreadPoolExecutor, max_inflight: int,
                 on_block: Callable[[int], None]):
     """Write fin to fout as one gzip member, deflating its blocks in parallel.
 
-    Each IO_CHUNK_BYTES block is deflated on its own, primed with the
-    previous block's last 32 KiB, and ends on a sync flush (the last on
-    finish), so the blocks concatenate into one deflate stream and the
-    output depends only on the input.  All but the last block go to pool,
+    Each IO_CHUNK_BYTES block is deflated (or stored) on its own, primed
+    with the previous block's last 32 KiB, and ends on a sync flush (the
+    last on finish), so the blocks concatenate into one deflate stream and
+    the output depends only on the input.  All but the last block go to pool,
     at most max_inflight at a time; on_block(n) runs once per input block
     of n bytes.
     """
@@ -820,8 +821,20 @@ def gzip_blocks(fin, fout, pool: ThreadPoolExecutor, max_inflight: int,
     fout.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
 
 
+def _incompressible(block: bytes) -> bool:
+    """True if a level-1 deflate of four slices of block saves under 2 %."""
+    step = len(block) // SAMPLE_SLICES
+    sample = b"".join(block[i * step:i * step + SAMPLE_SLICE_BYTES]
+                      for i in range(SAMPLE_SLICES))
+    return len(zlib.compress(sample, 1)) >= 0.98 * len(sample)
+
+
 def _deflate_block(data: bytes, zdict: bytes, last: bool) -> bytes:
-    c = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS, 8,
+    # a full block that deflate cannot shrink is stored (level 0, RFC 1951
+    # 3.2.4); the choice reads the block alone, so it is the same on any
+    # thread count, and shorter blocks keep level 9 and their bytes
+    level = 0 if len(data) == IO_CHUNK_BYTES and _incompressible(data) else 9
+    c = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS, 8,
                          zlib.Z_DEFAULT_STRATEGY, zdict)
     return c.compress(data) + c.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
 

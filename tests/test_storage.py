@@ -1,5 +1,6 @@
 """Local directory object store: auth, basic ops, objects, shadow sync."""
 
+import errno
 import gc
 import json
 import os
@@ -422,3 +423,90 @@ def test_old_sqlite_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match=r"3\.37\.2.*3\.38\.0"):
         LocalDirBackend(str(tmp_path / "store"))
     assert not (tmp_path / "store").exists()
+
+
+# -- linked get and put --
+
+def _meta_leftovers(root):
+    """Files in .meta/ other than the database: staged puts left behind."""
+    return [f for f in os.listdir(os.path.join(root, META_DIR))
+            if not f.startswith("store.db")]
+
+
+def test_linked_get_is_a_snapshot(backend, session, tmp_path):
+    backend.put_object(session, "/a.bin", b"first")
+    dst = tmp_path / "dst"
+    assert backend.get_object_to(session, "/a.bin", str(dst)) == 5
+    assert os.stat(dst).st_nlink == 2  # a link, not a copy
+    # a data file is never written in place, so the link keeps its bytes
+    backend.put_object(session, "/a.bin", b"second!")
+    assert dst.read_bytes() == b"first"
+    backend.basic_op(session, "delete", {"path": "/a.bin"})
+    assert dst.read_bytes() == b"first"
+    # dst must be new, so a get never writes through an earlier get's link
+    backend.put_object(session, "/c.bin", b"c")
+    backend.put_object(session, "/d.bin", b"d")
+    backend.get_object_to(session, "/c.bin", str(tmp_path / "c"))
+    with pytest.raises(FileExistsError):
+        backend.get_object_to(session, "/d.bin", str(tmp_path / "c"))
+    assert backend.get_object(session, "/c.bin") == b"c"
+
+
+def test_put_from_outlives_its_source(backend, session, tmp_path):
+    src = tmp_path / "src"
+    src.write_bytes(b"payload" * 1000)
+    meta = backend.put_object_from(session, "/dir/p.bin", str(src))
+    assert meta.size_bytes == 7000 and meta.kind == "file"
+    os.remove(src)
+    assert backend.get_object(session, "/dir/p.bin") == b"payload" * 1000
+    assert [m.path for m in backend.list_meta(session, "/", recursive=True)] == \
+        ["/dir", "/dir/p.bin"]
+    assert _meta_leftovers(backend.root) == []
+
+
+def test_linked_methods_copy_when_no_link_can_be_made(backend, session, tmp_path,
+                                                      monkeypatch):
+    backend.put_object(session, "/a.bin", b"stored")
+    src = tmp_path / "src"
+    src.write_bytes(b"source")
+
+    def no_link(a, b):
+        raise OSError(errno.EXDEV, "cross-device link")
+    monkeypatch.setattr(os, "link", no_link)
+    dst = tmp_path / "dst"
+    assert backend.get_object_to(session, "/a.bin", str(dst)) == 6
+    assert dst.read_bytes() == b"stored" and os.stat(dst).st_nlink == 1
+    backend.put_object_from(session, "/b.bin", str(src))
+    assert os.stat(src).st_nlink == 1
+    src.write_bytes(b"rewritten")  # a copy does not follow its source
+    assert backend.get_object(session, "/b.bin") == b"source"
+    assert _meta_leftovers(backend.root) == []
+
+
+def test_put_from_over_quota_stages_nothing(backend, tmp_path):
+    s = backend.authenticate(backend.create_account("tiny", quota_bytes=1024))
+    src = tmp_path / "src"
+    src.write_bytes(b"x" * 1025)
+    with pytest.raises(QuotaError):
+        backend.put_object_from(s, "/big", str(src))
+    assert _meta_leftovers(backend.root) == []
+    assert backend.list_meta(s, "/") == []
+    assert src.read_bytes() == b"x" * 1025
+
+
+def test_forged_session_links_nothing(backend, tmp_path):
+    token_a = backend.create_account("a")
+    backend.put_object(backend.authenticate(backend.create_account("b")), "/secret", b"b's")
+    before = sorted(_files_under(backend.root))
+    src = tmp_path / "src"
+    src.write_bytes(b"forged")
+    dst = tmp_path / "dst"
+    for account_id in ("b", "../evil", "a/../../evil"):
+        forged = Session(account_id=account_id, token=token_a)
+        with pytest.raises(AuthError):
+            backend.get_object_to(forged, "/secret", str(dst))
+        with pytest.raises(AuthError):
+            backend.put_object_from(forged, "/x", str(src))
+    assert not dst.exists()
+    assert os.stat(src).st_nlink == 1
+    assert sorted(_files_under(backend.root)) == before

@@ -2,6 +2,7 @@
 
 import copy
 import gzip
+import hashlib
 import http.server
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import random
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -35,6 +37,7 @@ from skyrelay.keying import (
     job_binding,
     key_at_epoch,
 )
+from skyrelay.storage import StorageBackend
 from skyrelay.wire import open_channel
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
@@ -165,14 +168,50 @@ def test_parallel_gzip_round_trips(size):
 
 
 def test_parallel_gzip_output_independent_of_threads():
-    data = _text(3 * IO_CHUNK_BYTES + 7)
-    assert _parallel_gzip(data, threads=1) == _parallel_gzip(data, threads=2)
+    # text blocks are deflated, random ones stored
+    for data in (_text(3 * IO_CHUNK_BYTES + 7),
+                 random.Random(3).randbytes(3 * IO_CHUNK_BYTES + 7)):
+        assert _parallel_gzip(data, threads=1) == _parallel_gzip(data, threads=2)
 
 
 def test_parallel_gzip_ratio_matches_serial():
     data = _text(4 * IO_CHUNK_BYTES)
     parallel, serial = len(_parallel_gzip(data)), len(_serial_gzip(data))
     assert abs(parallel - serial) <= serial * 0.001
+
+
+def _mixed(n_mib: int) -> bytes:
+    """Random and text MiBs in turn, starting with random."""
+    rng = random.Random(n_mib)
+    return b"".join(rng.randbytes(IO_CHUNK_BYTES) if i % 2 == 0 else _text(IO_CHUNK_BYTES)
+                    for i in range(n_mib))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random.Random(1).randbytes(3 * IO_CHUNK_BYTES + 7),
+    lambda: bytes(3 * IO_CHUNK_BYTES),
+    lambda: _mixed(4),
+], ids=["random", "zeros", "mixed"])
+def test_stored_and_deflated_blocks_round_trip(make):
+    data = make()
+    assert gzip.decompress(_parallel_gzip(data)) == data
+
+
+def test_random_blocks_are_stored():
+    data = random.Random(2).randbytes(4 * IO_CHUNK_BYTES)
+    blocks = len(data) // IO_CHUNK_BYTES
+    # a stored deflate block holds at most 65535 bytes behind a 5-byte
+    # header, and each block's sync flush adds an empty one
+    stored_per_block = -(-IO_CHUNK_BYTES // 65535)
+    bound = len(data) + len(sky_worker.GZIP_HEADER) + 8 + 5 * blocks * (stored_per_block + 1)
+    assert len(_parallel_gzip(data)) <= bound
+
+
+def test_text_output_is_pinned():
+    # text blocks keep level 9: the digest is that of the level-9-only writer
+    out = _parallel_gzip(_text(4 * IO_CHUNK_BYTES))
+    assert hashlib.sha256(out).hexdigest() == \
+        "2de13e5a4bb587feee6ed1aaafb69eeec5a3f057b9e06b3691eae22d2f0bfc26"
 
 
 def test_gzip_pool_stops_with_the_worker(cluster):
@@ -338,6 +377,36 @@ def test_intermediate_fetch_between_workers(cluster):
     assert cluster.backend.get_object(sess_b, "/in/big.bin") == payload
 
 
+def test_same_instance_download_links_the_exposure(cluster, tmp_path):
+    tok_a = cluster.account("ua")
+    tok_b = cluster.account("ub")
+    payload = os.urandom(5 * 1024 * 1024)
+    seed_file(cluster, "ua", tok_a, "/files/big.bin", payload)
+    # scratch beside the store, so the store can take the step's file by link
+    w = cluster.worker(registered=False, scratch_dir=str(tmp_path / "scratch"))
+    result, _ = submit(w.addr, {
+        "fois": sequence_to_wire([FOI("get", "/files/big.bin"), FOI("push", "big.bin")]),
+        "credentials": creds_body("ua", tok_a)})
+    desc = result["pushed"][0]
+
+    def download(token):
+        return submit(w.addr, {"fois": sequence_to_wire([
+            FOI("download", desc["uri"], op_params={"guest_token": token}),
+            FOI("put", "/in/big.bin")]), "credentials": creds_body("ub", tok_b)})[0]
+    with pytest.raises(PermissionDenied):
+        download("0" * 32)
+    sess_b = cluster.backend.authenticate(tok_b)
+    assert cluster.backend.list_meta(sess_b, "/") == []
+    assert download(desc["guest_token"])["work_bytes"] == 2 * len(payload)
+    assert cluster.backend.get_object(sess_b, "/in/big.bin") == payload
+    exposed = w._exposed[(result["job_id"], desc["file_id"])].path
+    assert os.path.samefile(exposed, cluster.backend._fs_path("ub", "/in/big.bin"))
+    with w._state_lock:
+        w._exposed[(result["job_id"], desc["file_id"])].expires_at = time.time() - 1
+    with pytest.raises(Gone):
+        download(desc["guest_token"])
+
+
 def test_exposure_token_and_expiry(cluster):
     tok = cluster.account("u1")
     seed_file(cluster, "u1", tok, "/f/x.bin", b"x" * 1000)
@@ -493,6 +562,67 @@ def test_workspace_wiped_between_jobs(cluster):
     with pytest.raises(Exception):
         submit(w.addr, {"fois": sequence_to_wire([FOI("put", "/d/again.bin")]),
                         "credentials": creds_body("u1", tok)})
+
+
+class _SixMethods(StorageBackend):
+    """A backend with only the six original methods, so the worker's get
+    and put run through the base-class fallbacks."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def authenticate(self, token):
+        return self.inner.authenticate(token)
+
+    def basic_op(self, session, action, args):
+        return self.inner.basic_op(session, action, args)
+
+    def get_object(self, session, path):
+        self.calls.append("get_object")
+        return self.inner.get_object(session, path)
+
+    def put_object(self, session, path, data):
+        self.calls.append("put_object")
+        return self.inner.put_object(session, path, data)
+
+    def list_meta(self, session, path="/", recursive=False):
+        return self.inner.list_meta(session, path, recursive)
+
+    def sync_shadow(self, session):
+        return self.inner.sync_shadow(session)
+
+
+def test_job_runs_on_a_backend_without_linked_methods(cluster):
+    tok = cluster.account("u1")
+    data = _text(IO_CHUNK_BYTES + 5)
+    sess = seed_file(cluster, "u1", tok, "/d/in.txt", data)
+    backend = _SixMethods(cluster.backend)
+    w = cluster.worker(registered=False, backend=backend)
+    result, _ = submit(w.addr, {"fois": sequence_to_wire([
+        FOI("get", "/d/in.txt"), FOI("op", "/d/in.txt", op_kind="compress"),
+        FOI("put", "/d/in.txt.gz")]), "credentials": creds_body("u1", tok)})
+    stored = cluster.backend.get_object(sess, "/d/in.txt.gz")
+    assert gzip.decompress(stored) == data
+    assert result["work_bytes"] == 2 * len(data) + 2 * len(stored)
+    assert backend.calls == ["get_object", "put_object"]
+
+
+def test_get_put_job_memory_stays_within_a_few_chunks(cluster):
+    tok = cluster.account("u1")
+    sess = cluster.backend.authenticate(tok)
+    cluster.backend.put_object(sess, "/d/big.bin", bytes(64 * 1024 * 1024))
+    w = cluster.worker(shared=False)
+    tracemalloc.start()
+    try:
+        result, _ = submit(w.addr, {"fois": sequence_to_wire([
+            FOI("get", "/d/big.bin"), FOI("put", "/d/copy.bin")]),
+            "credentials": creds_body("u1", tok)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result["work_bytes"] == 2 * 64 * 1024 * 1024
+    assert peak < 4 * IO_CHUNK_BYTES, f"peak {peak} bytes"
 
 
 # -- heartbeats --
