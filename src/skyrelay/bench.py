@@ -15,7 +15,9 @@ that guarantee.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.server
 import json
 import os
 import random
@@ -171,14 +173,24 @@ def _ppm_payload(rng: random.Random, n: int) -> bytes:
     return ppm.write_ppm(side, side, rng.randbytes(side * side * 3))
 
 
+class _QuietHandler(http.server.SimpleHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
 class _Stack:
-    """One booted system: storage, coordinator, shared workers, two agents."""
+    """One booted system: storage, coordinator, shared workers, two agents,
+    and a loopback http server over root for download items."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.rng = random.Random(spec.seed)
         self.ledger = ChannelLedger()
         self.root = tempfile.mkdtemp(prefix="skyrelay-bench-")
+        self.http = http.server.ThreadingHTTPServer(
+            ("127.0.0.1", 0), functools.partial(_QuietHandler, directory=self.root))
+        threading.Thread(target=self.http.serve_forever, kwargs={"poll_interval": 0.05},
+                         daemon=True).start()
         self.backend = LocalDirBackend(os.path.join(self.root, "store"))
         self.tok_a = self.backend.create_account("alice", quota_bytes=1 << 34)
         self.tok_b = self.backend.create_account("bob", quota_bytes=1 << 34)
@@ -240,6 +252,8 @@ class _Stack:
         for w in self.workers:
             w.stop()
         self.coordinator.stop()
+        self.http.shutdown()
+        self.http.server_close()
         if not self.spec.keep_dirs:
             shutil.rmtree(self.root, ignore_errors=True)
 
@@ -349,10 +363,10 @@ def _run_item(stack: _Stack, rng: random.Random, i: int, item: dict,
     try:
         if op == "download":
             data = _payload(rng, size)
-            src = os.path.join(stack.root, f"src_{i}.bin")
-            with open(src, "wb") as f:
+            with open(os.path.join(stack.root, f"src_{i}.bin"), "wb") as f:
                 f.write(data)
-            args = {"url": f"file://{src}", "dest": f"/bench/dl_{i}.bin"}
+            host, port = stack.http.server_address[:2]
+            args = {"url": f"http://{host}:{port}/src_{i}.bin", "dest": f"/bench/dl_{i}.bin"}
             if "throttle_bps" in item:
                 args["throttle_bps"] = item["throttle_bps"]
             result = stack.alice.cmd_cloud_op("download", args)

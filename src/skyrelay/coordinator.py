@@ -12,10 +12,12 @@ are all functions of the clock, so each request settles the records it
 reads to the current time before it uses them.
 
 Registration is one request and one reply on the channel the instance
-opened: the reply carries the pid, the certificate and the chain (a random
-32-byte root plus t0, offset and interval).  The paper derives the root as
-H(pid || t0); both of those are in every certificate, so any grantee could
-recompute the chain, and the root here is drawn at random instead.
+opened: the reply carries the pid, the certificate, the chain (a random
+32-byte root plus t0, offset and interval) and the ping interval, so the
+instance pings at the cadence its retirement is judged by.  The paper
+derives the root as H(pid || t0); both of those are in every certificate,
+so any grantee could recompute the chain, and the root here is drawn at
+random instead.
 
 It never touches file bytes: everything here is control traffic.
 """
@@ -45,6 +47,7 @@ from .keying import (
     OFFSET_MAX,
     OFFSET_MIN,
     EpochKeyState,
+    check_interval,
     issue_user_grant,
     round_minute,
 )
@@ -130,6 +133,7 @@ class Coordinator:
     # -- lifecycle --
 
     def start(self) -> str:
+        check_interval(self.cfg.interval_s)
         self._listener = Listener(self.cfg.listen_addr, self._handle,
                                   tap_factory=self.cfg.tap_factory)
         self.addr = self._listener.addr
@@ -257,6 +261,7 @@ class Coordinator:
             "t0": key_state.t0,
             "offset_s": key_state.offset_s,
             "interval_s": key_state.interval_s,
+            "ping_interval_s": self.cfg.ping_interval_s,
             "certificate": certificate.to_wire(),
         })
 

@@ -36,7 +36,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .core import CredentialSet, canonical_json
-from .errors import CredentialAuthFailure, InvalidOffset
+from .errors import ConfigError, CredentialAuthFailure, InvalidOffset
 
 PID_BYTES = 16
 KEY_BYTES = 32
@@ -59,6 +59,12 @@ def round_minute(t: float) -> int:
 def _check_offset(offset_s: int):
     if not OFFSET_MIN <= offset_s <= OFFSET_MAX:
         raise InvalidOffset(f"offset_s must be in [{OFFSET_MIN}, {OFFSET_MAX}], got {offset_s}")
+
+
+def check_interval(interval_s: int):
+    # advance() walks one interval per step, so a zero step never ends
+    if interval_s <= 0:
+        raise ConfigError(f"interval_s must be positive, got {interval_s}")
 
 
 def initial_server_key(pid: bytes, t: float) -> bytes:
@@ -107,12 +113,13 @@ class EpochKeyState:
     key_current: bytes
     key_previous: bytes | None
 
+    def __post_init__(self):
+        _check_offset(self.offset_s)
+        check_interval(self.interval_s)
+
     @classmethod
     def create(cls, pid: bytes, t: float, offset_s: int,
                interval_s: int = DEFAULT_INTERVAL_S) -> EpochKeyState:
-        _check_offset(offset_s)
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
         t0 = round_minute(t)
         return cls(
             pid=pid,
@@ -127,7 +134,7 @@ class EpochKeyState:
     def rotate(self) -> None:
         next_epoch = self.epoch + 1
         self.key_previous = key = self.key_current
-        # rotate_key, inlined: offset_s was checked in create.
+        # rotate_key, inlined: offset_s was checked at construction.
         t = int(self.t0 + next_epoch * self.interval_s)
         self.key_current = sha256(key + _be64(t - t % 60 + self.offset_s)).digest()
         self.epoch = next_epoch

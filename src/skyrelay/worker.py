@@ -1,18 +1,25 @@
 """Worker service: executes FOI sequences against the storage backend.
 
 A worker binds a listener, optionally registers with a coordinator (whose
-reply hands it a process id, a certificate, and the epoch-key chain), then
-accepts jobs.  The chain's root is random, not the paper's H(pid || t0):
-pid and t0 are in the certificate every grantee holds.  Each job runs in
-its own workspace, sends heartbeat events while it works, and is wiped
-afterward; decrypted storage credentials exist only inside the running job.
+reply hands it a process id, a certificate, the epoch-key chain and the
+ping interval), then accepts jobs.  The chain's root is random, not the
+paper's H(pid || t0): pid and t0 are in the certificate every grantee
+holds.  Each job runs in its own workspace and is wiped afterward;
+decrypted storage credentials exist only inside the running job.
 
 Workers shut themselves down shortly before the next billing boundary so an
 instance shared for the remainder of a paid period never incurs another
 charge.  One clock thread keeps time: it sleeps until the earliest of the
-next key rotation, the next exposure sweep and that billing deadline.  A
-job also walks the chain to the current time before it opens sealed
-credentials, so it never depends on how late the clock thread woke.
+next key rotation, the next exposure sweep, the next ping to the
+coordinator and that billing deadline.  A job also walks the chain to the
+current time before it opens sealed credentials, so it never depends on how
+late the clock thread woke.
+
+A job's heartbeat events go on the channel that submitted it.  The job
+thread beats at each step and per HEARTBEAT_QUANTUM_BYTES of work; the
+connection thread, idle until the job's terminal frame because a channel
+carries one request at a time, adds a backstop beat after
+HEARTBEAT_BACKSTOP_S of silence, also while the job waits for a slot.
 
 Produced files that must reach the requesting agent (or a transfer peer)
 are not sent on the job channel; they are placed in a token-guarded
@@ -27,6 +34,7 @@ import contextlib
 import hmac
 import json
 import os
+import platform
 import re
 import secrets
 import shutil
@@ -70,10 +78,10 @@ HEARTBEAT_QUANTUM_BYTES = 16 * 1024 * 1024
 HEARTBEAT_BACKSTOP_S = 2.0
 FETCH_CHUNK_BYTES = 4 * 1024 * 1024
 IO_CHUNK_BYTES = 1024 * 1024
-DEFAULT_EXPOSE_TTL_S = 900.0
+EXPOSE_TTL_S = 900.0
+EXPOSE_SWEEP_S = 30.0
 DEFAULT_BILLING_PERIOD_S = 3600.0
 DEFAULT_SAFETY_MARGIN_S = 60.0
-DEFAULT_PING_INTERVAL_S = 30.0
 LOG_MAX_LINES = 10_000
 # gzip member header: deflate, no flags, mtime 0, XFL 2 (level 9), OS 255,
 # as gzip.GzipFile(mtime=0) writes it
@@ -82,7 +90,10 @@ DEFLATE_WINDOW = 32 * 1024
 # a full block is stored unless a level-1 deflate of these slices shrinks
 SAMPLE_SLICES = 4
 SAMPLE_SLICE_BYTES = 4 * 1024
-GZIP_THREADS = os.cpu_count() or 1
+# the CPUs this process may run on, not the host's
+CPU_COUNT = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+GZIP_THREADS = CPU_COUNT
 
 # A job id names the job's workspace directory, so it must stay one segment.
 JOB_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
@@ -159,10 +170,6 @@ class WorkerConfig:
     shared: bool = True
     share_duration_s: float = 3600.0
     capacity: int = 100
-    os_info: str = "linux"
-    hardware_info: str = "1 vcpu"
-    expose_ttl_s: float = DEFAULT_EXPOSE_TTL_S
-    ping_interval_s: float = DEFAULT_PING_INTERVAL_S
     startup_delay_s: float = 0.0
     # bench hooks: client channel factory (addr, purpose) and server-side taps
     channel_factory: Callable[[str, str], Channel] | None = None
@@ -214,6 +221,7 @@ class Worker:
         self.coordinator_pub: bytes | None = None
         self.key_state: EpochKeyState | None = None
         self.share_until: int = 0
+        self.ping_interval_s: float | None = None  # set by registration
         self._log_lines: collections.deque[str] = collections.deque(maxlen=LOG_MAX_LINES)
         self.started_at: float | None = None
         self.shutdown_at: float | None = None
@@ -270,8 +278,8 @@ class Worker:
         try:
             reply = ch.request("REGISTER_INSTANCE", {
                 "addr": self.addr,
-                "os_info": self.cfg.os_info,
-                "hardware_info": self.cfg.hardware_info,
+                "os_info": platform.system().lower(),
+                "hardware_info": f"{CPU_COUNT} vcpu",
                 "share_until": self.share_until,
                 "shared": self.cfg.shared,
                 "capacity": self.cfg.capacity,
@@ -294,6 +302,7 @@ class Worker:
                 key_current=bytes.fromhex(body["k_root"]),
                 key_previous=None,
             )
+        self.ping_interval_s = float(body["ping_interval_s"])
         self._log(f"registered pid={pid.hex()} at {self.cfg.coordinator_addr}")
 
     def _start_service(self):
@@ -304,9 +313,6 @@ class Worker:
         ) - self.cfg.safety_margin_s
         threading.Thread(target=self._clock_loop, args=(deadline,),
                          name="skyrelay-clock", daemon=True).start()
-        if self.cfg.coordinator_addr:
-            threading.Thread(target=self._ping_loop,
-                             name="skyrelay-ping", daemon=True).start()
         self._log(f"service ready at {self.addr}")
 
     def stop(self):
@@ -364,52 +370,60 @@ class Worker:
     # -- background loops --
 
     def _clock_loop(self, deadline: float):
-        """Rotate the key chain, expire exposures and shut down at the
-        billing deadline, sleeping until the earliest of the three."""
-        sweep_every = max(0.05, min(self.cfg.expose_ttl_s / 4, 30.0))
-        next_sweep = time.time() + sweep_every
-        while True:
-            now = time.time()
-            if now >= deadline:
-                self._shut_down("billing deadline reached", notify=True)
-                return
-            if now >= next_sweep:
-                next_sweep = now + sweep_every
-                with self._state_lock:
-                    for k in [k for k, e in self._exposed.items() if now >= e.expires_at]:
-                        with contextlib.suppress(OSError):
-                            os.remove(self._exposed.pop(k).path)
-            wake = min(deadline, next_sweep)
-            with self._key_lock:
-                if self.key_state is not None:
-                    self._advance_keys(now)
-                    wake = min(wake, self.key_state.next_rotation_at())
-            if self.terminated.wait(wake - time.time()):
-                return
+        """Rotate the key chain, expire exposures, ping the coordinator and
+        shut down at the billing deadline, sleeping until the earliest.
+
+        Its only blocking calls are the HEARTBEAT ping and the
+        SHUTDOWN_NOTICE, coordinator requests bounded by the connect timeout
+        plus a 5 s reply timeout.  It never writes to a job's channel, whose
+        reader may stop reading and stall the billing deadline.
+        """
+        next_sweep = time.time() + EXPOSE_SWEEP_S
+        next_ping = (time.time() + self.ping_interval_s
+                     if self.ping_interval_s is not None else float("inf"))
+        liveness: Channel | None = None  # kept across pings
+        try:
+            while True:
+                now = time.time()
+                if now >= deadline:
+                    self._shut_down("billing deadline reached", notify=True)
+                    return
+                if now >= next_sweep:
+                    next_sweep = now + EXPOSE_SWEEP_S
+                    with self._state_lock:
+                        for k in [k for k, e in self._exposed.items() if now >= e.expires_at]:
+                            with contextlib.suppress(OSError):
+                                os.remove(self._exposed.pop(k).path)
+                if now >= next_ping:
+                    next_ping = now + self.ping_interval_s
+                    try:
+                        if liveness is None:
+                            liveness = self._open(self.cfg.coordinator_addr, "liveness")
+                        reply = liveness.request("HEARTBEAT", {"pid": self.pid.hex()},
+                                                 timeout=5.0)
+                    except SkyrelayError:
+                        if liveness is not None:
+                            liveness.close()
+                        liveness = None  # reopened at the next ping
+                    else:
+                        if reply.body.get("status") == "retired":
+                            self._shut_down("retired by the coordinator", notify=False)
+                            return
+                wake = min(deadline, next_sweep, next_ping)
+                with self._key_lock:
+                    if self.key_state is not None:
+                        self._advance_keys(now)
+                        wake = min(wake, self.key_state.next_rotation_at())
+                if self.terminated.wait(wake - time.time()):
+                    return
+        finally:
+            if liveness is not None:
+                liveness.close()
 
     def _advance_keys(self, now: float):
         """Walk the chain through now; caller holds _key_lock."""
         if self.key_state.advance(now):
             self._log(f"rotated to epoch {self.key_state.epoch}")
-
-    def _ping_loop(self):
-        ch: Channel | None = None
-        while not self._stopping and not self.terminated.wait(self.cfg.ping_interval_s):
-            if self.pid is None:
-                continue
-            try:
-                if ch is None:
-                    ch = self._open(self.cfg.coordinator_addr, "liveness")
-                reply = ch.request("HEARTBEAT", {"pid": self.pid.hex()}, timeout=5.0)
-            except SkyrelayError:
-                if ch is not None:
-                    ch.close()
-                ch = None
-                continue
-            if reply.body.get("status") == "retired":
-                self._shut_down("retired by the coordinator", notify=False)
-        if ch is not None:
-            ch.close()
 
     @property
     def log(self) -> list[str]:
@@ -451,7 +465,7 @@ class Worker:
         # same scratch volume, so a link outlives the workspace without a copy
         os.link(src_path, dst)
         size = os.path.getsize(dst)
-        expires_at = time.time() + self.cfg.expose_ttl_s
+        expires_at = time.time() + EXPOSE_TTL_S
         with self._state_lock:
             self._exposed[(job_id, file_id)] = _Exposed(
                 dst, guest_token, expires_at, name, size)
@@ -566,6 +580,12 @@ class Worker:
             ct = creds = None
             self._log(f"job {job_id}: {[f.verb for f in fois]} without credentials")
         self._executor.submit(self._run_job, job, ct, creds)
+        # Liveness guarantee: a beat at least every HEARTBEAT_BACKSTOP_S until
+        # the job ends, queued or running.  Progress beats normally come much
+        # faster, so this stays silent on any healthy run.
+        while not job.finished.wait(job.last_beat + HEARTBEAT_BACKSTOP_S - time.monotonic()):
+            if time.monotonic() - job.last_beat >= HEARTBEAT_BACKSTOP_S:
+                self._beat(job)
 
     # -- job execution --
 
@@ -585,14 +605,6 @@ class Worker:
         if job.work_bytes // HEARTBEAT_QUANTUM_BYTES > before // HEARTBEAT_QUANTUM_BYTES:
             self._beat(job)
 
-    def _backstop_loop(self, job: _Job):
-        # Liveness guarantee: a beat at least every HEARTBEAT_BACKSTOP_S while
-        # the job runs.  Progress beats normally come much faster, so this
-        # stays silent on any healthy run.
-        while not job.finished.wait(job.last_beat + HEARTBEAT_BACKSTOP_S - time.monotonic()):
-            if time.monotonic() - job.last_beat >= HEARTBEAT_BACKSTOP_S:
-                self._beat(job)
-
     def _get_backend(self) -> StorageBackend:
         if self._backend is None:
             if self.cfg.store_root is None:
@@ -602,8 +614,6 @@ class Worker:
 
     def _run_job(self, job: _Job, ct: CredentialCiphertext | None,
                  creds: CredentialSet | None):
-        threading.Thread(target=self._backstop_loop, args=(job,),
-                         name="skyrelay-backstop", daemon=True).start()
         job.workspace = os.path.join(self._scratch, "jobs", job.job_id)
         os.makedirs(job.workspace, exist_ok=True)
         session = None
@@ -692,10 +702,6 @@ class Worker:
         path = job.step_path()
         if url.startswith("skyrelay://"):
             self._fetch_exposed_to(job, url, foi.op_params.get("guest_token", ""), path)
-        elif url.startswith("file://"):
-            src = url[len("file://"):]
-            with open(src, "rb") as fin, open(path, "wb") as fout:
-                self._pump(job, fin, fout, throttle_bps)
         elif url.startswith(("http://", "https://")):
             req = urllib.request.Request(url, headers={"User-Agent": "skyrelay-worker"})
             with urllib.request.urlopen(req, timeout=30) as fin, open(path, "wb") as fout:

@@ -1,5 +1,7 @@
 """Shared fixtures: booted components with cleanup, and a frame recorder."""
 
+import functools
+import http.server
 import threading
 
 import pytest
@@ -44,6 +46,23 @@ class FrameRecorder:
 
     def occurrences(self, needle: bytes) -> list[str]:
         return [label for label, _, frame in self.all_frames() if needle in frame]
+
+
+class _QuietHandler(http.server.SimpleHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_root(tmp_path):
+    """Base URL of a loopback http server over tmp_path."""
+    httpd = http.server.ThreadingHTTPServer(
+        ("127.0.0.1", 0), functools.partial(_QuietHandler, directory=str(tmp_path)))
+    threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    httpd.shutdown()
+    httpd.server_close()
 
 
 @pytest.fixture

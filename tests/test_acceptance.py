@@ -115,7 +115,7 @@ def test_c02_grace_window_is_exactly_one_epoch():
     print("1000/1000 envelopes opened at n+1 and refused at n+2")
 
 
-def test_c03_credentials_never_visible_in_shared_mode(cluster, tmp_path):
+def test_c03_credentials_never_visible_in_shared_mode(cluster, tmp_path, http_root):
     """Marker token absent from all frames and logs across 50 shared jobs;
     1e3 wrong-key decrypts all fail."""
     agent, token = _agent(cluster, "alice", seed=3,
@@ -127,10 +127,9 @@ def test_c03_credentials_never_visible_in_shared_mode(cluster, tmp_path):
     for i in range(50):
         kind = ("compress", "encrypt", "convert", "download")[i % 4]
         if kind == "download":
-            src = tmp_path / f"dl_{i}.bin"
-            src.write_bytes(os.urandom(64 * 1024))
+            (tmp_path / f"dl_{i}.bin").write_bytes(os.urandom(64 * 1024))
             agent.cmd_cloud_op("download", {
-                "url": f"file://{src}", "dest": f"/mk/dl_{i}.bin"})
+                "url": f"{http_root}/dl_{i}.bin", "dest": f"/mk/dl_{i}.bin"})
         elif kind == "convert":
             cluster.backend.put_object(sess, f"/mk/p_{i}.ppm", img)
             agent.sync()

@@ -1,6 +1,7 @@
 """Coordinator tests: registration, grants, verification, retirement."""
 
 import hashlib
+import platform
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from skyrelay.coordinator import Coordinator, CoordinatorConfig
 from skyrelay.errors import (
     AlreadyRegistered,
+    ConfigError,
     ConnectError,
     NoInstanceAvailable,
     NotFound,
@@ -17,6 +19,7 @@ from skyrelay.errors import (
 from skyrelay.keying import OFFSET_MAX, OFFSET_MIN, derive_user_key, key_at_epoch
 from skyrelay.scheduler import plan_batch
 from skyrelay.wire import Certificate, open_channel, verify_certificate
+from skyrelay.worker import CPU_COUNT, Worker, WorkerConfig
 
 
 def request(addr, kind, body, timeout=10.0):
@@ -40,6 +43,8 @@ def test_register_activates_and_lists(cluster):
     assert row["pid"] == w.pid.hex()
     assert row["addr"] == w.addr
     assert row["shared"] is True
+    assert row["os_info"] == platform.system().lower()
+    assert row["hardware_info"] == f"{CPU_COUNT} vcpu"
     # the certificate in the registration reply covers exactly this instance
     assert w.certificate.subject["pid"] == w.pid.hex()
     assert w.certificate.subject["addr"] == w.addr
@@ -225,13 +230,33 @@ def test_late_heartbeat_leaves_instance_retired(cluster):
         coord.stop()
 
 
-def test_retired_worker_stops_on_its_next_ping(cluster):
-    w = cluster.worker(shared=True, ping_interval_s=0.1)
-    live, _ = request(cluster.coordinator.addr, "HEARTBEAT", {"pid": w.pid.hex()})
+@pytest.fixture
+def fast_pings(tmp_path):
+    """A coordinator that retires an instance after 0.2 s without a ping,
+    and a worker registered with it."""
+    coord = Coordinator(CoordinatorConfig(ping_interval_s=0.1, ping_miss_limit=2))
+    coord.start()
+    w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path)))
+    w.start()
+    yield coord, w
+    w.stop()
+    coord.stop()
+
+
+def test_worker_pings_at_the_coordinators_cadence(fast_pings):
+    coord, w = fast_pings
+    assert w.ping_interval_s == 0.1
+    time.sleep(1.0)
+    assert [r["pid"] for r in coord.instances(status="active")] == [w.pid.hex()]
+    assert not w.terminated.is_set()
+
+
+def test_retired_worker_stops_on_its_next_ping(fast_pings):
+    coord, w = fast_pings
+    live, _ = request(coord.addr, "HEARTBEAT", {"pid": w.pid.hex()})
     assert live.body == {}
     # retire the record behind the worker's back
-    request(cluster.coordinator.addr, "SHUTDOWN_NOTICE",
-            {"pid": w.pid.hex(), "addr": w.addr})
+    request(coord.addr, "SHUTDOWN_NOTICE", {"pid": w.pid.hex(), "addr": w.addr})
     assert w.terminated.wait(1.0)
     assert any("retired by the coordinator, shutting down" in line for line in w.log)
     with pytest.raises(ConnectError):
@@ -252,10 +277,20 @@ def test_shutdown_notice_retires_and_drops_allocations(cluster):
 
 # -- key rotation stays in lockstep --
 
+@pytest.mark.parametrize("interval_s", [0, -180])
+def test_coordinator_refuses_a_rotation_interval_that_is_not_positive(interval_s):
+    coord = Coordinator(CoordinatorConfig(interval_s=interval_s))
+    try:
+        with pytest.raises(ConfigError):
+            coord.start()
+        assert coord.addr is None  # nothing was bound
+    finally:
+        coord.stop()
+
+
 def test_rotation_lockstep_under_short_interval():
     coord = Coordinator(CoordinatorConfig(interval_s=1))
     addr = coord.start()
-    from skyrelay.worker import Worker, WorkerConfig
     w = Worker(WorkerConfig(coordinator_addr=addr, shared=True))
     w.start()
     try:

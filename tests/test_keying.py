@@ -7,7 +7,7 @@ from hashlib import sha256
 import pytest
 
 from skyrelay.core import CredentialSet
-from skyrelay.errors import CredentialAuthFailure, InvalidOffset
+from skyrelay.errors import ConfigError, CredentialAuthFailure, InvalidOffset
 from skyrelay.keying import (
     EpochKeyState,
     derive_user_key,
@@ -84,6 +84,20 @@ def test_offset_range():
         EpochKeyState.create(ZERO_PID, 0, offset_s=600)
     with pytest.raises(InvalidOffset):
         key_at_epoch(ZERO_PID, 0, 0, 180, 1)
+
+
+@pytest.mark.parametrize("offset_s, interval_s, error", [
+    (0, 180, InvalidOffset),
+    (513, 180, InvalidOffset),
+    (7, 0, ConfigError),
+    (7, -60, ConfigError),
+])
+def test_chain_refuses_a_bad_offset_or_interval(offset_s, interval_s, error):
+    # built directly, as the coordinator and a registering worker build it;
+    # a chain with interval 0 would never finish advance()
+    with pytest.raises(error):
+        EpochKeyState(pid=ZERO_PID, t0=0, offset_s=offset_s, interval_s=interval_s,
+                      epoch=0, key_current=bytes(32), key_previous=None)
 
 
 def test_two_parties_agree():

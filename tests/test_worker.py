@@ -26,9 +26,11 @@ from skyrelay.errors import (
     CredentialAuthFailure,
     DecodeError,
     Gone,
+    InvalidOffset,
     NotFound,
     PermissionDenied,
     ShutdownError,
+    TransformError,
 )
 from skyrelay.keying import (
     OFFSET_MAX,
@@ -38,7 +40,7 @@ from skyrelay.keying import (
     key_at_epoch,
 )
 from skyrelay.storage import StorageBackend
-from skyrelay.wire import open_channel
+from skyrelay.wire import Message, open_channel
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
     IO_CHUNK_BYTES,
@@ -290,40 +292,34 @@ def test_convert_pushes_without_storing(cluster):
     assert max(width, height) <= 64
 
 
-def test_download_file_scheme_then_put(cluster, tmp_path):
+def test_download_refuses_a_host_file(cluster, tmp_path):
+    # a shared-mode user must not copy files the worker host can read
     tok = cluster.account("u1")
     sess = cluster.backend.authenticate(tok)
-    payload = os.urandom(300_000)
-    src = tmp_path / "src.bin"
-    src.write_bytes(payload)
-    w = cluster.worker(registered=False)
+    src = tmp_path / "host-secret.bin"
+    src.write_bytes(os.urandom(300_000))
+    scratch = tmp_path / "w"
+    w = cluster.worker(registered=False, scratch_dir=str(scratch))
     fois = [FOI("download", f"file://{src}"), FOI("put", "/dl/src.bin")]
-    result, _ = submit(w.addr, {"fois": sequence_to_wire(fois),
-                                "credentials": creds_body("u1", tok)})
-    assert cluster.backend.get_object(sess, "/dl/src.bin") == payload
-    assert result["work_bytes"] == len(payload) * 2
+    with pytest.raises(TransformError) as err:
+        submit(w.addr, {"fois": sequence_to_wire(fois),
+                        "credentials": creds_body("u1", tok)})
+    assert err.value.step == 0
+    assert cluster.backend.list_meta(sess, "/", recursive=True) == []
+    assert os.listdir(scratch / "jobs") == []
 
 
-def test_download_http_scheme(cluster, tmp_path):
+def test_download_http_scheme(cluster, tmp_path, http_root):
     tok = cluster.account("u1")
     sess = cluster.backend.authenticate(tok)
     payload = b"served over http " * 5000
     (tmp_path / "file.bin").write_bytes(payload)
-
-    handler = lambda *a, **kw: http.server.SimpleHTTPRequestHandler(
-        *a, directory=str(tmp_path), **kw)
-    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
-    try:
-        port = httpd.server_address[1]
-        w = cluster.worker(registered=False)
-        fois = [FOI("download", f"http://127.0.0.1:{port}/file.bin"),
-                FOI("put", "/dl/file.bin")]
-        submit(w.addr, {"fois": sequence_to_wire(fois),
-                        "credentials": creds_body("u1", tok)})
-        assert cluster.backend.get_object(sess, "/dl/file.bin") == payload
-    finally:
-        httpd.shutdown()
+    w = cluster.worker(registered=False)
+    fois = [FOI("download", f"{http_root}/file.bin"), FOI("put", "/dl/file.bin")]
+    result, _ = submit(w.addr, {"fois": sequence_to_wire(fois),
+                                "credentials": creds_body("u1", tok)})
+    assert cluster.backend.get_object(sess, "/dl/file.bin") == payload
+    assert result["work_bytes"] == len(payload) * 2
 
 
 @pytest.mark.parametrize("segment", ["..", "."])
@@ -663,8 +659,54 @@ def test_heartbeats_reproducible_for_equal_jobs(cluster):
     assert seen[0] == seen[1]
 
 
+def test_backstop_beats_a_job_queued_for_a_slot(cluster, tmp_path, monkeypatch,
+                                                 http_root):
+    backstop_s = 0.3
+    monkeypatch.setattr(sky_worker, "HEARTBEAT_BACKSTOP_S", backstop_s)
+    tok = cluster.account("u1")
+    (tmp_path / "slow.bin").write_bytes(os.urandom(80_000))
+    w = cluster.worker(registered=False, max_jobs=1)
+    # the only slot: one chunk, then a 1.6 s throttle wait
+    slow = [FOI("download", f"{http_root}/slow.bin", op_params={"throttle_bps": 50_000}),
+            FOI("put", "/d/slow.bin")]
+    started = threading.Event()
+    slow_done = []
+
+    def run_slow():
+        ch = open_channel(w.addr)
+        try:
+            ch.request("SUBMIT_OP", {"fois": sequence_to_wire(slow),
+                                     "credentials": creds_body("u1", tok)},
+                       on_event=lambda e: started.set(), timeout=30.0)
+        finally:
+            slow_done.append(time.monotonic())
+            ch.close()
+
+    t = threading.Thread(target=run_slow)
+    t.start()
+    beats = []
+    try:
+        assert started.wait(5.0)
+        ch = open_channel(w.addr)
+        try:
+            ch.request("SUBMIT_OP", {"fois": []},
+                       on_event=lambda e: beats.append((time.monotonic(), e.body)),
+                       timeout=30.0)
+        finally:
+            ch.close()
+    finally:
+        t.join(10.0)
+    assert not t.is_alive()
+    # the empty job runs no step, so each of its beats is a backstop beat
+    assert all(b == {"job_id": b["job_id"], "step": 0, "work_bytes": 0} for _, b in beats)
+    queued = [at for at, _ in beats if at < slow_done[0]]
+    assert len(queued) >= 3, beats
+    gaps = [b - a for a, b in zip(queued, queued[1:])]
+    assert min(gaps) >= backstop_s * 0.9
+
+
 def test_backstop_beats_a_silent_step_and_ends_with_the_job(cluster, tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch, http_root):
     backstop_s = 0.3
     monkeypatch.setattr(sky_worker, "HEARTBEAT_BACKSTOP_S", backstop_s)
     tok = cluster.account("u1")
@@ -672,7 +714,7 @@ def test_backstop_beats_a_silent_step_and_ends_with_the_job(cluster, tmp_path,
     src.write_bytes(os.urandom(80_000))
     w = cluster.worker(registered=False)
     # one chunk, then a 0.8 s throttle wait with no progress beat
-    fois = [FOI("download", f"file://{src}", op_params={"throttle_bps": 100_000}),
+    fois = [FOI("download", f"{http_root}/slow.bin", op_params={"throttle_bps": 100_000}),
             FOI("put", "/d/slow.bin")]
     before = set(threading.enumerate())
     beats = []
@@ -697,6 +739,37 @@ def test_backstop_beats_a_silent_step_and_ends_with_the_job(cluster, tmp_path,
 
 
 # -- registration, key chain, shared-mode rules --
+
+class _OneReply:
+    """A coordinator channel that answers every request with one ACK body."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def request(self, kind, body, **kw):
+        return Message(kind="ACK", seq=1, body=self.body)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("offset_s, interval_s, error", [
+    (0, 180, InvalidOffset), (7, 0, ConfigError), (7, -180, ConfigError)])
+def test_registration_reply_with_a_bad_chain_is_refused(cluster, offset_s, interval_s,
+                                                        error):
+    ok = cluster.worker(shared=True)
+    reply = {"pid": ok.pid.hex(), "coordinator_pub": ok.coordinator_pub.hex(),
+             "certificate": ok.certificate.to_wire(), "k_root": "00" * 32,
+             "t0": 0, "offset_s": offset_s, "interval_s": interval_s,
+             "ping_interval_s": 30.0}
+    w = Worker(WorkerConfig(coordinator_addr="127.0.0.1:1",
+                            channel_factory=lambda addr, purpose: _OneReply(reply)))
+    try:
+        with pytest.raises(error):
+            w._register()  # the reply alone: no clock thread walks this chain
+    finally:
+        w.stop()
+
 
 def test_registered_worker_chain_matches_coordinator(cluster):
     w = cluster.worker(shared=True)
@@ -881,13 +954,13 @@ def test_auto_shutdown_rejects_then_notifies(cluster):
     assert any("shutting down" in line for line in w.log)
 
 
-def test_auto_shutdown_aborts_running_job(cluster, tmp_path):
+def test_auto_shutdown_aborts_running_job(cluster, tmp_path, http_root):
     tok = cluster.account("u1")
     src = tmp_path / "slow.bin"
     src.write_bytes(os.urandom(3 * 1024 * 1024))
     w = cluster.worker(registered=False, billing_period_s=1.6, safety_margin_s=0.8)
     # ~1 MiB/s against a 0.8 s deadline: the job cannot finish in time
-    fois = [FOI("download", f"file://{src}", op_params={"throttle_bps": 1_000_000}),
+    fois = [FOI("download", f"{http_root}/slow.bin", op_params={"throttle_bps": 1_000_000}),
             FOI("put", "/d/slow.bin")]
     t0 = time.monotonic()
     with pytest.raises(ShutdownError) as err:
@@ -914,7 +987,7 @@ def test_past_share_window_means_immediate_shutdown():
         w.stop()
 
 
-def test_thread_census(tmp_path):
+def test_thread_census(tmp_path, monkeypatch):
     def new_threads():
         return [t for t in threading.enumerate() if t not in before]
 
@@ -935,8 +1008,21 @@ def test_thread_census(tmp_path):
     w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path)))
     w.start()
     try:
-        assert names() == ["skyrelay-accept", "skyrelay-accept",
-                           "skyrelay-clock", "skyrelay-ping"]
+        assert names() == ["skyrelay-accept", "skyrelay-accept", "skyrelay-clock"]
+        # a job starts its connection's thread and pool threads, nothing else
+        started = []
+        thread_start = threading.Thread.start
+
+        def spy(t):
+            started.append(t.name)
+            thread_start(t)
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        for _ in range(3):
+            submit(w.addr, {"fois": []})
+        monkeypatch.undo()
+        assert started.count("skyrelay-conn") == 3
+        assert all(n == "skyrelay-conn" or n.startswith(("skyrelay-job_", "skyrelay-gzip_"))
+                   for n in started), started
     finally:
         w.stop()
         coord.stop()
