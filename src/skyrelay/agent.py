@@ -174,7 +174,8 @@ class AgentSession:
         })
 
     def sync(self) -> ShadowFS:
-        self.shadow = self.cfg.backend.sync_shadow(self.session)
+        """Bring the shadow up to date; reads only what changed since its cursor."""
+        self.shadow = self.cfg.backend.refresh_shadow(self.session, self.shadow)
         return self.shadow
 
     def ls(self, path: str = "/") -> list:

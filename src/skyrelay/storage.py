@@ -14,13 +14,24 @@ processes on the same root neither lose each other's changes nor read a
 stale view.  A put stages its payload before the transaction and moves it
 into place inside it.
 
+Each account also has a change cursor.  Every mutation stamps the ``revs``
+row of each path it creates, changes or removes with a number above the
+account's largest so far, so the rows stamped after a cursor are exactly
+the paths that changed since it.  A removed path keeps its ``revs`` row,
+which serves as its tombstone.  A shadow carries the cursor it was read
+at, and ``refresh_shadow`` reads only the rows stamped after it, in the
+same statement as the session check and the new cursor.
+
 Data files are never written in place: a put stages a new file and
 replaces the old name, a delete unlinks and a rename moves.  So a reader
 may hard-link a data file and keep a stable snapshot, and a writer may hand
 over a file by link, as long as nothing writes that file again.
 
-Tokens are stored only as SHA-256 hex digests.  Stores written in earlier
-layouts (JSON indexes, plaintext tokens) are not migrated.
+Tokens are stored only as SHA-256 hex digests.  The database records its
+layout in ``PRAGMA user_version``; a backend refuses a store of any other
+layout with ``ConfigError`` when it opens it.  Stores written in earlier
+layouts (JSON indexes, plaintext tokens, the SQLite layout without change
+cursors) are not migrated.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ COPY_CHUNK_BYTES = 1024 * 1024  # when a data file cannot be linked
 META_DIR = ".meta"  # reserved name under the root: the database and staged puts
 # upsert needs 3.24, RETURNING 3.35 and built-in JSON functions 3.38
 MIN_SQLITE = (3, 38, 0)
+LAYOUT = 1  # the database's user_version; the layout before cursors has 0
 
 _SCHEMA = """
 CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL);
@@ -62,7 +74,8 @@ CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
                      rev INTEGER NOT NULL, PRIMARY KEY (account, path))
     WITHOUT ROWID;
 CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
-                  PRIMARY KEY (account, path)) WITHOUT ROWID;
+                  seq INTEGER NOT NULL, PRIMARY KEY (account, path)) WITHOUT ROWID;
+CREATE INDEX revs_seq ON revs(account, seq);
 """
 
 
@@ -110,6 +123,8 @@ def _below(path: str) -> tuple[str, str]:
 
 # an entry and everything below it; parameters (account, path, *_below(path))
 _SUBTREE = " FROM entries WHERE account = ? AND (path = ? OR path > ? AND path < ?)"
+# the account's next change number, read through the (account, seq) index
+_NEXT_SEQ = "(SELECT coalesce(max(seq), 0) + 1 FROM revs WHERE account = ?)"
 
 
 @dataclass
@@ -127,11 +142,13 @@ class ShadowFS:
     account_id: str
     entries: dict[str, FileMeta] = field(default_factory=dict)
     synced_at: int = 0
+    cursor: int = 0  # the account's last change number the entries include
 
     def to_wire(self) -> dict:
         return {
             "account_id": self.account_id,
             "synced_at": self.synced_at,
+            "cursor": self.cursor,
             "entries": {p: m.to_wire() for p, m in sorted(self.entries.items())},
         }
 
@@ -140,6 +157,7 @@ class ShadowFS:
         return cls(
             account_id=d["account_id"],
             synced_at=d["synced_at"],
+            cursor=d["cursor"],
             entries={p: FileMeta.from_wire(m) for p, m in d["entries"].items()},
         )
 
@@ -164,6 +182,14 @@ class StorageBackend:
 
     def sync_shadow(self, session: Session) -> ShadowFS:
         raise NotImplementedError
+
+    def refresh_shadow(self, session: Session, shadow: ShadowFS) -> ShadowFS:
+        """The account's shadow as of now, given an earlier one.
+
+        A backend may update shadow in place and return it, so callers use
+        the return value only.  This fallback reads the whole account.
+        """
+        return self.sync_shadow(session)
 
     def get_object_to(self, session: Session, path: str, dst: str) -> int:
         """Write the object at path to the new file dst; returns its size.
@@ -211,6 +237,7 @@ class LocalDirBackend(StorageBackend):
         os.makedirs(self._meta_dir, exist_ok=True)
         self._lock = threading.Lock()  # guards _conn, which threads share
         self._conn: sqlite3.Connection | None = None
+        self._writer = False  # whether _conn has run its synchronous pragma
 
     # -- account management (test/ops surface, not part of the storage API) --
 
@@ -231,8 +258,8 @@ class LocalDirBackend(StorageBackend):
 
     def revoke_token(self, token: str):
         digest = token_digest(token)
-        with self._lock:
-            gone = self._db().execute("DELETE FROM tokens WHERE digest = ?", (digest,))
+        with self._transaction() as db:
+            gone = db.execute("DELETE FROM tokens WHERE digest = ?", (digest,))
             if gone.rowcount == 0:
                 raise NotFound("unknown token")
 
@@ -265,7 +292,7 @@ class LocalDirBackend(StorageBackend):
                 ent = self._entry(db, account, path)
                 if ent is None:
                     raise NotFound(path)
-                db.execute("DELETE" + _SUBTREE, (account, path, *_below(path)))
+                self._drop_subtree(db, account, path)
                 fs = self._fs_path(account, path)
                 if ent[0] == "file":
                     if os.path.isfile(fs):
@@ -313,18 +340,43 @@ class LocalDirBackend(StorageBackend):
         return [_meta(*row) for row in rows if recursive or "/" not in row[0][len(lo):]]
 
     def sync_shadow(self, session: Session) -> ShadowFS:
-        # one row, so the session check and the listing cost one step
+        # one row, so the session check, the cursor and the listing cost one step
         with self._lock:
             row = self._db().execute(
-                "SELECT (SELECT json_group_object(path, json_array(kind, size, mtime, rev))"
+                "SELECT (SELECT coalesce(max(seq), 0) FROM revs WHERE account = t.account),"
+                " (SELECT json_group_object(path, json_array(kind, size, mtime, rev))"
                 " FROM entries WHERE account = t.account)"
                 " FROM tokens t WHERE digest = ? AND account = ?",
                 (token_digest(session.token), session.account_id)).fetchone()
         if row is None:
             raise AuthError("session not valid for this account")
-        entries = {p: _meta(p, *v) for p, v in json.loads(row[0]).items()}
+        entries = {p: _meta(p, *v) for p, v in json.loads(row[1]).items()}
         return ShadowFS(account_id=session.account_id, entries=entries,
-                        synced_at=int(time.time()))
+                        synced_at=int(time.time()), cursor=row[0])
+
+    def refresh_shadow(self, session: Session, shadow: ShadowFS) -> ShadowFS:
+        """Apply to shadow, in place, the paths changed after its cursor."""
+        if shadow.account_id != session.account_id:
+            return self.sync_shadow(session)
+        with self._lock:
+            row = self._db().execute(
+                "SELECT (SELECT coalesce(max(seq), 0) FROM revs WHERE account = t.account),"
+                " (SELECT json_group_array(json_array(r.path, e.kind, e.size, e.mtime, e.rev))"
+                " FROM revs r LEFT JOIN entries e USING (account, path)"
+                " WHERE r.account = t.account AND r.seq > ?)"
+                " FROM tokens t WHERE digest = ? AND account = ?",
+                (shadow.cursor, token_digest(session.token), session.account_id)).fetchone()
+        if row is None:
+            raise AuthError("session not valid for this account")
+        entries = shadow.entries
+        for path, kind, *rest in json.loads(row[1]):
+            if kind is None:  # no entry left: the revs row is a tombstone
+                entries.pop(path, None)
+            else:
+                entries[path] = _meta(path, kind, *rest)
+        shadow.cursor = row[0]
+        shadow.synced_at = int(time.time())
+        return shadow
 
     # -- internals --
 
@@ -334,13 +386,17 @@ class LocalDirBackend(StorageBackend):
             path = os.path.join(self._meta_dir, "store.db")
             if not os.path.exists(path):
                 self._create_db(path)
-            self._conn = sqlite3.connect(path, isolation_level=None,
-                                         check_same_thread=False)
+            conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+            layout = conn.execute("PRAGMA user_version").fetchone()[0]
+            if layout != LAYOUT:
+                conn.close()
+                raise ConfigError(f"{path} holds store layout {layout}; this version "
+                                  f"reads layout {LAYOUT} only, and does not migrate")
+            self._conn = conn
             # the connection sits in a reference cycle with its statement
             # cache, so only the cyclic collector would free it: close it
             # when the backend goes, or its descriptors outlive the backend
             weakref.finalize(self, self._conn.close)
-            self._conn.execute("PRAGMA synchronous=NORMAL")
         return self._conn
 
     def _create_db(self, path: str):
@@ -355,7 +411,8 @@ class LocalDirBackend(StorageBackend):
             # no journal or sync while the file is private; WAL mode is
             # recorded in the file, so later opens set no journal_mode
             conn.executescript("PRAGMA journal_mode=OFF; PRAGMA synchronous=OFF; BEGIN;"
-                               + _SCHEMA + "COMMIT; PRAGMA journal_mode=WAL;")
+                               + _SCHEMA + f"PRAGMA user_version={LAYOUT}; COMMIT;"
+                               " PRAGMA journal_mode=WAL;")
         finally:
             conn.close()
         try:
@@ -370,6 +427,11 @@ class LocalDirBackend(StorageBackend):
         """Hold the backend lock and one write transaction on the store."""
         with self._lock:
             db = self._db()
+            if not self._writer:
+                # WAL commits need no sync of their own; set here, not at
+                # connect, so a backend that only reads runs no extra statement
+                db.execute("PRAGMA synchronous=NORMAL")
+                self._writer = True
             db.execute("BEGIN IMMEDIATE")
             try:
                 yield db
@@ -413,13 +475,23 @@ class LocalDirBackend(StorageBackend):
     @staticmethod
     def _set_entry(db: sqlite3.Connection, account: str, path: str,
                    kind: str, size: int) -> FileMeta:
-        rev = db.execute("INSERT INTO revs VALUES (?, ?, 1) ON CONFLICT (account, path)"
-                         " DO UPDATE SET rev = rev + 1 RETURNING rev",
-                         (account, path)).fetchone()[0]
+        rev = db.execute("INSERT INTO revs VALUES (?, ?, 1, " + _NEXT_SEQ + ")"
+                         " ON CONFLICT (account, path)"
+                         " DO UPDATE SET rev = rev + 1, seq = excluded.seq RETURNING rev",
+                         (account, path, account)).fetchone()[0]
         mtime = int(time.time())
         db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?)",
                    (account, path, kind, size, mtime, rev))
         return _meta(path, kind, size, mtime, rev)
+
+    @staticmethod
+    def _drop_subtree(db: sqlite3.Connection, account: str, path: str):
+        """Delete the entry at path and everything below it, stamping each
+        removed path's revs row first: that row is its tombstone."""
+        params = (account, path, *_below(path))
+        db.execute("UPDATE revs SET seq = " + _NEXT_SEQ + " WHERE account = ?"
+                   " AND path IN (SELECT path" + _SUBTREE + ")", (account, account, *params))
+        db.execute("DELETE" + _SUBTREE, params)
 
     def _ensure_parents(self, db: sqlite3.Connection, account: str, path: str):
         parent = parent_of(path)
@@ -477,19 +549,21 @@ class LocalDirBackend(StorageBackend):
                 os.remove(tmp)  # left if the put failed or src already was the data file
 
     def _rename(self, db: sqlite3.Connection, account: str, src: str, dst: str):
+        if dst == src or dst.startswith(src + "/"):
+            raise PermissionDenied(f"cannot move {src} into itself: {dst}")
         if self._entry(db, account, src) is None:
             raise NotFound(src)
         if self._entry(db, account, dst) is not None:
             raise AlreadyExists(dst)
         self._ensure_parents(db, account, dst)
-        params = (account, src, *_below(src))
-        moved = db.execute("SELECT path, kind, size" + _SUBTREE, params).fetchall()
+        moved = db.execute("SELECT path, kind, size" + _SUBTREE,
+                           (account, src, *_below(src))).fetchall()
         src_fs = self._fs_path(account, src)
         dst_fs = self._fs_path(account, dst)
         if os.path.exists(src_fs):
             os.makedirs(os.path.dirname(dst_fs), exist_ok=True)
             os.replace(src_fs, dst_fs)
-        db.execute("DELETE" + _SUBTREE, params)
+        self._drop_subtree(db, account, src)
         for old, kind, size in moved:
             self._set_entry(db, account, dst + old[len(src):], kind=kind, size=size)
         return _meta(dst, *self._entry(db, account, dst))

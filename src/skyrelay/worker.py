@@ -24,7 +24,9 @@ HEARTBEAT_BACKSTOP_S of silence, also while the job waits for a slot.
 Produced files that must reach the requesting agent (or a transfer peer)
 are not sent on the job channel; they are placed in a token-guarded
 exposure area and fetched in bounded chunks, which keeps every frame under
-the wire cap and keeps control traffic small.
+the wire cap and keeps control traffic small.  An exposure has one reader:
+it is retired once that reader reaches its end, and swept at its expiry
+otherwise.
 """
 
 from __future__ import annotations
@@ -499,7 +501,18 @@ class Worker:
             f.seek(offset)
             data = f.read(max_bytes)
         eof = offset + len(data) >= entry.size_bytes
+        if eof:
+            self._retire(job_id, file_id)
         return data, eof, entry.size_bytes
+
+    def _retire(self, job_id: str, file_id: str):
+        """Drop an exposure once its one reader has reached its end; the
+        TTL sweep stays as the backstop for readers that never do."""
+        with self._state_lock:
+            entry = self._exposed.pop((job_id, file_id), None)
+        if entry is not None:
+            with contextlib.suppress(OSError):
+                os.remove(entry.path)
 
     def _handle_fetch(self, conn: ServerConn, msg: Message):
         spec = msg.body["fetch"]
@@ -738,6 +751,7 @@ class Worker:
             # file that nothing writes again, so the step takes a link to it
             entry = self._exposure(exp_job, file_id, guest_token)
             os.link(entry.path, path)
+            self._retire(exp_job, file_id)
             self._add_work(job, entry.size_bytes)
             return
         ch = self._open(addr, "intermediate-fetch")

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from skyrelay.coordinator import Coordinator, CoordinatorConfig
-from skyrelay.storage import LocalDirBackend
+from skyrelay.storage import LocalDirBackend, StorageBackend
 from skyrelay.wire import open_channel
 from skyrelay.worker import Worker, WorkerConfig
 
@@ -105,3 +105,39 @@ def cluster(tmp_path):
     c = Cluster()
     yield c
     c.close()
+
+
+class SixMethods(StorageBackend):
+    """A backend with only the six original methods, so callers run through
+    the base-class fallbacks; records the get, put and sync calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def authenticate(self, token):
+        return self.inner.authenticate(token)
+
+    def basic_op(self, session, action, args):
+        return self.inner.basic_op(session, action, args)
+
+    def get_object(self, session, path):
+        self.calls.append("get_object")
+        return self.inner.get_object(session, path)
+
+    def put_object(self, session, path, data):
+        self.calls.append("put_object")
+        return self.inner.put_object(session, path, data)
+
+    def list_meta(self, session, path="/", recursive=False):
+        return self.inner.list_meta(session, path, recursive)
+
+    def sync_shadow(self, session):
+        self.calls.append("sync_shadow")
+        return self.inner.sync_shadow(session)
+
+
+@pytest.fixture
+def six_methods(cluster):
+    """The cluster's backend seen through its six original methods only."""
+    return SixMethods(cluster.backend)

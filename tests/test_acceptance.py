@@ -393,6 +393,8 @@ def test_c10_persisted_state_stays_thin(cluster, tmp_path):
     entries = doc["shadow"]["entries"]
     n_files = sum(1 for e in entries.values() if e.get("kind") == "file")
     assert n_files == 1000
+    # the change cursor rides along: one integer, one change per entry made
+    assert doc["shadow"]["cursor"] == len(entries)
     per_entry = len(raw) / len(entries)
     assert per_entry < 512, f"{per_entry:.1f} bytes per entry"
     assert marker not in raw

@@ -25,14 +25,15 @@ from skyrelay.errors import (
     StartError,
     VerificationFailed,
 )
+from skyrelay.storage import LocalDirBackend
 from skyrelay.wire import open_channel, parse_addr
 
 
 def make_agent(cluster, name, *, seed=7, launcher=None, download_dir=None,
-               coordinator=True, channel_factory=None, **extra):
+               coordinator=True, channel_factory=None, backend=None, **extra):
     tok = cluster.account(name)
     cfg = AgentConfig(
-        account_id=name, token=tok, backend=cluster.backend,
+        account_id=name, token=tok, backend=backend or cluster.backend,
         coordinator_addr=cluster.coordinator.addr if coordinator else None,
         coordinator_pub=cluster.coordinator.public_key,
         private_launcher=launcher,
@@ -92,6 +93,40 @@ def test_ls_reads_shadow_not_storage(cluster):
     assert agent.ls("/d") == []  # created behind the agent's back
     agent.sync()
     assert [m.path for m in agent.ls("/d")] == ["/d/f.bin"]
+
+
+def test_sync_sees_writes_from_another_backend(cluster, tmp_path):
+    agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path))
+    other = LocalDirBackend(cluster.backend.root)
+    sess = other.authenticate(tok)
+    agent.cmd_basic("create", {"path": "/a", "kind": "folder"})
+    other.put_object(sess, "/a/f.bin", b"1")
+    other.put_object(sess, "/b/g.bin", b"2")
+    other.basic_op(sess, "rename", {"src": "/b", "dst": "/a/b"})
+    agent.cmd_basic("create", {"path": "/c", "kind": "folder"})
+    other.basic_op(sess, "delete", {"path": "/a/f.bin"})
+    other.put_object(sess, "/a/b/g.bin", b"22")
+    cluster.worker(shared=True)
+    agent.cmd_cloud_op("compress", {"path": "/a/b/g.bin"})
+    assert set(agent.shadow.entries) == {"/a", "/a/b", "/a/b/g.bin", "/a/b/g.bin.gz", "/c"}
+    assert agent.shadow.entries == other.sync_shadow(sess).entries
+
+
+def test_backend_without_refresh_keeps_the_shadow_right(cluster, tmp_path, six_methods):
+    # the agent syncs through the base-class refresh_shadow: a full sync
+    agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path),
+                            backend=six_methods)
+    sess = put_file(cluster, tok, "/d/f.bin", os.urandom(10_000))
+    cluster.worker(shared=True)
+    steps = [lambda: agent.cmd_basic("create", {"path": "/d/e", "kind": "folder"}),
+             lambda: agent.cmd_cloud_op("compress", {"path": "/d/f.bin"}),
+             lambda: agent.cmd_basic("rename", {"src": "/d", "dst": "/m"}),
+             lambda: agent.cmd_basic("delete", {"path": "/m/e"})]
+    for step in steps:
+        step()
+        assert agent.shadow.entries == cluster.backend.sync_shadow(sess).entries
+    assert set(agent.shadow.entries) == {"/m", "/m/f.bin", "/m/f.bin.gz"}
+    assert six_methods.calls.count("sync_shadow") == 1 + len(steps)
 
 
 def test_save_state_is_metadata_only(cluster, tmp_path):

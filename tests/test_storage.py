@@ -8,9 +8,11 @@ import random
 import sqlite3
 import sys
 import threading
+import time
 
 import pytest
 
+from skyrelay import storage
 from skyrelay.core import canonical_json
 from skyrelay.errors import (
     AlreadyExists,
@@ -19,6 +21,7 @@ from skyrelay.errors import (
     NotFound,
     PermissionDenied,
     QuotaError,
+    SkyrelayError,
 )
 from skyrelay.storage import (
     META_DIR,
@@ -94,6 +97,22 @@ def test_rename_moves_subtree(backend, session):
     assert backend.get_object(session, "/e/sub/y") == b"y"
     with pytest.raises(NotFound):
         backend.get_object(session, "/d/x")
+
+
+def test_rename_into_own_subtree_is_refused(backend, session):
+    # a folder with no data files, and one that holds a file
+    backend.basic_op(session, "create_folder", {"path": "/d1/e"})
+    backend.put_object(session, "/d2/e/f.txt", b"f")
+    before = backend.sync_shadow(session).entries
+    for src, dst in [("/d1", "/d1/e/g"), ("/d2", "/d2/e/g"), ("/d2", "/d2"),
+                     ("/d2/e", "/d2/e/f.txt/x")]:
+        with pytest.raises(PermissionDenied):
+            backend.basic_op(session, "rename", {"src": src, "dst": dst})
+    assert backend.sync_shadow(session).entries == before
+    assert backend.get_object(session, "/d2/e/f.txt") == b"f"
+    # a sibling that only shares the prefix is not below src
+    backend.basic_op(session, "rename", {"src": "/d1", "dst": "/d1x"})
+    assert [m.path for m in backend.list_meta(session, "/d1x")] == ["/d1x/e"]
 
 
 def test_listing_grows_with_create(backend, session):
@@ -181,7 +200,146 @@ def test_shadow_idempotent(backend, session):
     s2 = backend.sync_shadow(session)
     assert s1.entries == s2.entries
     rt = ShadowFS.from_wire(json.loads(canonical_json(s1.to_wire())))
-    assert rt.entries == s1.entries
+    assert rt == s1 and rt.cursor > 0
+
+
+def _fuzz_op(rng, backend, session, live):
+    """One random mutation; live maps path -> kind and follows it."""
+    folders = ["/"] + [p for p, k in live.items() if k == "folder"]
+    files = [p for p, k in live.items() if k == "file"]
+    parent = rng.choice(folders).rstrip("/")
+    fresh = f"{parent}/{rng.choice('abcdefgh')}{rng.randrange(4)}"
+    roll = rng.random()
+    if roll < 0.25:
+        backend.basic_op(session, "create_file", {"path": fresh, "data": b"x" * rng.randrange(9)})
+        live[fresh] = "file"
+    elif roll < 0.5:
+        backend.basic_op(session, "create_folder", {"path": fresh})
+        live[fresh] = "folder"
+    elif roll < 0.65 and files:
+        backend.put_object(session, rng.choice(files), rng.randbytes(rng.randrange(9)))
+    elif roll < 0.8 and len(live) > 1:
+        path = rng.choice(sorted(live))
+        backend.basic_op(session, "delete", {"path": path})
+        for p in [p for p in live if p == path or p.startswith(path + "/")]:
+            del live[p]
+    elif len(live) > 1:
+        src = rng.choice(sorted(live))
+        backend.basic_op(session, "rename", {"src": src, "dst": fresh})
+        for p in [p for p in live if p == src or p.startswith(src + "/")]:
+            live[fresh + p[len(src):]] = live.pop(p)
+
+
+def test_refreshed_shadow_matches_a_full_sync(tmp_path):
+    root = str(tmp_path / "store")
+    b1, b2 = LocalDirBackend(root), LocalDirBackend(root)
+    token = b1.create_account("alice")
+    s1, s2 = b1.authenticate(token), b2.authenticate(token)
+    b1.put_object(b1.authenticate(b1.create_account("bob")), "/bob-only", b"b")
+    rng = random.Random(23)
+    shadow = b1.sync_shadow(s1)
+    live, refreshes, mismatches = {}, 0, 0
+    for _ in range(3000):
+        backend, session = rng.choice([(b1, s1), (b2, s2)])
+        try:
+            _fuzz_op(rng, backend, session, live)
+        except SkyrelayError:
+            pass  # a clash the draw could not avoid; the store is unchanged
+        if rng.random() < 0.1:
+            shadow = b1.refresh_shadow(s1, shadow)
+            fresh = b2.sync_shadow(s2)
+            refreshes += 1
+            # FileMeta equality covers every field, revision and modified_at too
+            mismatches += (shadow.cursor, shadow.entries) != (fresh.cursor, fresh.entries)
+            assert set(fresh.entries) == set(live)
+    assert refreshes > 200 and mismatches == 0
+
+
+def test_refresh_misses_no_change_made_while_it_runs(tmp_path):
+    root = str(tmp_path / "store")
+    token = LocalDirBackend(root).create_account("alice")
+    reader = LocalDirBackend(root)
+    session = reader.authenticate(token)
+    shadow = reader.sync_shadow(session)
+    errors = []
+
+    def write(n):
+        try:
+            b = LocalDirBackend(root)
+            s = b.authenticate(token)
+            for i in range(60):
+                b.put_object(s, f"/w{n}/d{i % 3}/f{i}", b"x")
+                if i % 4 == 3:
+                    b.basic_op(s, "delete", {"path": f"/w{n}/d{i % 3}"})
+                if i % 10 == 9:
+                    b.basic_op(s, "rename", {"src": f"/w{n}", "dst": f"/v{n}.{i}"})
+                    b.basic_op(s, "rename", {"src": f"/v{n}.{i}", "dst": f"/w{n}"})
+        except Exception as e:  # surfaced by the assert below
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=write, args=(n,)) for n in range(4)]
+        for t in writers:
+            t.start()
+        deadline = time.monotonic() + 60
+        while any(t.is_alive() for t in writers) and time.monotonic() < deadline:
+            shadow = reader.refresh_shadow(session, shadow)
+        for t in writers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in writers) and errors == []
+    shadow = reader.refresh_shadow(session, shadow)
+    fresh = LocalDirBackend(root).sync_shadow(session)
+    assert (shadow.entries, shadow.cursor) == (fresh.entries, fresh.cursor)
+    assert len(fresh.entries) > 4
+
+
+def test_refresh_reads_only_the_changed_rows(backend, session, monkeypatch):
+    for i in range(200):
+        backend.put_object(session, f"/d/f{i:03d}", b"x")
+    shadow = backend.sync_shadow(session)
+    backend.put_object(session, "/d/f007", b"yy")
+    backend.basic_op(session, "delete", {"path": "/d/f008"})
+    built, real = [], storage._meta
+    monkeypatch.setattr(storage, "_meta", lambda path, *rest: built.append(path) or
+                        real(path, *rest))
+    shadow = backend.refresh_shadow(session, shadow)
+    assert built == ["/d/f007"]
+    assert "/d/f008" not in shadow.entries and shadow.entries["/d/f007"].size_bytes == 2
+    assert len(shadow.entries) == 200  # /d and 199 files
+
+
+def test_refresh_refuses_a_revoked_or_forged_session(backend):
+    token_a = backend.create_account("a")
+    token_b = backend.create_account("b")
+    sa, sb = backend.authenticate(token_a), backend.authenticate(token_b)
+    backend.put_object(sa, "/a1", b"1")
+    backend.put_object(sb, "/b1", b"1")
+    shadow_a, shadow_b = backend.sync_shadow(sa), backend.sync_shadow(sb)
+    backend.put_object(sa, "/a2", b"2")
+    backend.put_object(sb, "/b2", b"2")
+    forged = Session(account_id="b", token=token_a)
+    want = shadow_b.to_wire()
+    with pytest.raises(AuthError):
+        backend.refresh_shadow(forged, shadow_b)
+    assert shadow_b.to_wire() == want
+    want = shadow_a.to_wire()
+    backend.revoke_token(token_a)
+    with pytest.raises(AuthError):
+        backend.refresh_shadow(sa, shadow_a)
+    assert shadow_a.to_wire() == want
+
+
+def test_refresh_of_another_accounts_shadow_is_a_full_sync(backend):
+    sa = backend.authenticate(backend.create_account("a"))
+    sb = backend.authenticate(backend.create_account("b"))
+    backend.put_object(sa, "/a1", b"1")
+    backend.put_object(sb, "/b1", b"1")
+    shadow = backend.refresh_shadow(sb, backend.sync_shadow(sa))
+    assert shadow.account_id == "b" and set(shadow.entries) == {"/b1"}
 
 
 def test_second_process_sees_writes(tmp_path):
@@ -278,6 +436,10 @@ def test_fresh_backend_ls_runs_two_statements(tmp_path):
     assert s.account_id == "u137"
     assert set(fresh.sync_shadow(s).entries) == {"/a"}
     assert len(statements) == 2
+    # a backend that writes commits without a sync of its own
+    assert db.execute("PRAGMA synchronous").fetchone()[0] == 2  # FULL, the default
+    fresh.put_object(s, "/b", b"2")
+    assert db.execute("PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
 
 
 def test_account_id_rule(tmp_path):
@@ -415,6 +577,34 @@ def test_dropped_backend_closes_its_database(tmp_path):
         assert len(os.listdir("/proc/self/fd")) <= before + 2
     finally:
         gc.enable()
+
+
+# the schema of the SQLite layout before change cursors, which set no user_version
+_LAYOUT_0 = """
+CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL);
+CREATE TABLE tokens(digest TEXT PRIMARY KEY, account TEXT NOT NULL);
+CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
+                     size INTEGER NOT NULL, mtime INTEGER NOT NULL,
+                     rev INTEGER NOT NULL, PRIMARY KEY (account, path))
+    WITHOUT ROWID;
+CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
+                  PRIMARY KEY (account, path)) WITHOUT ROWID;
+"""
+
+
+def test_store_of_another_layout_is_refused(tmp_path):
+    token = "t" * 32
+    for n, script in enumerate([_LAYOUT_0, storage._SCHEMA + "PRAGMA user_version=2;"]):
+        root = tmp_path / f"store{n}"
+        (root / META_DIR).mkdir(parents=True)
+        db = sqlite3.connect(root / META_DIR / "store.db")
+        db.executescript(script + "INSERT INTO accounts VALUES ('a', 100);"
+                         f"INSERT INTO tokens VALUES ('{token_digest(token)}', 'a');")
+        db.close()
+        backend = LocalDirBackend(str(root))
+        with pytest.raises(ConfigError, match="layout"):
+            backend.authenticate(token)
+        assert backend._conn is None
 
 
 def test_old_sqlite_is_refused(tmp_path, monkeypatch):

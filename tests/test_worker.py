@@ -39,7 +39,6 @@ from skyrelay.keying import (
     job_binding,
     key_at_epoch,
 )
-from skyrelay.storage import StorageBackend
 from skyrelay.wire import Message, open_channel
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
@@ -391,15 +390,23 @@ def test_same_instance_download_links_the_exposure(cluster, tmp_path):
             FOI("put", "/in/big.bin")]), "credentials": creds_body("ub", tok_b)})[0]
     with pytest.raises(PermissionDenied):
         download("0" * 32)
+    key = (result["job_id"], desc["file_id"])
+    with w._state_lock:
+        w._exposed[key].expires_at = time.time() - 1
+    with pytest.raises(Gone):
+        download(desc["guest_token"])
     sess_b = cluster.backend.authenticate(tok_b)
     assert cluster.backend.list_meta(sess_b, "/") == []
+    with w._state_lock:
+        w._exposed[key].expires_at = time.time() + 60
+    exposed = w._exposed[key].path
+    inode = os.stat(exposed).st_ino
     assert download(desc["guest_token"])["work_bytes"] == 2 * len(payload)
     assert cluster.backend.get_object(sess_b, "/in/big.bin") == payload
-    exposed = w._exposed[(result["job_id"], desc["file_id"])].path
-    assert os.path.samefile(exposed, cluster.backend._fs_path("ub", "/in/big.bin"))
-    with w._state_lock:
-        w._exposed[(result["job_id"], desc["file_id"])].expires_at = time.time() - 1
-    with pytest.raises(Gone):
+    assert os.stat(cluster.backend._fs_path("ub", "/in/big.bin")).st_ino == inode
+    # the link was the exposure's one read: it is retired, and its name gone
+    assert key not in w._exposed and not os.path.exists(exposed)
+    with pytest.raises(NotFound):
         download(desc["guest_token"])
 
 
@@ -416,13 +423,41 @@ def test_exposure_token_and_expiry(cluster):
         w.read_exposed(job_id, desc["file_id"], "0" * 32, 0, 10)
     with pytest.raises(NotFound):
         w.read_exposed(job_id, "f" * 32, desc["guest_token"], 0, 10)
-    data, eof, _ = w.read_exposed(job_id, desc["file_id"], desc["guest_token"], 0, 10_000)
-    assert eof and data == b"x" * 1000
     # age the exposure past its deadline; the sweeper has not run yet
     with w._state_lock:
-        w._exposed[(job_id, desc["file_id"])].expires_at = time.time() - 1
+        entry = w._exposed[(job_id, desc["file_id"])]
+        expires_at, entry.expires_at = entry.expires_at, time.time() - 1
     with pytest.raises(Gone):
         w.read_exposed(job_id, desc["file_id"], desc["guest_token"], 0, 10)
+    with w._state_lock:
+        entry.expires_at = expires_at
+    data, eof, _ = w.read_exposed(job_id, desc["file_id"], desc["guest_token"], 0, 10_000)
+    assert eof and data == b"x" * 1000
+
+
+def test_exposure_is_retired_when_its_reader_reaches_eof(cluster, tmp_path):
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/f/x.bin", b"x" * 100)
+    w = cluster.worker(registered=False, scratch_dir=str(tmp_path / "scratch"))
+    result, _ = submit(w.addr, {
+        "fois": sequence_to_wire([FOI("get", "/f/x.bin"), FOI("push", "x.bin")]),
+        "credentials": creds_body("u1", tok)})
+    desc = result["pushed"][0]
+    ch = open_channel(w.addr)
+    try:
+        def fetch(offset):
+            return ch.request("SUBMIT_OP", {"fetch": {
+                "uri": desc["uri"], "guest_token": desc["guest_token"],
+                "offset": offset, "max_bytes": 60}})
+        assert fetch(0).body["eof"] is False
+        assert os.listdir(tmp_path / "scratch" / "exposed") != []
+        assert fetch(60).body["eof"] is True
+        assert w._exposed == {}
+        assert os.listdir(tmp_path / "scratch" / "exposed") == []
+        with pytest.raises(NotFound):
+            fetch(0)
+    finally:
+        ch.close()
 
 
 def test_exposure_outlives_its_job_workspace(cluster, tmp_path):
@@ -560,48 +595,18 @@ def test_workspace_wiped_between_jobs(cluster):
                         "credentials": creds_body("u1", tok)})
 
 
-class _SixMethods(StorageBackend):
-    """A backend with only the six original methods, so the worker's get
-    and put run through the base-class fallbacks."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = []
-
-    def authenticate(self, token):
-        return self.inner.authenticate(token)
-
-    def basic_op(self, session, action, args):
-        return self.inner.basic_op(session, action, args)
-
-    def get_object(self, session, path):
-        self.calls.append("get_object")
-        return self.inner.get_object(session, path)
-
-    def put_object(self, session, path, data):
-        self.calls.append("put_object")
-        return self.inner.put_object(session, path, data)
-
-    def list_meta(self, session, path="/", recursive=False):
-        return self.inner.list_meta(session, path, recursive)
-
-    def sync_shadow(self, session):
-        return self.inner.sync_shadow(session)
-
-
-def test_job_runs_on_a_backend_without_linked_methods(cluster):
+def test_job_runs_on_a_backend_without_linked_methods(cluster, six_methods):
     tok = cluster.account("u1")
     data = _text(IO_CHUNK_BYTES + 5)
     sess = seed_file(cluster, "u1", tok, "/d/in.txt", data)
-    backend = _SixMethods(cluster.backend)
-    w = cluster.worker(registered=False, backend=backend)
+    w = cluster.worker(registered=False, backend=six_methods)
     result, _ = submit(w.addr, {"fois": sequence_to_wire([
         FOI("get", "/d/in.txt"), FOI("op", "/d/in.txt", op_kind="compress"),
         FOI("put", "/d/in.txt.gz")]), "credentials": creds_body("u1", tok)})
     stored = cluster.backend.get_object(sess, "/d/in.txt.gz")
     assert gzip.decompress(stored) == data
     assert result["work_bytes"] == 2 * len(data) + 2 * len(stored)
-    assert backend.calls == ["get_object", "put_object"]
+    assert six_methods.calls == ["get_object", "put_object"]
 
 
 def test_get_put_job_memory_stays_within_a_few_chunks(cluster):
@@ -716,7 +721,6 @@ def test_backstop_beats_a_silent_step_and_ends_with_the_job(cluster, tmp_path,
     # one chunk, then a 0.8 s throttle wait with no progress beat
     fois = [FOI("download", f"{http_root}/slow.bin", op_params={"throttle_bps": 100_000}),
             FOI("put", "/d/slow.bin")]
-    before = set(threading.enumerate())
     beats = []
     ch = open_channel(w.addr)
     try:
@@ -731,11 +735,6 @@ def test_backstop_beats_a_silent_step_and_ends_with_the_job(cluster, tmp_path,
     assert all(b["work_bytes"] == 80_000 for _, b in step0[1:])
     gaps = [b[0] - a[0] for a, b in zip(step0, step0[1:])]
     assert min(gaps) >= backstop_s * 0.9
-    backstops = [t for t in set(threading.enumerate()) - before
-                 if t.name == "skyrelay-backstop"]
-    for t in backstops:
-        t.join(1.0)
-        assert not t.is_alive()
 
 
 # -- registration, key chain, shared-mode rules --
