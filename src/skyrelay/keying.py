@@ -8,15 +8,13 @@ it.  Storage credentials handed to a shared worker are encrypted under a
 per-user key derived from the epoch key and a fresh random value, so an
 instance owner who inspects the channel later cannot recover them.
 
-initial_server_key is the paper's epoch-0 key, H(pid || minute(t0)).  The
-live coordinator does not use it: pid and t0 are in every instance
-certificate, so anyone holding a grant could recompute the whole chain.
-It draws a random root instead and hands it to the worker in the
-registration reply; rotation is the same from there on.
+The coordinator draws each chain's epoch-0 key at random and hands it to
+the worker in the registration reply.  (The paper hashes it from the pid
+and t0, which every instance certificate shows.)
 
-Byte encodings are pinned so both sides agree bit-exactly: pid is 16 raw
-bytes, timestamps are 8-byte big-endian seconds, and concatenation is plain
-byte concatenation.  The hash is SHA-256 throughout.
+Byte encodings are pinned so both sides agree bit-exactly: timestamps are
+8-byte big-endian seconds, and concatenation is plain byte concatenation.
+The hash is SHA-256 throughout.
 
 Rotation timestamps come from the schedule (t0 + n * interval_s), never
 from the wall clock at rotation time, which keeps the chain deterministic
@@ -38,7 +36,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .core import CredentialSet, canonical_json
 from .errors import ConfigError, CredentialAuthFailure, InvalidOffset
 
-PID_BYTES = 16
 KEY_BYTES = 32
 NONCE_BYTES = 12
 R_BYTES = 32
@@ -67,30 +64,17 @@ def check_interval(interval_s: int):
         raise ConfigError(f"interval_s must be positive, got {interval_s}")
 
 
-def initial_server_key(pid: bytes, t: float) -> bytes:
-    """Epoch-0 key: H(pid || be64(minute(t)))."""
-    if len(pid) != PID_BYTES:
-        raise ValueError(f"pid must be {PID_BYTES} bytes")
-    return sha256(pid + _be64(round_minute(t))).digest()
+def key_at_epoch(root: bytes, t0: float, offset_s: int, interval_s: int, epoch: int) -> bytes:
+    """Fold the chain from its epoch-0 key root; O(epoch).
 
-
-def rotate_key(key: bytes, epoch_time: float, offset_s: int) -> bytes:
-    """Next key: H(key || be64(minute(epoch_time) + offset_s)).
-
-    epoch_time for epoch n is t0 + n * interval_s.  The offset keeps the
-    hashed timestamp off the exact minute boundary.
+    Epoch n's key is H(key(n-1) || be64(minute(t0 + n * interval_s) + offset_s)),
+    with t0 rounded down to its minute first.  The offset keeps the hashed
+    timestamp off the exact minute boundary.
     """
     _check_offset(offset_s)
-    return sha256(key + _be64(round_minute(epoch_time) + offset_s)).digest()
-
-
-def key_at_epoch(pid: bytes, t0: float, offset_s: int, interval_s: int, epoch: int) -> bytes:
-    """Fold the whole chain from scratch; O(epoch)."""
-    _check_offset(offset_s)
-    key = initial_server_key(pid, t0)
+    key = root
     t0m = round_minute(t0)
     for n in range(1, epoch + 1):
-        # rotate_key, inlined: offset_s is checked once above.
         t = int(t0m + n * interval_s)
         key = sha256(key + _be64(t - t % 60 + offset_s)).digest()
     return key
@@ -117,24 +101,10 @@ class EpochKeyState:
         _check_offset(self.offset_s)
         check_interval(self.interval_s)
 
-    @classmethod
-    def create(cls, pid: bytes, t: float, offset_s: int,
-               interval_s: int = DEFAULT_INTERVAL_S) -> EpochKeyState:
-        t0 = round_minute(t)
-        return cls(
-            pid=pid,
-            t0=t0,
-            offset_s=offset_s,
-            interval_s=interval_s,
-            epoch=0,
-            key_current=initial_server_key(pid, t0),
-            key_previous=None,
-        )
-
     def rotate(self) -> None:
         next_epoch = self.epoch + 1
         self.key_previous = key = self.key_current
-        # rotate_key, inlined: offset_s was checked at construction.
+        # key_at_epoch's step; offset_s was checked at construction
         t = int(self.t0 + next_epoch * self.interval_s)
         self.key_current = sha256(key + _be64(t - t % 60 + self.offset_s)).digest()
         self.epoch = next_epoch
@@ -145,10 +115,6 @@ class EpochKeyState:
         while now >= self.next_rotation_at():
             self.rotate()
         return self.epoch != start
-
-    def rotate_to(self, epoch: int) -> None:
-        while self.epoch < epoch:
-            self.rotate()
 
     def next_rotation_at(self) -> int:
         return self.t0 + (self.epoch + 1) * self.interval_s
@@ -216,12 +182,6 @@ def encrypt_credentials(key: bytes, sc: CredentialSet, r: bytes, epoch_hint: int
     nonce = os.urandom(NONCE_BYTES)
     body = AESGCM(key).encrypt(nonce, canonical_json(sc.to_wire()), aad)
     return CredentialCiphertext(nonce=nonce, body=body, r=r, epoch_hint=epoch_hint)
-
-
-def seal_credentials(state: EpochKeyState, sc: CredentialSet) -> CredentialCiphertext:
-    """Issue a grant at the current epoch and seal sc with it."""
-    grant = issue_user_grant(state)
-    return encrypt_credentials(grant.key, sc, grant.r, grant.epoch_issued)
 
 
 def decrypt_credentials(state: EpochKeyState, ct: CredentialCiphertext, *,

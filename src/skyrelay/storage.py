@@ -1,9 +1,9 @@
 """Token-authenticated object store standing in for Dropbox/S3.
 
 The backend interface is pluggable; the one required implementation keeps
-objects in a local directory tree and all metadata in one SQLite database
-per store root.  Byte payloads live only in the data tree, so metadata
-operations (listing, shadow sync) never touch content.
+the whole namespace in one SQLite database per store root and each file's
+bytes in an immutable blob file beside it.  Only the database knows paths,
+so metadata operations (listing, shadow sync, rename) never touch content.
 
 The database, ``<root>/.meta/store.db``, holds the accounts and their
 quotas, the token digests, every entry and each path's revision counter,
@@ -11,8 +11,7 @@ which survives a delete so revisions stay monotone per path.  It runs in
 write-ahead-log mode: each mutation is one ``BEGIN IMMEDIATE`` transaction
 that checks the session inside it, so backends in other threads or
 processes on the same root neither lose each other's changes nor read a
-stale view.  A put stages its payload before the transaction and moves it
-into place inside it.
+stale view.
 
 Each account also has a change cursor.  Every mutation stamps the ``revs``
 row of each path it creates, changes or removes with a number above the
@@ -22,16 +21,20 @@ which serves as its tombstone.  A shadow carries the cursor it was read
 at, and ``refresh_shadow`` reads only the rows stamped after it, in the
 same statement as the session check and the new cursor.
 
-Data files are never written in place: a put stages a new file and
-replaces the old name, a delete unlinks and a rename moves.  So a reader
-may hard-link a data file and keep a stable snapshot, and a writer may hand
-over a file by link, as long as nothing writes that file again.
+A file entry names its blob, ``<root>/.meta/blobs/<random id>``.  A put
+writes a new blob before the transaction that commits its entry, and the
+blob it replaces, like every blob a delete drops, is unlinked only after
+COMMIT; a rename rewrites rows and touches no file.  So a crash at any
+point leaves every entry with its whole blob, old or new, and at worst a
+blob that no entry names.  Nothing writes a blob again, so a reader may
+hard-link one and keep a stable snapshot, and a writer may hand over a file
+by link, as long as nothing writes that file again either.
 
 Tokens are stored only as SHA-256 hex digests.  The database records its
 layout in ``PRAGMA user_version``; a backend refuses a store of any other
 layout with ``ConfigError`` when it opens it.  Stores written in earlier
-layouts (JSON indexes, plaintext tokens, the SQLite layout without change
-cursors) are not migrated.
+layouts (JSON indexes, plaintext tokens, the SQLite layouts without change
+cursors or without blobs) are not migrated.
 """
 
 from __future__ import annotations
@@ -60,18 +63,18 @@ from .errors import (
 )
 
 DEFAULT_QUOTA_BYTES = 1 << 30  # 1 GiB per account
-COPY_CHUNK_BYTES = 1024 * 1024  # when a data file cannot be linked
-META_DIR = ".meta"  # reserved name under the root: the database and staged puts
+COPY_CHUNK_BYTES = 1024 * 1024  # when a blob cannot be linked
+META_DIR = ".meta"  # reserved name under the root: the database and the blobs
 # upsert needs 3.24, RETURNING 3.35 and built-in JSON functions 3.38
 MIN_SQLITE = (3, 38, 0)
-LAYOUT = 1  # the database's user_version; the layout before cursors has 0
+LAYOUT = 2  # the database's user_version; 1 kept a data tree, 0 had no cursors
 
 _SCHEMA = """
 CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL);
 CREATE TABLE tokens(digest TEXT PRIMARY KEY, account TEXT NOT NULL);
 CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
                      size INTEGER NOT NULL, mtime INTEGER NOT NULL,
-                     rev INTEGER NOT NULL, PRIMARY KEY (account, path))
+                     rev INTEGER NOT NULL, blob TEXT, PRIMARY KEY (account, path))
     WITHOUT ROWID;
 CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
                   seq INTEGER NOT NULL, PRIMARY KEY (account, path)) WITHOUT ROWID;
@@ -80,7 +83,7 @@ CREATE INDEX revs_seq ON revs(account, seq);
 
 
 def _valid_account_id(account_id) -> bool:
-    """True if account_id names one directory directly under the root."""
+    """True if account_id is a plain name, never the reserved META_DIR."""
     return (isinstance(account_id, str)
             and account_id not in ("", ".", "..", META_DIR)
             and "/" not in account_id and "\x00" not in account_id)
@@ -225,7 +228,7 @@ def _meta(path: str, kind: str, size: int, mtime: int, rev: int) -> FileMeta:
 
 
 class LocalDirBackend(StorageBackend):
-    """Directory-tree store: <root>/<account>/data/... plus the metadata database."""
+    """Local store: <root>/.meta/store.db for the namespace, .meta/blobs/ for bytes."""
 
     def __init__(self, root: str):
         if sqlite3.sqlite_version_info < MIN_SQLITE:
@@ -234,7 +237,8 @@ class LocalDirBackend(StorageBackend):
                 f"{'.'.join(map(str, MIN_SQLITE))} or newer")
         self.root = os.path.abspath(root)
         self._meta_dir = os.path.join(self.root, META_DIR)
-        os.makedirs(self._meta_dir, exist_ok=True)
+        self._blob_dir = os.path.join(self._meta_dir, "blobs")
+        os.makedirs(self._blob_dir, exist_ok=True)
         self._lock = threading.Lock()  # guards _conn, which threads share
         self._conn: sqlite3.Connection | None = None
         self._writer = False  # whether _conn has run its synchronous pragma
@@ -287,33 +291,30 @@ class LocalDirBackend(StorageBackend):
                     raise AlreadyExists(path)
                 self._ensure_parents(db, account, path)
                 return self._set_entry(db, account, path, kind="folder", size=0)
-            if action == "delete":
-                path = normalize_path(args["path"])
-                ent = self._entry(db, account, path)
-                if ent is None:
-                    raise NotFound(path)
-                self._drop_subtree(db, account, path)
-                fs = self._fs_path(account, path)
-                if ent[0] == "file":
-                    if os.path.isfile(fs):
-                        os.remove(fs)
-                else:
-                    shutil.rmtree(fs, ignore_errors=True)
-                return None
             if action == "rename":
                 return self._rename(db, account, normalize_path(args["src"]),
                                     normalize_path(args["dst"]))
-            raise ValueError(f"unknown basic action: {action!r}")
+            if action != "delete":
+                raise ValueError(f"unknown basic action: {action!r}")
+            path = normalize_path(args["path"])
+            if self._entry(db, account, path) is None:
+                raise NotFound(path)
+            blobs = self._drop_subtree(db, account, path)
+        for blob in blobs:
+            self._unlink_blob(blob)
+        return None
 
     def get_object(self, session: Session, path: str) -> bytes:
-        with open(self._data_file(session, path), "rb") as f:
-            return f.read()
+        def read(blob):
+            with open(blob, "rb") as f:
+                return f.read()
+        return self._with_blob(session, path, read)
 
     def put_object(self, session: Session, path: str, data: bytes) -> FileMeta:
         return self._put(session, normalize_path(path), data, must_create=False)
 
     def get_object_to(self, session: Session, path: str, dst: str) -> int:
-        _link_or_copy(self._data_file(session, path), dst)
+        self._with_blob(session, path, lambda blob: _link_or_copy(blob, dst))
         return os.stat(dst).st_size
 
     def put_object_from(self, session: Session, path: str, src: str) -> FileMeta:
@@ -454,44 +455,58 @@ class LocalDirBackend(StorageBackend):
         return db.execute("SELECT kind, size, mtime, rev FROM entries"
                           " WHERE account = ? AND path = ?", (account, path)).fetchone()
 
-    def _data_file(self, session: Session, path: str) -> str:
-        """The data file of the file entry at path, after the session check."""
-        with self._lock:
-            db = self._db()
-            self._check(db, session)
-            path = normalize_path(path)
-            ent = self._entry(db, session.account_id, path)
-            if ent is None or ent[0] != "file":
-                raise NotFound(path)
-        return self._fs_path(session.account_id, path)
+    def _with_blob(self, session: Session, path: str, use):
+        """use(blob file) for the file entry at path, after the session check.
 
-    def _fs_path(self, account_id: str, path: str) -> str:
-        dd = os.path.join(self.root, account_id, "data")
-        fs = os.path.normpath(os.path.join(dd, path.lstrip("/")))
-        if fs != dd and not fs.startswith(dd + os.sep):
-            raise PermissionDenied(f"path escapes account root: {path!r}")
-        return fs
+        The blob is read outside the lock, so a put or delete may commit and
+        unlink it first; then the lookup runs again and finds the new blob
+        or no entry.  A blob that is still there, or the same id gone twice,
+        is not such a race, and its error stands.
+        """
+        gone = None
+        while True:
+            with self._lock:
+                db = self._db()
+                self._check(db, session)
+                path = normalize_path(path)
+                row = db.execute("SELECT blob FROM entries WHERE account = ? AND path = ?",
+                                 (session.account_id, path)).fetchone()
+            if row is None or row[0] is None:
+                raise NotFound(path)
+            blob = os.path.join(self._blob_dir, row[0])
+            try:
+                return use(blob)
+            except FileNotFoundError:
+                if blob == gone or os.path.exists(blob):
+                    raise
+                gone = blob
+
+    def _unlink_blob(self, blob: str):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(self._blob_dir, blob))
 
     @staticmethod
     def _set_entry(db: sqlite3.Connection, account: str, path: str,
-                   kind: str, size: int) -> FileMeta:
+                   kind: str, size: int, blob: str | None = None) -> FileMeta:
         rev = db.execute("INSERT INTO revs VALUES (?, ?, 1, " + _NEXT_SEQ + ")"
                          " ON CONFLICT (account, path)"
                          " DO UPDATE SET rev = rev + 1, seq = excluded.seq RETURNING rev",
                          (account, path, account)).fetchone()[0]
         mtime = int(time.time())
-        db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?)",
-                   (account, path, kind, size, mtime, rev))
+        db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?, ?)",
+                   (account, path, kind, size, mtime, rev, blob))
         return _meta(path, kind, size, mtime, rev)
 
     @staticmethod
-    def _drop_subtree(db: sqlite3.Connection, account: str, path: str):
+    def _drop_subtree(db: sqlite3.Connection, account: str, path: str) -> list[str]:
         """Delete the entry at path and everything below it, stamping each
-        removed path's revs row first: that row is its tombstone."""
+        removed path's revs row first: that row is its tombstone.  Returns
+        the blobs of the removed files, for the caller to unlink or carry."""
         params = (account, path, *_below(path))
         db.execute("UPDATE revs SET seq = " + _NEXT_SEQ + " WHERE account = ?"
                    " AND path IN (SELECT path" + _SUBTREE + ")", (account, account, *params))
-        db.execute("DELETE" + _SUBTREE, params)
+        return [blob for (blob,) in db.execute("DELETE" + _SUBTREE + " RETURNING blob", params)
+                if blob is not None]
 
     def _ensure_parents(self, db: sqlite3.Connection, account: str, path: str):
         parent = parent_of(path)
@@ -512,20 +527,23 @@ class LocalDirBackend(StorageBackend):
         """Store data, or the file src by link where it can, at path."""
         if path == "/":
             raise PermissionDenied("cannot write the account root")
-        # staged outside every account, so a forged session writes nothing
-        tmp = os.path.join(self._meta_dir, f"put-{secrets.token_hex(8)}.tmp")
+        # a new blob names no account, so a forged session writes nothing
+        blob = secrets.token_hex(16)
+        fs = os.path.join(self._blob_dir, blob)
         account = session.account_id
         try:
             if src is None:
-                with open(tmp, "wb") as f:
+                with open(fs, "xb") as f:
                     f.write(data)
                 size = len(data)
             else:
-                _link_or_copy(src, tmp)
-                size = os.stat(tmp).st_size
+                _link_or_copy(src, fs)
+                size = os.stat(fs).st_size
             with self._transaction() as db:
                 self._check(db, session)
-                existing = self._entry(db, account, path)
+                existing = db.execute("SELECT kind, size, blob FROM entries"
+                                      " WHERE account = ? AND path = ?",
+                                      (account, path)).fetchone()
                 if existing is not None:
                     if must_create:
                         raise AlreadyExists(path)
@@ -540,13 +558,13 @@ class LocalDirBackend(StorageBackend):
                 if used - old_size + size > quota:
                     raise QuotaError(f"quota {quota} exceeded on {account}")
                 self._ensure_parents(db, account, path)
-                fs = self._fs_path(account, path)
-                os.makedirs(os.path.dirname(fs), exist_ok=True)
-                os.replace(tmp, fs)
-                return self._set_entry(db, account, path, kind="file", size=size)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)  # left if the put failed or src already was the data file
+                meta = self._set_entry(db, account, path, kind="file", size=size, blob=blob)
+        except BaseException:
+            self._unlink_blob(blob)
+            raise
+        if existing is not None:
+            self._unlink_blob(existing[2])  # after COMMIT, as no entry names it
+        return meta
 
     def _rename(self, db: sqlite3.Connection, account: str, src: str, dst: str):
         if dst == src or dst.startswith(src + "/"):
@@ -556,14 +574,9 @@ class LocalDirBackend(StorageBackend):
         if self._entry(db, account, dst) is not None:
             raise AlreadyExists(dst)
         self._ensure_parents(db, account, dst)
-        moved = db.execute("SELECT path, kind, size" + _SUBTREE,
+        moved = db.execute("SELECT path, kind, size, blob" + _SUBTREE,
                            (account, src, *_below(src))).fetchall()
-        src_fs = self._fs_path(account, src)
-        dst_fs = self._fs_path(account, dst)
-        if os.path.exists(src_fs):
-            os.makedirs(os.path.dirname(dst_fs), exist_ok=True)
-            os.replace(src_fs, dst_fs)
         self._drop_subtree(db, account, src)
-        for old, kind, size in moved:
-            self._set_entry(db, account, dst + old[len(src):], kind=kind, size=size)
+        for old, kind, size, blob in moved:
+            self._set_entry(db, account, dst + old[len(src):], kind, size, blob)
         return _meta(dst, *self._entry(db, account, dst))

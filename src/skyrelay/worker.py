@@ -179,13 +179,12 @@ class WorkerConfig:
 
 
 class _Exposed:
-    __slots__ = ("path", "guest_token", "expires_at", "name", "size_bytes")
+    __slots__ = ("path", "guest_token", "expires_at", "size_bytes")
 
-    def __init__(self, path, guest_token, expires_at, name, size_bytes):
+    def __init__(self, path, guest_token, expires_at, size_bytes):
         self.path = path
         self.guest_token = guest_token
         self.expires_at = expires_at
-        self.name = name
         self.size_bytes = size_bytes
 
 
@@ -469,8 +468,7 @@ class Worker:
         size = os.path.getsize(dst)
         expires_at = time.time() + EXPOSE_TTL_S
         with self._state_lock:
-            self._exposed[(job_id, file_id)] = _Exposed(
-                dst, guest_token, expires_at, name, size)
+            self._exposed[(job_id, file_id)] = _Exposed(dst, guest_token, expires_at, size)
         self._log(f"exposed {name} as {file_id} (job {job_id}, {size} bytes)")
         return {
             "file_id": file_id,
@@ -565,6 +563,21 @@ class Worker:
             conn.send_error(msg.seq, {
                 "code": "DECODE_ERROR", "message": f"bad job_id {job_id!r}"})
             return
+        # decoded before the job is registered, so a bad envelope leaves no job
+        ct = creds = None
+        try:
+            if "credentials_ct" in body:
+                ct = CredentialCiphertext.from_wire(body["credentials_ct"])
+            elif "credentials" in body:
+                creds = CredentialSet.from_wire(body["credentials"])
+        except (KeyError, TypeError, ValueError) as e:
+            conn.send_error(msg.seq, {
+                "code": "DECODE_ERROR", "message": f"bad credentials: {e!r}"})
+            return
+        if creds is not None and self.cfg.shared and self.cfg.coordinator_addr:
+            conn.send_error(msg.seq, PermissionDenied(
+                "shared instances accept sealed credentials only").body())
+            return
         with self._state_lock:
             if job_id in self._jobs:
                 conn.send_error(msg.seq, {
@@ -572,26 +585,15 @@ class Worker:
                 return
             job = _Job(job_id, fois, conn, msg.seq)
             self._jobs[job_id] = job
-        if "credentials_ct" in body:
-            ct = CredentialCiphertext.from_wire(body["credentials_ct"])
-            creds = None
+        if ct is not None:
             self._log(
                 f"job {job_id}: {[f.verb for f in fois]} with sealed credentials "
                 f"r={body['credentials_ct']['r']} nonce={body['credentials_ct']['nonce']} "
                 f"epoch_hint={ct.epoch_hint}")
-        elif "credentials" in body:
-            if self.cfg.shared and self.cfg.coordinator_addr:
-                with self._state_lock:
-                    del self._jobs[job_id]
-                conn.send_error(msg.seq, PermissionDenied(
-                    "shared instances accept sealed credentials only").body())
-                return
-            ct = None
-            creds = CredentialSet.from_wire(body["credentials"])
-            self._log(f"job {job_id}: {[f.verb for f in fois]} with owner credentials")
         else:
-            ct = creds = None
-            self._log(f"job {job_id}: {[f.verb for f in fois]} without credentials")
+            self._log(f"job {job_id}: {[f.verb for f in fois]} "
+                      + ("with owner credentials" if creds is not None
+                         else "without credentials"))
         self._executor.submit(self._run_job, job, ct, creds)
         # Liveness guarantee: a beat at least every HEARTBEAT_BACKSTOP_S until
         # the job ends, queued or running.  Progress beats normally come much

@@ -36,8 +36,10 @@ from skyrelay.errors import (
 from skyrelay.keying import (
     EpochKeyState,
     decrypt_credentials,
+    encrypt_credentials,
+    issue_user_grant,
     key_at_epoch,
-    seal_credentials,
+    round_minute,
 )
 from skyrelay.scheduler import (
     InstanceSpec,
@@ -61,17 +63,29 @@ def _agent(cluster, name, *, seed, launcher=None, download_dir=None):
     return AgentSession(cfg), token
 
 
+def _chain(root, t0, offset_s, interval_s):
+    """A chain at epoch 0 with epoch-0 key root, built as the coordinator builds one."""
+    return EpochKeyState(pid=bytes(16), t0=round_minute(t0), offset_s=offset_s,
+                         interval_s=interval_s, epoch=0, key_current=root, key_previous=None)
+
+
+def _seal(state, sc):
+    """sc sealed under a fresh grant at state's epoch, as an agent seals it."""
+    grant = issue_user_grant(state)
+    return encrypt_credentials(grant.key, sc, grant.r, grant.epoch_issued)
+
+
 def test_c01_key_chains_agree_for_10k_epochs():
     """Coordinator and worker chains stay byte-identical, 100 triples x 1e4."""
     rng = random.Random(0xC1)
     started = time.monotonic()
     for trial in range(100):
-        pid = rng.randbytes(16)
+        root = rng.randbytes(32)
         t0 = rng.uniform(1.6e9, 1.8e9)
         offset = rng.randint(1, 512)
         interval = rng.choice([60, 180, 300])
-        a = EpochKeyState.create(pid, t0, offset, interval)
-        b = EpochKeyState.create(pid, t0, offset, interval)
+        a = _chain(root, t0, offset, interval)
+        b = _chain(root, t0, offset, interval)
         assert a.key_current == b.key_current
         for _ in range(10_000):
             a.rotate()
@@ -80,7 +94,7 @@ def test_c01_key_chains_agree_for_10k_epochs():
                 raise AssertionError(
                     f"chains diverged at epoch {a.epoch} (trial {trial})")
         # third route: closed-form walk from the initial key
-        assert a.key_current == key_at_epoch(pid, t0, offset, interval, 10_000)
+        assert a.key_current == key_at_epoch(root, t0, offset, interval, 10_000)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"key agreement sweep took {elapsed:.2f}s"
     print(f"100 triples x 10^4 epochs in {elapsed:.2f}s, zero divergence")
@@ -92,17 +106,17 @@ def test_c02_grace_window_is_exactly_one_epoch():
     sc = CredentialSet("acct", "tok-" + "f" * 28)
     opened = refused = 0
     for _ in range(1000):
-        pid = rng.randbytes(16)
+        root = rng.randbytes(32)
         t0 = rng.uniform(1.6e9, 1.8e9)
         offset = rng.randint(1, 512)
         interval = rng.choice([60, 180, 300, 3600])
         n = rng.randint(0, 40)
-        server = EpochKeyState.create(pid, t0, offset, interval)
-        worker = EpochKeyState.create(pid, t0, offset, interval)
+        server = _chain(root, t0, offset, interval)
+        worker = _chain(root, t0, offset, interval)
         for _ in range(n):
             server.rotate()
             worker.rotate()
-        ct = seal_credentials(server, sc)
+        ct = _seal(server, sc)
         worker.rotate()  # n+1: inside the grace window
         got = decrypt_credentials(worker, ct)
         assert got.to_wire() == sc.to_wire()
@@ -150,8 +164,8 @@ def test_c03_credentials_never_visible_in_shared_mode(cluster, tmp_path, http_ro
 
     # authenticated envelopes refuse every wrong key
     rng = random.Random(0xC3)
-    state = EpochKeyState.create(rng.randbytes(16), 1.7e9, 77, 180)
-    ct = seal_credentials(state, CredentialSet("alice", token))
+    state = _chain(rng.randbytes(32), 1.7e9, 77, 180)
+    ct = _seal(state, CredentialSet("alice", token))
     failures = 0
     for _ in range(1000):
         try:

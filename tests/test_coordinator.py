@@ -16,7 +16,13 @@ from skyrelay.errors import (
     RegistrationError,
     VerificationFailed,
 )
-from skyrelay.keying import OFFSET_MAX, OFFSET_MIN, derive_user_key, key_at_epoch
+from skyrelay.keying import (
+    OFFSET_MAX,
+    OFFSET_MIN,
+    derive_user_key,
+    key_at_epoch,
+    round_minute,
+)
 from skyrelay.scheduler import plan_batch
 from skyrelay.wire import Certificate, open_channel, verify_certificate
 from skyrelay.worker import CPU_COUNT, Worker, WorkerConfig
@@ -96,11 +102,13 @@ def test_grant_key_not_derivable_from_certificate(cluster):
     g = [e.body for e in events if e.kind == "INSTANCE_GRANT"][0]
     cert = Certificate.from_wire(g["certificate"])
     pid = bytes.fromhex(cert.subject["pid"])
+    # the paper's root, H(pid || be64(minute(t0))), from the certificate alone
+    root = hashlib.sha256(pid + round_minute(cert.issued_at).to_bytes(8, "big")).digest()
     r, key = bytes.fromhex(g["r"]), bytes.fromhex(g["key"])
     for epoch in {0, 1, g["epoch"]}:
         for interval_s in (60, 180, 300):
             for offset_s in range(OFFSET_MIN, OFFSET_MAX + 1):
-                k = key_at_epoch(pid, cert.issued_at, offset_s, interval_s, epoch)
+                k = key_at_epoch(root, cert.issued_at, offset_s, interval_s, epoch)
                 assert derive_user_key(k, r) != key
 
 

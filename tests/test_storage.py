@@ -1,10 +1,13 @@
 """Local directory object store: auth, basic ops, objects, shadow sync."""
 
+import collections
 import errno
 import gc
 import json
 import os
 import random
+import shutil
+import signal
 import sqlite3
 import sys
 import threading
@@ -72,7 +75,7 @@ def test_cross_account_session_forgery(backend, tmp_path):
         with pytest.raises(AuthError):
             backend.put_object(forged, "/x", b"x")
     assert sorted(os.listdir(tmp_path)) == ["store"]
-    assert sorted(os.listdir(tmp_path / "store")) == [META_DIR, "b"]
+    assert sorted(os.listdir(tmp_path / "store")) == [META_DIR]
 
 
 def test_create_delete_inverse(backend, session):
@@ -455,7 +458,9 @@ def test_account_id_rule(tmp_path):
         with pytest.raises(AuthError):
             backend.put_object(Session(account_id=forged, token=token), "/x", b"x")
     assert os.listdir(root) == [META_DIR]
-    assert set(os.listdir(root / META_DIR)) <= {"store.db", "store.db-wal", "store.db-shm"}
+    assert set(os.listdir(root / META_DIR)) <= {"store.db", "store.db-wal", "store.db-shm",
+                                                "blobs"}
+    assert os.listdir(root / META_DIR / "blobs") == []
     assert os.listdir(tmp_path) == ["store"]
 
 
@@ -592,9 +597,25 @@ CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
 """
 
 
+# layout 1: change cursors, with each file's bytes kept at <account>/data/<path>
+_LAYOUT_1 = """
+CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL);
+CREATE TABLE tokens(digest TEXT PRIMARY KEY, account TEXT NOT NULL);
+CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
+                     size INTEGER NOT NULL, mtime INTEGER NOT NULL,
+                     rev INTEGER NOT NULL, PRIMARY KEY (account, path))
+    WITHOUT ROWID;
+CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
+                  seq INTEGER NOT NULL, PRIMARY KEY (account, path)) WITHOUT ROWID;
+CREATE INDEX revs_seq ON revs(account, seq);
+PRAGMA user_version=1;
+"""
+
+
 def test_store_of_another_layout_is_refused(tmp_path):
     token = "t" * 32
-    for n, script in enumerate([_LAYOUT_0, storage._SCHEMA + "PRAGMA user_version=2;"]):
+    for n, script in enumerate([_LAYOUT_0, _LAYOUT_1,
+                                storage._SCHEMA + "PRAGMA user_version=3;"]):
         root = tmp_path / f"store{n}"
         (root / META_DIR).mkdir(parents=True)
         db = sqlite3.connect(root / META_DIR / "store.db")
@@ -618,9 +639,16 @@ def test_old_sqlite_is_refused(tmp_path, monkeypatch):
 # -- linked get and put --
 
 def _meta_leftovers(root):
-    """Files in .meta/ other than the database: staged puts left behind."""
-    return [f for f in os.listdir(os.path.join(root, META_DIR))
-            if not f.startswith("store.db")]
+    """Files in .meta/ other than the database and the blobs, and blobs that
+    no entry names: what a failed put left behind."""
+    db = _open_db(root)
+    try:
+        named = {blob for (blob,) in db.execute("SELECT blob FROM entries")}
+    finally:
+        db.close()
+    meta = os.path.join(root, META_DIR)
+    return ([f for f in os.listdir(meta) if not f.startswith("store.db") and f != "blobs"]
+            + [b for b in os.listdir(os.path.join(meta, "blobs")) if b not in named])
 
 
 def test_linked_get_is_a_snapshot(backend, session, tmp_path):
@@ -700,3 +728,208 @@ def test_forged_session_links_nothing(backend, tmp_path):
     assert not dst.exists()
     assert os.stat(src).st_nlink == 1
     assert sorted(_files_under(backend.root)) == before
+
+
+def test_failed_puts_leave_no_blob(backend, tmp_path):
+    token = backend.create_account("tiny", quota_bytes=100)
+    s = backend.authenticate(token)
+    backend.put_object(s, "/a", b"a")
+    backend.basic_op(s, "create_folder", {"path": "/d"})
+    forged = Session(account_id="tiny", token="not-" + token)
+    src, big = tmp_path / "src", tmp_path / "big"
+    src.write_bytes(b"x" * 10)
+    big.write_bytes(b"x" * 101)
+    cases = [
+        (QuotaError, lambda: backend.put_object(s, "/big", b"x" * 101)),
+        (QuotaError, lambda: backend.put_object_from(s, "/big", str(big))),
+        (AuthError, lambda: backend.put_object(forged, "/x", b"x")),
+        (AuthError, lambda: backend.put_object_from(forged, "/x", str(src))),
+        (AlreadyExists, lambda: backend.basic_op(s, "create_file", {"path": "/a", "data": b"b"})),
+        (AlreadyExists, lambda: backend.put_object(s, "/d", b"x")),
+        (AlreadyExists, lambda: backend.put_object_from(s, "/d", str(src))),
+        (NotFound, lambda: backend.put_object(s, "/a/x", b"x")),  # parent is a file
+    ]
+    for error, put in cases:
+        with pytest.raises(error):
+            put()
+        assert _meta_leftovers(backend.root) == []
+    assert backend.get_object(s, "/a") == b"a"
+    assert [m.path for m in backend.list_meta(s, "/")] == ["/a", "/d"]
+    assert os.stat(src).st_nlink == os.stat(big).st_nlink == 1
+
+
+# -- crash consistency and racing readers --
+
+_BEFORE = {"/a.txt": b"nine byte", "/d/x": b"x1", "/d/sub/y": b"y22"}
+_NEW = b"sixteen new byte"
+
+
+def _put_from(b, s):
+    """Put _NEW at a new path by link, so the blob's creation is a crash point."""
+    src = b.root + ".src"
+    with open(src, "wb") as f:
+        f.write(_NEW)
+    b.put_object_from(s, "/n/new.txt", src)
+
+
+_MUTATIONS = {
+    "put over a file": (lambda b, s: b.put_object(s, "/a.txt", _NEW),
+                        {**_BEFORE, "/a.txt": _NEW}),
+    "put to a new path": (_put_from, {**_BEFORE, "/n/new.txt": _NEW}),
+    "delete a file": (lambda b, s: b.basic_op(s, "delete", {"path": "/a.txt"}),
+                      {p: v for p, v in _BEFORE.items() if p != "/a.txt"}),
+    "delete a folder": (lambda b, s: b.basic_op(s, "delete", {"path": "/d"}),
+                        {"/a.txt": _BEFORE["/a.txt"]}),
+    "rename a folder": (lambda b, s: b.basic_op(s, "rename", {"src": "/d", "dst": "/e"}),
+                        {"/a.txt": _BEFORE["/a.txt"], "/e/x": b"x1", "/e/sub/y": b"y22"}),
+}
+
+
+def _crash_after(k, root, token, mutate):
+    """In a child process, run mutate on a fresh backend and _exit(3) right
+    after its k-th file-system change or COMMIT; returns the exit code, 0 if
+    the mutation finished first."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            count = [0]
+
+            def point():
+                count[0] += 1
+                if count[0] == k:
+                    os._exit(3)
+
+            def after(fn):
+                def wrapped(*args, **kwargs):
+                    try:
+                        return fn(*args, **kwargs)
+                    finally:
+                        point()
+                return wrapped
+
+            for mod, name in [(os, "replace"), (os, "remove"), (os, "link"), (os, "rename"),
+                              (os, "makedirs"), (shutil, "rmtree")]:
+                setattr(mod, name, after(getattr(mod, name)))
+
+            class Counting(sqlite3.Connection):
+                def execute(self, sql, *args):
+                    cursor = super().execute(sql, *args)
+                    if sql == "COMMIT":
+                        point()
+                    return cursor
+
+            connect = sqlite3.connect
+            sqlite3.connect = lambda *a, **kw: connect(*a, factory=Counting, **kw)
+            b = LocalDirBackend(root)
+            mutate(b, b.authenticate(token))
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError("the mutating child hung")
+        time.sleep(0.005)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_crash_at_any_point_leaves_every_entry_whole(tmp_path):
+    template = str(tmp_path / "template")
+    maker = LocalDirBackend(template)
+    token = maker.create_account("alice")
+    s = maker.authenticate(token)
+    for path, data in _BEFORE.items():
+        maker.put_object(s, path, data)
+    maker._conn.close()  # checkpoint the log, so a copy of the files is the store
+    failures, crashes = [], 0
+    for i, (name, (mutate, after)) in enumerate(_MUTATIONS.items()):
+        for k in range(1, 50):
+            root = str(tmp_path / f"{i}-{k}")
+            shutil.copytree(template, root)
+            code = _crash_after(k, root, token, mutate)
+            assert code in (0, 3), f"{name}: the child failed with exit code {code}"
+            b = LocalDirBackend(root)
+            s = b.authenticate(token)
+            where = f"{name}, " + ("completed" if code == 0 else f"crashed at point {k}")
+            files = {m.path: m.size_bytes for m in b.list_meta(s, "/", recursive=True)
+                     if m.kind == "file"}
+            if set(files) not in (set(_BEFORE), set(after)):
+                failures.append(f"{where}: entries {sorted(files)}")
+            for path, size in sorted(files.items()):
+                try:
+                    data = b.get_object(s, path)
+                except Exception as e:  # noqa: BLE001 - reported below
+                    failures.append(f"{where}: {path} ({size} B) reads {e!r}")
+                    continue
+                if len(data) != size or data not in (_BEFORE.get(path), after.get(path)):
+                    failures.append(f"{where}: {path}'s entry says {size} B, "
+                                    f"its bytes are {data!r}")
+            if code == 0:
+                if files != {p: len(v) for p, v in after.items()}:
+                    failures.append(f"{where}: entries {sorted(files)}")
+                if _meta_leftovers(root):
+                    failures.append(f"{where}: unnamed blobs {_meta_leftovers(root)}")
+                break
+            crashes += 1
+        else:
+            failures.append(f"{name}: never completed")
+    assert failures == [], "\n".join(failures)
+    assert crashes >= len(_MUTATIONS)  # every mutation reached a crash point
+
+
+def test_reader_racing_put_and_delete_sees_bytes_or_not_found(tmp_path):
+    root = str(tmp_path / "store")
+    token = LocalDirBackend(root).create_account("alice")
+    payloads = (b"a" * 100, b"b" * 5000)
+    stop = threading.Event()
+    errors, seen = [], collections.Counter()
+
+    def write():
+        try:
+            b = LocalDirBackend(root)
+            s = b.authenticate(token)
+            while not stop.is_set():
+                for data in payloads:
+                    b.put_object(s, "/a", data)
+                b.basic_op(s, "delete", {"path": "/a"})
+        except Exception as e:  # surfaced by the assert below
+            errors.append(e)
+
+    reader = LocalDirBackend(root)
+    s = reader.authenticate(token)
+    writer = threading.Thread(target=write)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    writer.start()
+    try:
+        deadline = time.monotonic() + 2.0
+        n = 0
+        while time.monotonic() < deadline and not errors:
+            n += 1
+            dst = tmp_path / f"get{n}"
+            try:
+                if n % 2:  # the worker's linked get, beside the bytes one
+                    reader.get_object_to(s, "/a", str(dst))
+                    data = dst.read_bytes()
+                else:
+                    data = reader.get_object(s, "/a")
+            except NotFound:
+                seen["not found"] += 1
+            except Exception as e:  # surfaced by the assert below
+                errors.append(e)
+            else:
+                seen["bytes" if data in payloads else "torn"] += 1
+            if dst.exists():
+                dst.unlink()
+    finally:
+        stop.set()
+        writer.join(timeout=30)
+        sys.setswitchinterval(switch)
+    assert not writer.is_alive() and errors == []
+    assert seen["torn"] == 0 and seen["bytes"] > 0 and seen["not found"] > 0

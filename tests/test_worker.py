@@ -403,7 +403,9 @@ def test_same_instance_download_links_the_exposure(cluster, tmp_path):
     inode = os.stat(exposed).st_ino
     assert download(desc["guest_token"])["work_bytes"] == 2 * len(payload)
     assert cluster.backend.get_object(sess_b, "/in/big.bin") == payload
-    assert os.stat(cluster.backend._fs_path("ub", "/in/big.bin")).st_ino == inode
+    stored = tmp_path / "stored"
+    cluster.backend.get_object_to(sess_b, "/in/big.bin", str(stored))
+    assert os.stat(stored).st_ino == inode
     # the link was the exposure's one read: it is retired, and its name gone
     assert key not in w._exposed and not os.path.exists(exposed)
     with pytest.raises(NotFound):
@@ -777,11 +779,13 @@ def test_registered_worker_chain_matches_coordinator(cluster):
     assert rec.key_state == w.key_state and rec.key_state is not w.key_state
     st = w.key_state
     assert st.epoch == 0
-    # the root is random: the chain named by pid and t0 is not this one
+    # the root is random: the paper's chain, rooted at H(pid || t0), is not this one
+    paper_root = hashlib.sha256(st.pid + st.t0.to_bytes(8, "big")).digest()
+    nxt = copy.copy(st)
     for epoch in (0, 1):
-        nxt = copy.copy(st)
-        nxt.rotate_to(epoch)
-        assert all(nxt.key_current != key_at_epoch(st.pid, st.t0, o, st.interval_s, epoch)
+        if epoch:
+            nxt.rotate()
+        assert all(nxt.key_current != key_at_epoch(paper_root, st.t0, o, st.interval_s, epoch)
                    for o in range(OFFSET_MIN, OFFSET_MAX + 1))
     assert w.certificate is not None
 
@@ -861,6 +865,21 @@ def test_sealed_credentials_do_not_run_altered_fois(cluster):
     with pytest.raises(CredentialAuthFailure):
         submit(w.addr, {"job_id": "job-a", "fois": altered, "credentials_ct": ct})
     assert [m.path for m in cluster.backend.list_meta(sess, "/d")] == ["/d/f.bin"]
+
+
+def test_malformed_envelope_leaves_no_job(cluster):
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
+    w = cluster.worker(shared=True)
+    fois = sequence_to_wire([FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")])
+    ct = _sealed(cluster, w, tok, "j1", fois)
+    for bad in ({k: v for k, v in ct.items() if k != "r"}, {**ct, "nonce": 7}, "sealed"):
+        with pytest.raises(DecodeError):
+            submit(w.addr, {"job_id": "j1", "fois": fois, "credentials_ct": bad})
+        with w._state_lock:
+            assert w._jobs == {}
+    result, _ = submit(w.addr, {"job_id": "j1", "fois": fois, "credentials_ct": ct})
+    assert result["work_bytes"] == 20
 
 
 def test_shared_worker_rejects_plaintext_credentials(cluster):
