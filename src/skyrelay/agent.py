@@ -7,6 +7,13 @@ coordinator grants.  In shared mode storage credentials leave the agent only
 sealed under the granted user key; in private mode plaintext credentials go
 only to the agent's own instance.
 
+A shared-pool grant is kept and reused until its reuse_until, so a run of
+small ops costs one coordinator round trip.  A job sent under a reused
+grant that never started (the instance is gone, was stopping, or no longer
+opens the grant's epoch) is resubmitted once under a fresh grant; an error
+after a step began is the caller's.  What a job hands back lands in
+download_dir: the file keys its RESULT carries, then the files it pushed.
+
 Transfers never route file bytes through either agent.  The sender's worker
 exposes the file at an intermediate URI, a ticket travels out of band as a
 small file (standing in for an NFC tap), and the receiver's side pulls from
@@ -31,6 +38,7 @@ from .core import (
     sequence_to_wire,
     uncollide,
 )
+from .coordinator import DEFAULT_TICKET_TIMEOUT_S
 from .errors import (
     NotCloudAssisted,
     PermissionDenied,
@@ -50,7 +58,15 @@ from .wire import (
 )
 from .worker import fetch_reader, pull_exposure
 
-DEFAULT_TICKET_TIMEOUT_S = 60.0
+
+def _never_started(e: SkyrelayError) -> bool:
+    """True if a job failed before its first step: its channel never opened,
+    its instance refused it at intake while shutting down (an ERROR without
+    a step), or the instance could not open its credential envelope, which
+    it does before step 0."""
+    if e.code == "CREDENTIAL_AUTH_FAILURE":
+        return True
+    return e.code in ("CONNECT_ERROR", "SHUTDOWN") and not hasattr(e, "step")
 
 
 @dataclass
@@ -152,6 +168,7 @@ class AgentSession:
         self.metrics: list[dict] = []
         self.private_instance = cfg.private_instance
         self.private_certificate = cfg.private_certificate
+        self._grant: dict | None = None  # the last REQUEST_INSTANCE grant
 
     # -- bookkeeping --
 
@@ -258,11 +275,39 @@ class AgentSession:
         return grant
 
     def _place(self, protocol: str, channels: list[Channel]) -> dict | None:
-        """A shared-pool grant, or None for the user's own instance."""
+        """A shared-pool grant, or None for the user's own instance.
+
+        The last grant is reused until its reuse_until (Unix seconds): its
+        key opens and its allocation lives until then, as a Kerberos service
+        ticket is reused until its end time.
+        """
         if protocol == "private":
             return None
-        return self._coordinator_grant(
-            "REQUEST_INSTANCE", {"user_id": self.user_id}, "grant", channels)
+        if self._grant is None or time.time() >= self._grant["reuse_until"]:
+            self._grant = self._coordinator_grant(
+                "REQUEST_INSTANCE", {"user_id": self.user_id}, "grant", channels)
+        return self._grant
+
+    def _place_and_submit(self, fois: list[FOI], protocol: str, channels: list[Channel],
+                          events: list[Message]) -> tuple[dict | None, str, dict]:
+        """Run fois where protocol places them; returns (grant, addr, result).
+
+        A job sent under a reused grant whose instance is gone, no longer
+        opens the grant's key, or was stopping at intake never ran a step, so
+        it is resubmitted once under a fresh grant.  Any error after a step
+        began propagates unchanged.
+        """
+        held = self._grant
+        grant = self._place(protocol, channels)
+        try:
+            addr, result = self._submit(fois, grant, channels, events)
+        except SkyrelayError as e:
+            if grant is None or grant is not held or not _never_started(e):
+                raise
+            self._grant = None
+            grant = self._place(protocol, channels)
+            addr, result = self._submit(fois, grant, channels, events)
+        return grant, addr, result
 
     def _check_certificate(self, cert_wire: dict):
         if self.cfg.coordinator_pub is None:
@@ -309,37 +354,47 @@ class AgentSession:
             ch.close()
         return addr, reply.body
 
-    def _fetch_pushed(self, addr: str, descriptor: dict,
-                      channels: list[Channel]) -> str:
+    def _local_path(self, name: str) -> str:
         # the instance picks the name; it must not steer the write elsewhere
-        name = descriptor["name"]
-        if name in ("", ".", "..") or "/" in name or "\0" in name:
-            raise PermissionDenied(f"instance named a pushed file {name!r}")
-        os.makedirs(self.cfg.download_dir or ".", exist_ok=True)
-        dst = os.path.join(self.cfg.download_dir or ".", name)
-        ch = self._open(addr, "pull")
-        channels.append(ch)
-        try:
-            pull_exposure(fetch_reader(ch, descriptor["uri"], descriptor["guest_token"],
-                                       timeout=60.0), dst)
-        finally:
-            ch.close()
-        return dst
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise PermissionDenied(f"instance named a local file {name!r}")
+        return os.path.join(self.cfg.download_dir or ".", name)
+
+    def _save_results(self, addr: str, result: dict, channels: list[Channel]) -> list[str]:
+        """Write the RESULT's keys, then pull its pushed files, into download_dir.
+
+        Every name is checked before anything is written.
+        """
+        keys = [(self._local_path(k["name"]), k) for k in result["keys"]]
+        pulls = [(self._local_path(d["name"]), d) for d in result["pushed"]]
+        if keys or pulls:
+            os.makedirs(self.cfg.download_dir or ".", exist_ok=True)
+        for dst, k in keys:
+            with open(dst, "w", encoding="utf-8",
+                      opener=lambda p, flags: os.open(p, flags, 0o600)) as f:
+                json.dump({"cipher": k["cipher"], "key": k["key"]}, f)
+        for dst, d in pulls:
+            ch = self._open(addr, "pull")
+            channels.append(ch)
+            try:
+                pull_exposure(fetch_reader(ch, d["uri"], d["guest_token"], timeout=60.0), dst)
+            finally:
+                ch.close()
+        return [dst for dst, _ in keys + pulls]
 
     def cmd_cloud_op(self, action: str, args: dict[str, Any],
                      mode: str | None = None) -> dict:
         """Delegate one cloud-assisted op; returns the job result body.
 
-        The result gains a "saved" list with local paths of pushed files
-        (the converted file, the encryption key file).
+        The result gains a "saved" list of local paths: each encryption key
+        the RESULT carries, then each pushed file (the converted file).
         """
         fois = self._prepare_fois(OperationRequest(action=action, args=args))
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
-        grant = self._place(mode or self.cfg.mode, channels)
-        addr, result = self._submit(fois, grant, channels, events)
-        result["saved"] = [self._fetch_pushed(addr, d, channels) for d in result["pushed"]]
+        _, addr, result = self._place_and_submit(fois, mode or self.cfg.mode, channels, events)
+        result["saved"] = self._save_results(addr, result, channels)
         self.sync()
         self._record(action, channels, started, events)
         return result
@@ -356,10 +411,9 @@ class AgentSession:
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
-        grant = self._place(protocol, channels)
         name = src_path.rsplit("/", 1)[-1]
-        addr, result = self._submit(
-            [FOI("get", src_path), FOI("push", name)], grant, channels, events)
+        grant, addr, result = self._place_and_submit(
+            [FOI("get", src_path), FOI("push", name)], protocol, channels, events)
         descriptor = result["pushed"][0]
         if grant is None:
             pid, certificate = "", self.private_certificate

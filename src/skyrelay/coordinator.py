@@ -35,6 +35,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .errors import (
     AlreadyRegistered,
+    DecodeError,
     NoInstanceAvailable,
     NotFound,
     RegistrationError,
@@ -63,6 +64,11 @@ from .wire import (
 
 DEFAULT_MIN_SHARE_REMAINING_S = 60.0
 DEFAULT_ALLOC_TTL_S = 600.0
+# how long a transfer ticket may wait for its receiver
+DEFAULT_TICKET_TIMEOUT_S = 60.0
+# reuse_until ends this much before the earliest time a grant stops working,
+# so clocks a little apart and a job in flight still make it
+REUSE_SLACK_S = 5
 LOG_MAX_LINES = 10_000
 
 
@@ -188,6 +194,14 @@ class Coordinator:
 
     # -- message handling --
 
+    @staticmethod
+    def _pid_of(body: dict) -> bytes:
+        pid = body.get("pid")
+        try:
+            return bytes.fromhex(pid)
+        except (TypeError, ValueError):
+            raise DecodeError(f"pid must be a hex string, got {pid!r}") from None
+
     def _handle(self, conn: ServerConn, msg: Message):
         if msg.kind == "REGISTER_INSTANCE":
             self._handle_register(conn, msg)
@@ -207,8 +221,13 @@ class Coordinator:
 
     def _handle_register(self, conn: ServerConn, msg: Message):
         body = msg.body
-        addr = body["addr"]
-        share_until = int(body["share_until"])
+        addr, share_until = body.get("addr"), body.get("share_until")
+        capacity = body.get("capacity", 100)
+        if not (isinstance(addr, str) and addr and type(share_until) is int
+                and type(capacity) is int):
+            raise DecodeError(f"REGISTER_INSTANCE needs a string addr and integer "
+                              f"share_until and capacity, got {addr!r}, "
+                              f"{share_until!r} and {capacity!r}")
         now = time.time()
         if share_until <= now:
             raise RegistrationError("share_until is already in the past")
@@ -246,7 +265,7 @@ class Coordinator:
                 hardware_info=body.get("hardware_info", ""),
                 share_until=share_until,
                 shared=bool(body.get("shared", True)),
-                capacity=int(body.get("capacity", 100)),
+                capacity=capacity,
                 key_state=key_state,
                 certificate=certificate,
             )
@@ -266,14 +285,27 @@ class Coordinator:
         })
 
     def _grant(self, rec: InstanceRecord, user_id: str, now: float) -> dict:
-        """Issue user_id a key on rec and record the allocation; caller holds _lock."""
+        """Issue user_id a key on rec and record the allocation; caller holds _lock.
+
+        The grant may be reused until reuse_until, the earliest of: the end
+        of the epoch after this one (the worker opens the current epoch and
+        the one before), the allocation's expiry less a ticket's wait (so a
+        receiver's VERIFY_TRANSFER still finds it), and the point where the
+        instance stops being granted; less REUSE_SLACK_S.
+        """
         grant = issue_user_grant(rec.key_state)
+        expires_at = now + self.cfg.alloc_ttl_s
         self._allocations[(user_id, rec.pid)] = _Allocation(
             user_id=user_id,
             pid=rec.pid,
             granted_at=now,
-            expires_at=now + self.cfg.alloc_ttl_s,
+            expires_at=expires_at,
         )
+        reuse_until = int(min(
+            rec.key_state.next_rotation_at() + rec.key_state.interval_s,
+            expires_at - DEFAULT_TICKET_TIMEOUT_S,
+            rec.share_until - self.cfg.min_share_remaining_s,
+        )) - REUSE_SLACK_S
         return {
             "pid": rec.pid.hex(),
             "addr": rec.addr,
@@ -282,6 +314,7 @@ class Coordinator:
             "r": grant.r.hex(),
             "key": grant.key.hex(),
             "epoch": grant.epoch_issued,
+            "reuse_until": reuse_until,
         }
 
     def _handle_request_instance(self, conn: ServerConn, msg: Message):
@@ -315,7 +348,7 @@ class Coordinator:
         body = msg.body
         user_id = body.get("user_id", "")
         sender_id = body.get("sender_id", "")
-        pid = bytes.fromhex(body["pid"])
+        pid = self._pid_of(body)
         now = time.time()
         with self._lock:
             self._sweep(now)
@@ -332,11 +365,11 @@ class Coordinator:
         conn.send_ack(msg.seq)
 
     def _handle_ping(self, conn: ServerConn, msg: Message):
-        pid = bytes.fromhex(msg.body["pid"])
+        pid = self._pid_of(msg.body)
         with self._lock:
             rec = self._instances.get(pid)
             if rec is None:
-                raise NotFound(f"unknown instance {msg.body['pid']}")
+                raise NotFound(f"unknown instance {pid.hex()}")
             # a ping after the miss window retires its instance, not revives it
             now = time.time()
             self._settle(rec, now)
@@ -348,12 +381,12 @@ class Coordinator:
         conn.send_ack(msg.seq, reply)
 
     def _handle_shutdown_notice(self, conn: ServerConn, msg: Message):
-        pid = bytes.fromhex(msg.body["pid"])
+        pid = self._pid_of(msg.body)
         with self._lock:
             self._sweep(time.time())
             rec = self._instances.get(pid)
             if rec is None:
-                raise NotFound(f"unknown instance {msg.body['pid']}")
+                raise NotFound(f"unknown instance {pid.hex()}")
             rec.status = "retired"
             dead = [k for k in self._allocations if k[1] == pid]
             for k in dead:

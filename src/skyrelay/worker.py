@@ -26,7 +26,8 @@ are not sent on the job channel; they are placed in a token-guarded
 exposure area and fetched in bounded chunks, which keeps every frame under
 the wire cap and keeps control traffic small.  An exposure has one reader:
 it is retired once that reader reaches its end, and swept at its expiry
-otherwise.
+otherwise.  An encrypt op's file key is the exception: it goes back in the
+job's RESULT under "keys", and is never written to this instance's disk.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import hmac
-import json
 import os
 import platform
 import re
@@ -203,12 +203,13 @@ class _Job:
         self.file: str | None = None
         self.outputs: list[dict] = []
         self.pushed: list[dict] = []
+        self.keys: list[dict] = []
         self.abort = threading.Event()
         self.finished = threading.Event()  # set once _run_job has cleaned up
         self.last_beat = time.monotonic()
 
-    def step_path(self, suffix: str = "") -> str:
-        return os.path.join(self.workspace, f"{self.step}{suffix}")
+    def step_path(self) -> str:
+        return os.path.join(self.workspace, str(self.step))
 
 
 class Worker:
@@ -514,6 +515,8 @@ class Worker:
 
     def _handle_fetch(self, conn: ServerConn, msg: Message):
         spec = msg.body["fetch"]
+        if not isinstance(spec, dict) or not isinstance(spec.get("uri"), str):
+            raise DecodeError(f"fetch must be an object with a string uri, got {spec!r}")
         offset = spec.get("offset", 0)
         max_bytes = spec.get("max_bytes", FETCH_CHUNK_BYTES)
         if not all(type(v) is int and v >= 0 for v in (offset, max_bytes)):
@@ -522,8 +525,7 @@ class Worker:
         try:
             addr, job_id, file_id = parse_exposure_uri(spec["uri"])
         except ValueError as e:
-            conn.send_error(msg.seq, {"code": "DECODE_ERROR", "message": str(e)})
-            return
+            raise DecodeError(str(e)) from None
         if addr != self.addr:
             conn.send_error(msg.seq, {
                 "code": "NOT_FOUND",
@@ -654,6 +656,7 @@ class Worker:
                 "job_id": job.job_id,
                 "outputs": job.outputs,
                 "pushed": job.pushed,
+                "keys": job.keys,
                 "work_bytes": job.work_bytes,
             })
             self._log(f"job {job.job_id}: done, work_bytes={job.work_bytes}")
@@ -686,13 +689,9 @@ class Worker:
         elif foi.verb == "op":
             self._foi_op(job, foi)
         elif foi.verb == "push":
-            self._push(job, job.file, foi.target)
+            job.pushed.append(self.expose_intermediate(job.file, job.job_id, foi.target))
         else:
             raise TransformError(f"unknown verb {foi.verb!r}")
-
-    def _push(self, job: _Job, path: str, name: str):
-        """Expose path under the display name; the RESULT lists it in "pushed"."""
-        job.pushed.append(self.expose_intermediate(path, job.job_id, name))
 
     # -- verb implementations --
 
@@ -786,12 +785,10 @@ class Worker:
             with open(out_path, "wb") as f:
                 f.write(blob)
             self._add_work(job, len(data) + len(blob))
-            # second file: the file key goes back to the requester, never
-            # into storage next to the ciphertext
-            key_path = job.step_path(".key")
-            with open(key_path, "w", encoding="utf-8") as f:
-                json.dump({"cipher": "aes-256-gcm", "key": file_key.hex()}, f)
-            self._push(job, key_path, foi.target.rsplit("/", 1)[-1] + ".key")
+            # the file key goes back to the requester in the RESULT, never
+            # into storage next to the ciphertext nor onto this instance's disk
+            job.keys.append({"name": foi.target.rsplit("/", 1)[-1] + ".key",
+                             "cipher": "aes-256-gcm", "key": file_key.hex()})
         elif foi.op_kind == "convert":
             with open(in_path, "rb") as f:
                 data = f.read()
@@ -862,5 +859,5 @@ def _deflate_block(data: bytes, zdict: bytes, last: bool) -> bytes:
 
 
 def decrypt_file_blob(blob: bytes, key: bytes) -> bytes:
-    """Inverse of the encrypt op, for receivers holding the pushed key file."""
+    """Inverse of the encrypt op, for holders of the key its RESULT returned."""
     return AESGCM(key).decrypt(blob[:12], blob[12:], None)

@@ -17,11 +17,13 @@ from skyrelay.agent import (
     write_ticket,
 )
 from skyrelay.errors import (
+    CredentialAuthFailure,
     Gone,
     NoInstanceAvailable,
     NotCloudAssisted,
     NotFound,
     PermissionDenied,
+    ShutdownError,
     StartError,
     VerificationFailed,
 )
@@ -219,6 +221,7 @@ def test_encrypt_saves_key_locally_and_key_decrypts(cluster, tmp_path):
     assert len(result["saved"]) == 1
     key_path = result["saved"][0]
     assert key_path.startswith(str(tmp_path))
+    assert os.stat(key_path).st_mode & 0o777 == 0o600
     key = bytes.fromhex(json.loads(open(key_path).read())["key"])
     blob = cluster.backend.get_object(sess, "/d/s.bin.enc")
     assert decrypt_file_blob(blob, key) == data
@@ -228,18 +231,40 @@ def test_encrypt_saves_key_locally_and_key_decrypts(cluster, tmp_path):
 
 def test_pushed_name_cannot_leave_download_dir(cluster, tmp_path):
     # a hostile shared instance picks the name the agent saves a pushed file as
+    from skyrelay import ppm
+    dl = tmp_path / "dl"
+    agent, tok = make_agent(cluster, "alice", download_dir=str(dl))
+    put_file(cluster, tok, "/pics/p.ppm", ppm.write_ppm(30, 20, os.urandom(30 * 20 * 3)))
+    agent.sync()
+    w = cluster.worker(shared=True)
+    expose = w.expose_intermediate
+    w.expose_intermediate = lambda path, job_id, name: expose(
+        path, job_id, "../escaped.ppm")
+    with pytest.raises(PermissionDenied):
+        agent.cmd_cloud_op("convert", {"path": "/pics/p.ppm"})
+    assert not (tmp_path / "escaped.ppm").exists()
+    assert set(os.listdir(tmp_path)) <= {"dl", "store"}
+
+
+def test_key_name_cannot_leave_download_dir(cluster, tmp_path):
+    # the RESULT's key names pass the same check, before anything is written
     dl = tmp_path / "dl"
     agent, tok = make_agent(cluster, "alice", download_dir=str(dl))
     put_file(cluster, tok, "/d/s.bin", os.urandom(1000))
     agent.sync()
     w = cluster.worker(shared=True)
-    expose = w.expose_intermediate
-    w.expose_intermediate = lambda path, job_id, name: expose(
-        path, job_id, "../escaped.key")
+    op = w._foi_op
+
+    def hostile_op(job, foi):
+        op(job, foi)
+        for k in job.keys:
+            k["name"] = "../x.key"
+    w._foi_op = hostile_op
     with pytest.raises(PermissionDenied):
         agent.cmd_cloud_op("encrypt", {"path": "/d/s.bin"})
-    assert not (tmp_path / "escaped.key").exists()
+    assert not (tmp_path / "x.key").exists()
     assert set(os.listdir(tmp_path)) <= {"dl", "store"}
+    assert not dl.exists() or os.listdir(dl) == []
 
 
 def test_convert_lands_locally_only(cluster, tmp_path):
@@ -254,6 +279,107 @@ def test_convert_lands_locally_only(cluster, tmp_path):
             if p.endswith(".small")] == []  # nothing new in storage
     width, height, _ = ppm.parse_ppm(open(result["saved"][0], "rb").read())
     assert max(width, height) <= 128
+
+
+# -- grant reuse --
+
+def purpose_counter(cluster, name):
+    """A channel factory that also records each channel's purpose."""
+    purposes = []
+    inner = cluster.recorder.channel_factory(name)
+
+    def factory(addr, purpose):
+        purposes.append(purpose)
+        return inner(addr, purpose)
+    return factory, purposes
+
+
+def shared_agent(cluster, tmp_path, n_files=1):
+    factory, purposes = purpose_counter(cluster, "alice")
+    agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path / "dl"),
+                            channel_factory=factory)
+    for i in range(n_files):
+        put_file(cluster, tok, f"/d/f{i}.bin", os.urandom(5000))
+    agent.sync()
+    return agent, purposes
+
+
+def test_shared_ops_from_one_agent_cost_one_grant(cluster, tmp_path):
+    cluster.worker(shared=True)
+    agent, purposes = shared_agent(cluster, tmp_path, n_files=3)
+    for i in range(3):
+        agent.cmd_cloud_op("compress", {"path": f"/d/f{i}.bin"})
+        agent.cmd_cloud_op("encrypt", {"path": f"/d/f{i}.bin"})
+    agent.cmd_send("bob", "/d/f0.bin", str(tmp_path / "t.bin"), protocol="shared")
+    assert purposes.count("grant") == 1
+    assert purposes.count("job") == 7
+    assert purposes.count("pull") == 0  # encrypt keys come in the RESULT
+    assert sum("granted instance" in line for line in cluster.coordinator.log) == 1
+
+
+def test_a_grant_whose_epoch_no_longer_opens_is_asked_again_once(cluster, tmp_path):
+    w = cluster.worker(shared=True)
+    agent, purposes = shared_agent(cluster, tmp_path)
+    agent.cmd_cloud_op("compress", {"path": "/d/f0.bin"})
+    first = agent._grant
+    # both chains move two epochs on: the held grant's epoch no longer opens
+    coord = cluster.coordinator
+    with coord._lock:
+        for _ in range(2):
+            coord._instances[w.pid].key_state.rotate()
+    with w._key_lock:
+        for _ in range(2):
+            w.key_state.rotate()
+    result = agent.cmd_cloud_op("encrypt", {"path": "/d/f0.bin"})
+    assert result["outputs"][0]["path"] == "/d/f0.bin.enc"
+    assert purposes.count("grant") == 2 and purposes.count("job") == 3
+    assert agent._grant["epoch"] == first["epoch"] + 2
+    assert sum("CREDENTIAL_AUTH_FAILURE" in line for line in w.log) == 1
+
+
+def test_a_fresh_grant_is_not_asked_again(cluster, tmp_path):
+    w = cluster.worker(shared=True)
+    agent, purposes = shared_agent(cluster, tmp_path)
+    with w._key_lock:
+        w.key_state = None  # opens no envelope at all
+    with pytest.raises(CredentialAuthFailure):
+        agent.cmd_cloud_op("compress", {"path": "/d/f0.bin"})
+    assert purposes.count("grant") == 1 and purposes.count("job") == 1
+
+
+@pytest.mark.parametrize("how", ["stopped", "stopping"])
+def test_a_stopped_instance_gets_one_resubmission_elsewhere(cluster, tmp_path, how):
+    pool = [cluster.worker(shared=True) for _ in range(2)]
+    agent, purposes = shared_agent(cluster, tmp_path)
+    agent.cmd_cloud_op("compress", {"path": "/d/f0.bin"})
+    gone = next(w for w in pool if w.addr == agent._grant["addr"])
+    if how == "stopped":
+        gone._shut_down("test", notify=True)  # the job channel cannot open
+    else:
+        gone._stopping = True  # refused at intake, with no step
+        ch = open_channel(cluster.coordinator.addr)
+        try:
+            ch.request("SHUTDOWN_NOTICE", {"pid": gone.pid.hex()})
+        finally:
+            ch.close()
+    result = agent.cmd_cloud_op("encrypt", {"path": "/d/f0.bin"})
+    assert result["outputs"][0]["path"] == "/d/f0.bin.enc"
+    assert agent._grant["addr"] != gone.addr
+    assert purposes.count("grant") == 2 and purposes.count("job") == 3
+
+
+def test_a_job_that_fails_after_step_0_is_not_resubmitted(cluster, tmp_path):
+    w = cluster.worker(shared=True)
+    agent, purposes = shared_agent(cluster, tmp_path)
+    agent.cmd_cloud_op("compress", {"path": "/d/f0.bin"})
+
+    def aborted(job, foi):
+        raise ShutdownError("job aborted by instance shutdown")
+    w._foi_op = aborted
+    with pytest.raises(ShutdownError) as err:
+        agent.cmd_cloud_op("compress", {"path": "/d/f0.bin"})
+    assert err.value.step == 1
+    assert purposes.count("grant") == 1 and purposes.count("job") == 2
 
 
 def test_no_pool_raises_before_any_job(cluster, tmp_path):

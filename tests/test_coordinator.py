@@ -6,11 +6,12 @@ import time
 
 import pytest
 
-from skyrelay.coordinator import Coordinator, CoordinatorConfig
+from skyrelay.coordinator import REUSE_SLACK_S, Coordinator, CoordinatorConfig
 from skyrelay.errors import (
     AlreadyRegistered,
     ConfigError,
     ConnectError,
+    DecodeError,
     NoInstanceAvailable,
     NotFound,
     RegistrationError,
@@ -110,6 +111,58 @@ def test_grant_key_not_derivable_from_certificate(cluster):
             for offset_s in range(OFFSET_MIN, OFFSET_MAX + 1):
                 k = key_at_epoch(root, cert.issued_at, offset_s, interval_s, epoch)
                 assert derive_user_key(k, r) != key
+
+
+@pytest.mark.parametrize("bound", ["epoch", "allocation", "share"])
+def test_reuse_until_is_the_earliest_bound(tmp_path, bound):
+    # the epoch after the issuing one ends 180 to 360 s out; the allocation
+    # (less a ticket's 60 s wait) and the share window each cut it shorter
+    coord = Coordinator(CoordinatorConfig(alloc_ttl_s=100.0 if bound == "allocation" else 600.0))
+    coord.start()
+    w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path),
+                            share_duration_s=200.0 if bound == "share" else 3600.0))
+    try:
+        w.start()
+        before = time.time()
+        _, events = request(coord.addr, "REQUEST_INSTANCE", {"user_id": "alice"})
+        after = time.time()
+        g = events[0].body
+        st = w.key_state
+        expect = {
+            "epoch": [st.t0 + (g["epoch"] + 2) * st.interval_s],
+            "allocation": [int(t + 100.0 - 60.0) for t in (before, after)],
+            "share": [w.share_until - 60],
+        }[bound]
+        assert type(g["reuse_until"]) is int
+        assert min(expect) - REUSE_SLACK_S <= g["reuse_until"] <= max(expect) - REUSE_SLACK_S
+        assert g["reuse_until"] > after  # each bound leaves room to reuse it
+    finally:
+        w.stop()
+        coord.stop()
+
+
+@pytest.mark.parametrize("field, value", [("addr", None), ("capacity", "x")])
+def test_malformed_registration_is_a_decode_error(cluster, field, value):
+    w = cluster.worker(registered=False)
+    body = {"addr": w.addr, "shared": True,
+            "share_until": int(time.time()) + 600, "capacity": 1}
+    if value is None:
+        del body[field]
+    else:
+        body[field] = value
+    with pytest.raises(DecodeError):
+        request(cluster.coordinator.addr, "REGISTER_INSTANCE", body)
+    assert cluster.coordinator.instances() == []
+
+
+@pytest.mark.parametrize("kind", ["VERIFY_TRANSFER", "HEARTBEAT", "SHUTDOWN_NOTICE"])
+@pytest.mark.parametrize("pid", [None, 5, "zz"], ids=["missing", "int", "not-hex"])
+def test_malformed_pid_is_a_decode_error(cluster, kind, pid):
+    body = {"user_id": "bob", "sender_id": "alice"}
+    if pid is not None:
+        body["pid"] = pid
+    with pytest.raises(DecodeError):
+        request(cluster.coordinator.addr, kind, body)
 
 
 def test_unreachable_address_never_registers(cluster):

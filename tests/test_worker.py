@@ -5,7 +5,6 @@ import gzip
 import hashlib
 import http.server
 import io
-import json
 import os
 import random
 import threading
@@ -258,15 +257,12 @@ def test_encrypt_produces_ciphertext_and_key_grant(cluster):
                                      "credentials": creds_body("u1", tok)})
     blob = cluster.backend.get_object(sess, "/d/s.bin.enc")
     assert blob != data and len(blob) == len(data) + 12 + 16
-    # the key file travels only as a RESULT descriptor; events are beats
-    grants = result["pushed"]
-    assert len(grants) == 1 and grants[0]["name"] == "s.bin.key"
+    # the key travels only in the RESULT, never as a file; events are beats
+    assert result["pushed"] == []
+    assert [(k["name"], k["cipher"]) for k in result["keys"]] == [("s.bin.key", "aes-256-gcm")]
     assert {e.kind for e in events} == {"HEARTBEAT"}
-    # fetch the key file through the exposure protocol and decrypt
-    chunk, eof, total = w.read_exposed(
-        result["job_id"], grants[0]["file_id"], grants[0]["guest_token"], 0, 1 << 20)
-    assert eof and total == len(chunk)
-    key = bytes.fromhex(json.loads(chunk)["key"])
+    assert os.listdir(os.path.join(w._scratch, "exposed")) == []
+    key = bytes.fromhex(result["keys"][0]["key"])
     assert decrypt_file_blob(blob, key) == data
 
 
@@ -520,6 +516,17 @@ def test_fetch_request_validations(cluster):
                 ch.request("SUBMIT_OP", {"fetch": {
                     "uri": desc["uri"], "guest_token": desc["guest_token"],
                     "offset": 0, "max_bytes": 10, field: value}})
+    finally:
+        ch.close()
+
+
+@pytest.mark.parametrize("fetch", ["x", {}, {"uri": 5}], ids=["string", "empty", "int-uri"])
+def test_malformed_fetch_body_is_a_decode_error(cluster, fetch):
+    w = cluster.worker(registered=False)
+    ch = open_channel(w.addr)
+    try:
+        with pytest.raises(DecodeError):
+            ch.request("SUBMIT_OP", {"fetch": fetch})
     finally:
         ch.close()
 
