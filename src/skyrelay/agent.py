@@ -52,21 +52,19 @@ from .wire import (
     Channel,
     Message,
     decode_message,
+    default_opener,
     encode_message,
-    open_channel,
     verify_certificate,
 )
 from .worker import fetch_reader, pull_exposure
 
 
 def _never_started(e: SkyrelayError) -> bool:
-    """True if a job failed before its first step: its channel never opened,
-    its instance refused it at intake while shutting down (an ERROR without
-    a step), or the instance could not open its credential envelope, which
-    it does before step 0."""
-    if e.code == "CREDENTIAL_AUTH_FAILURE":
-        return True
-    return e.code in ("CONNECT_ERROR", "SHUTDOWN") and not hasattr(e, "step")
+    """True if a job failed, before any step ran, for a reason another
+    instance would not share: its channel never opened, its instance was
+    shutting down, or the instance could not open its credential envelope."""
+    return not hasattr(e, "step") and e.code in (
+        "CONNECT_ERROR", "SHUTDOWN", "CREDENTIAL_AUTH_FAILURE")
 
 
 @dataclass
@@ -169,16 +167,12 @@ class AgentSession:
         self.private_instance = cfg.private_instance
         self.private_certificate = cfg.private_certificate
         self._grant: dict | None = None  # the last REQUEST_INSTANCE grant
+        self._open = cfg.channel_factory or default_opener
 
     # -- bookkeeping --
 
     def _new_job_id(self) -> str:
         return f"{self.rng.getrandbits(48):012x}"
-
-    def _open(self, addr: str, purpose: str) -> Channel:
-        if self.cfg.channel_factory:
-            return self.cfg.channel_factory(addr, purpose)
-        return open_channel(addr)
 
     def _record(self, op: str, channels: list[Channel], started: float,
                 events: list[Message]):

@@ -54,12 +54,11 @@ from .keying import (
 )
 from .wire import (
     Certificate,
-    Channel,
     Listener,
     Message,
     ServerConn,
+    default_opener,
     issue_certificate,
-    open_channel,
 )
 
 DEFAULT_MIN_SHARE_REMAINING_S = 60.0
@@ -135,6 +134,7 @@ class Coordinator:
         self._lock = threading.Lock()
         self._log_lock = threading.Lock()
         self._listener: Listener | None = None
+        self._open = self.cfg.channel_factory or default_opener
 
     # -- lifecycle --
 
@@ -165,11 +165,6 @@ class Coordinator:
         if self._listener is None:
             return (0, 0)
         return self._listener.total_bytes()
-
-    def _open(self, addr: str, purpose: str) -> Channel:
-        if self.cfg.channel_factory:
-            return self.cfg.channel_factory(addr, purpose)
-        return open_channel(addr)
 
     # -- settling clock-driven state; callers hold _lock --
 
@@ -214,10 +209,7 @@ class Coordinator:
         elif msg.kind == "SHUTDOWN_NOTICE":
             self._handle_shutdown_notice(conn, msg)
         else:
-            conn.send_error(msg.seq, {
-                "code": "DECODE_ERROR",
-                "message": f"coordinator does not accept {msg.kind}",
-            })
+            raise DecodeError(f"coordinator does not accept {msg.kind}")
 
     def _handle_register(self, conn: ServerConn, msg: Message):
         body = msg.body

@@ -12,10 +12,8 @@ class SkyrelayError(Exception):
 
     code = "INTERNAL"
 
-    def body(self, **extra) -> dict:
-        b = {"code": self.code, "message": str(self)}
-        b.update(extra)
-        return b
+    def body(self) -> dict:
+        return {"code": self.code, "message": str(self)}
 
 
 # --- domain / FOI compiler ---
@@ -138,9 +136,6 @@ class Infeasible(SkyrelayError):
         super().__init__(message)
         self.task_ids = task_ids or []
 
-    def body(self, **extra) -> dict:
-        return super().body(task_ids=self.task_ids, **extra)
-
 
 class OracleTooLarge(SkyrelayError):
     code = "ORACLE_TOO_LARGE"
@@ -159,18 +154,18 @@ class RemoteError(SkyrelayError):
     code = "REMOTE"
 
 
+def error_body(e: BaseException) -> dict:
+    """The ERROR body that reports e: its own for a SkyrelayError, else INTERNAL."""
+    if isinstance(e, SkyrelayError):
+        return e.body()
+    return {"code": "INTERNAL", "message": str(e)}
+
+
 def error_from_body(body: dict) -> SkyrelayError:
     """Rebuild a typed exception from an ERROR message body."""
     code = body.get("code", "REMOTE")
-    message = body.get("message", "")
-    cls = _BY_CODE.get(code)
-    if cls is None:
-        err = RemoteError(message)
-        err.code = code
-        return err
-    if cls is Infeasible:
-        return Infeasible(message, body.get("task_ids"))
-    err = cls(message)
+    err = _BY_CODE.get(code, RemoteError)(body.get("message", ""))
+    err.code = code
     if "step" in body:
         err.step = body["step"]  # type: ignore[attr-defined]
     return err

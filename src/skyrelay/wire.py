@@ -39,6 +39,7 @@ from .errors import (
     DecodeError,
     FrameError,
     RequestTimeout,
+    error_body,
     error_from_body,
 )
 
@@ -227,9 +228,9 @@ class Channel(_Framed):
 
     def request(self, kind: str, body: dict,
                 on_event: Callable[[Message], None] | None = None,
-                timeout: float | None = DEFAULT_TIMEOUT_S,
-                raise_on_error: bool = True) -> Message:
-        """Send one request and wait for its terminal reply.
+                timeout: float | None = DEFAULT_TIMEOUT_S) -> Message:
+        """Send one request and wait for its terminal reply; an ERROR raises
+        the typed error its body names.
 
         The timeout applies to gaps between frames, not the whole exchange;
         interleaved events (heartbeats, grants) keep a long job alive.
@@ -247,7 +248,7 @@ class Channel(_Framed):
                 if m.seq != seq:
                     continue  # stale frame from an aborted exchange
                 if m.kind in TERMINAL_KINDS:
-                    if m.kind == "ERROR" and raise_on_error:
+                    if m.kind == "ERROR":
                         raise error_from_body(m.body)
                     return m
                 if on_event:
@@ -263,6 +264,12 @@ def open_channel(addr: str, timeout: float = DEFAULT_TIMEOUT_S,
         raise ConnectError(f"cannot connect to {addr}: {e}") from e
     sock.settimeout(timeout)
     return Channel(sock, addr, tap=tap)
+
+
+def default_opener(addr: str, purpose: str) -> Channel:
+    """The channel_factory a component uses when none is configured; purpose
+    names the channel to a configured one only."""
+    return open_channel(addr)
 
 
 class ServerConn(_Framed):
@@ -289,8 +296,9 @@ class ServerConn(_Framed):
 class Listener:
     """Accept loop; each connection gets a thread running the handler per message.
 
-    handler(conn, msg) must finish the exchange by sending exactly one
-    terminal reply for msg.seq.
+    handler(conn, msg) finishes the exchange one of two ways: it sends
+    exactly one terminal reply for msg.seq, or it raises before sending one,
+    and the listener replies with the ERROR that error_body builds.
     """
 
     def __init__(self, listen_addr: str,
@@ -340,11 +348,9 @@ class Listener:
                     return  # a malformed or unknown-kind frame closes the connection
                 try:
                     self._handler(conn, msg)
-                except Exception as e:  # handler bug: report, keep serving
+                except Exception as e:  # a refusal or a handler bug; keep serving
                     try:
-                        body = e.body() if hasattr(e, "body") else {
-                            "code": "INTERNAL", "message": str(e)}
-                        conn.send_error(msg.seq, body)
+                        conn.send_error(msg.seq, error_body(e))
                     except ChannelClosed:
                         return
         finally:

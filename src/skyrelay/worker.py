@@ -61,6 +61,7 @@ from .core import (
     validate_foi_sequence,
 )
 from .errors import (
+    AlreadyExists,
     AuthError,
     ConfigError,
     CredentialAuthFailure,
@@ -71,10 +72,11 @@ from .errors import (
     ShutdownError,
     SkyrelayError,
     TransformError,
+    error_body,
 )
 from .keying import EpochKeyState, CredentialCiphertext, decrypt_credentials, job_binding
 from .storage import LocalDirBackend, StorageBackend
-from .wire import Certificate, Channel, Listener, Message, ServerConn, open_channel
+from .wire import Certificate, Channel, Listener, Message, ServerConn, default_opener
 
 HEARTBEAT_QUANTUM_BYTES = 16 * 1024 * 1024
 HEARTBEAT_BACKSTOP_S = 2.0
@@ -197,7 +199,7 @@ class _Job:
         self.fois = fois
         self.conn = conn
         self.seq = seq
-        self.step = 0
+        self.step: int | None = None  # the running step; None until the first
         self.work_bytes = 0
         self.workspace: str | None = None
         self.file: str | None = None
@@ -226,7 +228,6 @@ class Worker:
         self.ping_interval_s: float | None = None  # set by registration
         self._log_lines: collections.deque[str] = collections.deque(maxlen=LOG_MAX_LINES)
         self.started_at: float | None = None
-        self.shutdown_at: float | None = None
         self.terminated = threading.Event()
 
         self._listener: Listener | None = None
@@ -235,6 +236,7 @@ class Worker:
         self._jobs: dict[str, _Job] = {}
         self._exposed: dict[tuple[str, str], _Exposed] = {}
         self._backend: StorageBackend | None = cfg.backend
+        self._open = cfg.channel_factory or default_opener
         self._key_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._log_lock = threading.Lock()
@@ -269,11 +271,6 @@ class Worker:
                 raise
         self._start_service()
         return self.addr
-
-    def _open(self, addr: str, purpose: str) -> Channel:
-        if self.cfg.channel_factory:
-            return self.cfg.channel_factory(addr, purpose)
-        return open_channel(addr)
 
     def _register(self):
         ch = self._open(self.cfg.coordinator_addr, "register")
@@ -319,12 +316,7 @@ class Worker:
 
     def stop(self):
         """Tear down without the billing-deadline protocol (tests, CLI exit)."""
-        self._stopping = True
-        self._abort_jobs()
-        self._shutdown_pools()
-        if self._listener:
-            self._listener.close()
-        self.terminated.set()
+        self._shut_down("stopped", notify=False)
         if self._scratch_owned:
             shutil.rmtree(self._scratch, ignore_errors=True)
 
@@ -334,7 +326,6 @@ class Worker:
         if self.terminated.is_set():
             return
         self._stopping = True
-        self.shutdown_at = time.monotonic()
         self._log(f"{reason}, shutting down")
         self._abort_jobs()
         self._shutdown_pools()
@@ -452,10 +443,7 @@ class Worker:
             else:
                 self._handle_submit(conn, msg)
         else:
-            conn.send_error(msg.seq, {
-                "code": "DECODE_ERROR",
-                "message": f"worker does not accept {msg.kind}",
-            })
+            raise DecodeError(f"worker does not accept {msg.kind}")
 
     # -- exposure --
 
@@ -527,44 +515,31 @@ class Worker:
         except ValueError as e:
             raise DecodeError(str(e)) from None
         if addr != self.addr:
-            conn.send_error(msg.seq, {
-                "code": "NOT_FOUND",
-                "message": f"uri names {addr}, this instance is {self.addr}",
-            })
-            return
+            raise NotFound(f"uri names {addr}, this instance is {self.addr}")
         try:
             data, eof, total = self.read_exposed(
                 job_id, file_id, spec.get("guest_token", ""), offset, max_bytes)
         except SkyrelayError as e:
             self._log(f"fetch denied for {file_id}: {e.code}")
-            conn.send_error(msg.seq, e.body())
-            return
+            raise
         conn.send_result(msg.seq, {"eof": eof, "size_total": total}, data=data)
 
     # -- job intake --
 
     def _handle_submit(self, conn: ServerConn, msg: Message):
         if self._stopping:
-            conn.send_error(msg.seq, ShutdownError("instance is shutting down").body())
-            return
+            raise ShutdownError("instance is shutting down")
         body = msg.body
         try:
             fois = sequence_from_wire(body["fois"])
         except (KeyError, TypeError) as e:
-            conn.send_error(msg.seq, {"code": "DECODE_ERROR", "message": f"bad fois: {e}"})
-            return
+            raise DecodeError(f"bad fois: {e}") from None
         violations = validate_foi_sequence(fois)
         if violations:
-            conn.send_error(msg.seq, {
-                "code": "DECODE_ERROR",
-                "message": "invalid FOI sequence: " + "; ".join(violations),
-            })
-            return
+            raise DecodeError("invalid FOI sequence: " + "; ".join(violations))
         job_id = body.get("job_id") or secrets.token_hex(6)
         if not isinstance(job_id, str) or not JOB_ID_RE.fullmatch(job_id):
-            conn.send_error(msg.seq, {
-                "code": "DECODE_ERROR", "message": f"bad job_id {job_id!r}"})
-            return
+            raise DecodeError(f"bad job_id {job_id!r}")
         # decoded before the job is registered, so a bad envelope leaves no job
         ct = creds = None
         try:
@@ -573,18 +548,12 @@ class Worker:
             elif "credentials" in body:
                 creds = CredentialSet.from_wire(body["credentials"])
         except (KeyError, TypeError, ValueError) as e:
-            conn.send_error(msg.seq, {
-                "code": "DECODE_ERROR", "message": f"bad credentials: {e!r}"})
-            return
+            raise DecodeError(f"bad credentials: {e!r}") from None
         if creds is not None and self.cfg.shared and self.cfg.coordinator_addr:
-            conn.send_error(msg.seq, PermissionDenied(
-                "shared instances accept sealed credentials only").body())
-            return
+            raise PermissionDenied("shared instances accept sealed credentials only")
         with self._state_lock:
             if job_id in self._jobs:
-                conn.send_error(msg.seq, {
-                    "code": "ALREADY_EXISTS", "message": f"job {job_id} exists"})
-                return
+                raise AlreadyExists(f"job {job_id} exists")
             job = _Job(job_id, fois, conn, msg.seq)
             self._jobs[job_id] = job
         if ct is not None:
@@ -609,8 +578,9 @@ class Worker:
     def _beat(self, job: _Job):
         job.last_beat = time.monotonic()
         try:
+            # a beat before the first step reports step 0
             job.conn.send_event("HEARTBEAT", job.seq, {
-                "job_id": job.job_id, "step": job.step, "work_bytes": job.work_bytes})
+                "job_id": job.job_id, "step": job.step or 0, "work_bytes": job.work_bytes})
         except SkyrelayError:
             pass  # agent went away; job continues, terminal send will fail too
 
@@ -660,11 +630,11 @@ class Worker:
                 "work_bytes": job.work_bytes,
             })
             self._log(f"job {job.job_id}: done, work_bytes={job.work_bytes}")
-        except SkyrelayError as e:
-            self._send_job_error(job, e.body(step=job.step))
         except Exception as e:  # noqa: BLE001 - report, never hang the agent
-            self._send_job_error(job, {
-                "code": "INTERNAL", "message": str(e), "step": job.step})
+            body = error_body(e)
+            if job.step is not None:  # a failure before step 0 names no step
+                body["step"] = job.step
+            self._send_job_error(job, body)
         finally:
             shutil.rmtree(job.workspace, ignore_errors=True)
             with self._state_lock:
@@ -672,8 +642,8 @@ class Worker:
             job.finished.set()
 
     def _send_job_error(self, job: _Job, body: dict):
-        self._log(f"job {job.job_id}: failed at step {body.get('step')}: "
-                  f"{body.get('code')} {body.get('message')}")
+        where = f"at step {body['step']}" if "step" in body else "before step 0"
+        self._log(f"job {job.job_id}: failed {where}: {body['code']} {body['message']}")
         try:
             job.conn.send_error(job.seq, body)
         except SkyrelayError:

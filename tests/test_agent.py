@@ -16,7 +16,9 @@ from skyrelay.agent import (
     read_ticket,
     write_ticket,
 )
+from skyrelay.core import CredentialSet
 from skyrelay.errors import (
+    AuthError,
     CredentialAuthFailure,
     Gone,
     NoInstanceAvailable,
@@ -366,6 +368,20 @@ def test_a_stopped_instance_gets_one_resubmission_elsewhere(cluster, tmp_path, h
     assert result["outputs"][0]["path"] == "/d/f0.bin.enc"
     assert agent._grant["addr"] != gone.addr
     assert purposes.count("grant") == 2 and purposes.count("job") == 3
+
+
+def test_a_prologue_auth_error_under_a_reused_grant_is_not_resubmitted(cluster, tmp_path):
+    cluster.worker(shared=True)
+    agent, purposes = shared_agent(cluster, tmp_path)
+    agent.cmd_cloud_op("compress", {"path": "/d/f0.bin"})
+    purposes.clear()
+    # the envelope opens, but its token names another account: no instance
+    # would run this job, so it is the caller's error
+    agent.creds = CredentialSet("alice", cluster.account("mallory"))
+    with pytest.raises(AuthError) as err:
+        agent.cmd_cloud_op("encrypt", {"path": "/d/f0.bin"})
+    assert not hasattr(err.value, "step")
+    assert purposes.count("job") == 1 and purposes.count("grant") == 0
 
 
 def test_a_job_that_fails_after_step_0_is_not_resubmitted(cluster, tmp_path):

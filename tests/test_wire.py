@@ -9,6 +9,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives import serialization
 
+from skyrelay import errors
 from skyrelay.errors import (
     CertificateError,
     ChannelClosed,
@@ -224,8 +225,46 @@ def test_error_reply_raises_typed():
         ch = open_channel(listener.addr)
         with pytest.raises(NotFound):
             ch.request("SUBMIT_OP", {})
-        m = ch.request("SUBMIT_OP", {}, raise_on_error=False)
-        assert m.kind == "ERROR" and m.body["code"] == "NOT_FOUND"
+    finally:
+        listener.close()
+
+
+def _error_classes():
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.SkyrelayError)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.code)
+def test_every_error_survives_its_error_body(cls):
+    body = errors.error_body(cls("why"))
+    assert body == {"code": cls.code, "message": "why"}
+    back = errors.error_from_body(body)
+    assert type(back) is cls and back.code == cls.code and str(back) == "why"
+    assert not hasattr(back, "step")
+    back = errors.error_from_body({**body, "step": 2})
+    assert type(back) is cls and back.step == 2
+
+
+def test_error_body_reports_a_foreign_exception_as_internal():
+    body = errors.error_body(KeyError("k"))
+    assert body == {"code": "INTERNAL", "message": "'k'"}
+    assert type(errors.error_from_body(body)) is errors.SkyrelayError
+
+
+def test_a_raising_handler_gets_its_error_sent_and_the_connection_kept():
+    def refuse(conn, msg):
+        if msg.kind == "HEARTBEAT":
+            raise RuntimeError("handler bug")
+        raise NotFound("/missing")
+
+    listener = Listener("127.0.0.1:0", refuse)
+    try:
+        ch = open_channel(listener.addr)
+        with pytest.raises(NotFound, match="/missing"):
+            ch.request("SUBMIT_OP", {})
+        with pytest.raises(errors.SkyrelayError) as err:
+            ch.request("HEARTBEAT", {})
+        assert err.value.code == "INTERNAL" and str(err.value) == "handler bug"
     finally:
         listener.close()
 

@@ -862,6 +862,31 @@ def test_sealed_credentials_do_not_open_under_another_job_id(cluster):
         submit(w.addr, {"job_id": "job-b", "fois": fois, "credentials_ct": ct})
 
 
+def test_an_envelope_that_does_not_open_fails_with_no_step(cluster):
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
+    w = cluster.worker(shared=True)
+    fois = sequence_to_wire([FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")])
+    ct = _sealed(cluster, w, tok, "job-a", fois)
+    with pytest.raises(CredentialAuthFailure) as err:
+        submit(w.addr, {"job_id": "job-b", "fois": fois, "credentials_ct": ct})
+    assert not hasattr(err.value, "step")  # no step ran
+    assert any("job job-b: failed before step 0: CREDENTIAL_AUTH_FAILURE" in line
+               for line in w.log)
+
+
+def test_a_token_of_another_account_fails_with_no_step(cluster):
+    tok = cluster.account("u1")
+    other = cluster.account("u2")
+    seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
+    w = cluster.worker(registered=False)
+    fois = sequence_to_wire([FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")])
+    with pytest.raises(AuthError) as err:
+        submit(w.addr, {"fois": fois, "credentials": creds_body("u1", other)})
+    assert str(err.value) == "token does not belong to the named account"
+    assert not hasattr(err.value, "step")
+
+
 def test_sealed_credentials_do_not_run_altered_fois(cluster):
     tok = cluster.account("u1")
     sess = seed_file(cluster, "u1", tok, "/d/f.bin", b"f" * 10)
