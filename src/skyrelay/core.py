@@ -32,6 +32,9 @@ OP_SUFFIXES = {"compress": "gz", "encrypt": "enc", "convert": "small"}
 
 MAX_PATH_BYTES = 4096
 
+# the most a worker step reads from a file or stream at once
+IO_CHUNK_BYTES = 1024 * 1024
+
 _URL_RE = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
 
 

@@ -13,6 +13,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from cryptography.exceptions import InvalidTag
 
 from skyrelay import ppm
 from skyrelay import coordinator as sky_coordinator
@@ -46,6 +47,7 @@ from skyrelay.worker import (
     WorkerConfig,
     _Job,
     decrypt_file_blob,
+    encrypt_stream,
     gzip_blocks,
     make_exposure_uri,
     parse_exposure_uri,
@@ -256,14 +258,88 @@ def test_encrypt_produces_ciphertext_and_key_grant(cluster):
     result, events = submit(w.addr, {"fois": sequence_to_wire(fois),
                                      "credentials": creds_body("u1", tok)})
     blob = cluster.backend.get_object(sess, "/d/s.bin.enc")
-    assert blob != data and len(blob) == len(data) + 12 + 16
+    # a header, then one segment: the input under its tag
+    assert blob[8:] != data and len(blob) == 8 + len(data) + 16
     # the key travels only in the RESULT, never as a file; events are beats
     assert result["pushed"] == []
-    assert [(k["name"], k["cipher"]) for k in result["keys"]] == [("s.bin.key", "aes-256-gcm")]
+    assert [(k["name"], k["cipher"]) for k in result["keys"]] == \
+        [("s.bin.key", "aes-256-gcm-stream")]
     assert {e.kind for e in events} == {"HEARTBEAT"}
     assert os.listdir(os.path.join(w._scratch, "exposed")) == []
     key = bytes.fromhex(result["keys"][0]["key"])
     assert decrypt_file_blob(blob, key) == data
+
+
+SEALED = IO_CHUNK_BYTES + 16  # one full segment of the encrypt format
+KEY = bytes(range(32))
+
+
+def _encrypted(data: bytes, key: bytes) -> bytes:
+    out = io.BytesIO()
+    encrypt_stream(io.BytesIO(data), out, key, lambda n: None)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("size", [0, 1, IO_CHUNK_BYTES - 1, IO_CHUNK_BYTES,
+                                  IO_CHUNK_BYTES + 1, 3 * IO_CHUNK_BYTES + 7])
+def test_encrypt_format_round_trips(size):
+    data = random.Random(size).randbytes(size)
+    key = os.urandom(32)
+    blob = _encrypted(data, key)
+    segments = max(1, -(-size // IO_CHUNK_BYTES))  # an empty input is one segment
+    assert len(blob) == 8 + size + 16 * segments
+    assert decrypt_file_blob(blob, key) == data
+
+
+def _flip(blob: bytes, i: int) -> bytes:
+    return blob[:i] + bytes([blob[i] ^ 0x01]) + blob[i + 1:]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda b: b[:8 + 2 * SEALED],                                    # cut at a boundary
+    lambda b: b[:8] + b[8 + SEALED:8 + 2 * SEALED] + b[8:8 + SEALED]
+    + b[8 + 2 * SEALED:],                                            # two swapped
+    lambda b: b[:8 + 3 * SEALED],                                    # last dropped
+    lambda b: _flip(b, 3),                                           # header bit
+    lambda b: _flip(b, 8 + SEALED + 100),                            # body bit
+    lambda b: _flip(b, 8 + SEALED - 1),                              # tag bit
+    lambda b: b[:8 + SEALED] + _encrypted(bytes(len(b)), KEY)[8 + SEALED:8 + 2 * SEALED]
+    + b[8 + 2 * SEALED:],                                            # another blob's segment
+], ids=["cut", "swapped", "last-dropped", "header-bit", "body-bit", "tag-bit", "spliced"])
+def test_tampered_blob_does_not_decrypt(tamper):
+    blob = _encrypted(random.Random(4).randbytes(3 * IO_CHUNK_BYTES + 7), KEY)
+    assert len(blob) == 8 + 4 * SEALED - (IO_CHUNK_BYTES - 7)
+    with pytest.raises(InvalidTag):
+        decrypt_file_blob(tamper(blob), KEY)
+
+
+@pytest.mark.parametrize("blob", [
+    lambda: b"\x02" + _encrypted(b"abc", KEY)[1:],  # wrong format byte
+    lambda: _encrypted(b"", KEY)[:-1],              # shorter than a header and a tag
+], ids=["format-byte", "short"])
+def test_blob_not_in_the_format_is_refused(blob):
+    with pytest.raises(ValueError):
+        decrypt_file_blob(blob(), KEY)
+
+
+def test_encrypt_stops_between_segments_on_shutdown(tmp_path):
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(3 * IO_CHUNK_BYTES))
+    w = Worker(WorkerConfig(scratch_dir=str(tmp_path / "scratch")))
+    job = _Job("j1", [], conn=None, seq=0)
+    job.workspace, job.file, job.step = str(tmp_path), str(src), 0
+    add_work = w._add_work
+
+    def shut_down_after(j, n):
+        add_work(j, n)
+        j.abort.set()  # the instance shuts down while the first segment seals
+
+    w._add_work = shut_down_after
+    with pytest.raises(ShutdownError):
+        w._execute_foi(job, FOI("op", "/in.bin", op_kind="encrypt"), None)
+    assert job.work_bytes == IO_CHUNK_BYTES
+    assert os.path.getsize(job.step_path()) == 8 + SEALED
+    assert job.keys == []
 
 
 def test_convert_pushes_without_storing(cluster):
@@ -635,6 +711,47 @@ def test_get_put_job_memory_stays_within_a_few_chunks(cluster):
     assert peak < 4 * IO_CHUNK_BYTES, f"peak {peak} bytes"
 
 
+def test_encrypt_job_memory_stays_within_a_few_chunks(cluster):
+    tok = cluster.account("u1")
+    sess = cluster.backend.authenticate(tok)
+    cluster.backend.put_object(sess, "/d/big.bin", bytes(64 * 1024 * 1024))
+    w = cluster.worker(shared=False)
+    tracemalloc.start()
+    try:
+        result, _ = submit(w.addr, {"fois": sequence_to_wire([
+            FOI("get", "/d/big.bin"), FOI("op", "/d/big.bin", op_kind="encrypt"),
+            FOI("put", "/d/big.bin.enc")]), "credentials": creds_body("u1", tok)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * IO_CHUNK_BYTES, f"peak {peak} bytes"
+    sealed = 8 + 64 * SEALED
+    assert result["outputs"][0]["size_bytes"] == sealed
+    assert result["work_bytes"] == 2 * 64 * 1024 * 1024 + 2 * sealed
+
+
+def test_convert_job_memory_stays_within_a_few_chunks(cluster):
+    tok = cluster.account("u1")
+    side = 2364  # 16 MiB of pixels
+    img = ppm.write_ppm(side, side, random.Random(6).randbytes(side * side * 3))
+    seed_file(cluster, "u1", tok, "/d/big.ppm", img)
+    w = cluster.worker(shared=False)
+    tracemalloc.start()
+    try:
+        result, _ = submit(w.addr, {"fois": sequence_to_wire([
+            FOI("get", "/d/big.ppm"), FOI("op", "/d/big.ppm", op_kind="convert"),
+            FOI("push", "big.ppm.small")]), "credentials": creds_body("u1", tok)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * IO_CHUNK_BYTES, f"peak {peak} bytes"
+    desc = result["pushed"][0]
+    assert result["work_bytes"] == 2 * len(img) + desc["size_bytes"]
+    data, _, _ = w.read_exposed(result["job_id"], desc["file_id"], desc["guest_token"],
+                                0, FETCH_CHUNK_BYTES)
+    assert ppm.parse_ppm(data)[:2] == (125, 125)
+
+
 # -- heartbeats --
 
 def test_quantum_heartbeats_scale_with_volume(cluster):
@@ -652,6 +769,21 @@ def test_quantum_heartbeats_scale_with_volume(cluster):
     assert beats[-1]["work_bytes"] <= result["work_bytes"]
     counts = [b["work_bytes"] for b in beats]
     assert counts == sorted(counts)  # monotone progress
+
+
+def test_a_long_encrypt_beats_while_it_runs(cluster):
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/big.bin", bytes(48 * 1024 * 1024))
+    w = cluster.worker(registered=False)
+    fois = [FOI("get", "/d/big.bin"), FOI("op", "/d/big.bin", op_kind="encrypt"),
+            FOI("put", "/d/big.bin.enc")]
+    _, events = submit(w.addr, {"fois": sequence_to_wire(fois),
+                                "credentials": creds_body("u1", tok)})
+    at_op = [e.body["work_bytes"] for e in events
+             if e.kind == "HEARTBEAT" and e.body["step"] == 1]
+    # after the step's own beat, one per 16 MiB crossed while segments seal
+    assert len(at_op[1:]) >= 2
+    assert at_op == sorted(at_op)
 
 
 def test_heartbeats_reproducible_for_equal_jobs(cluster):
