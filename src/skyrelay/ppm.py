@@ -63,6 +63,13 @@ def _pixel_rows(fin: BinaryIO, row_len: int, height: int,
         yield batch
 
 
+def _bytes_left(fin: BinaryIO) -> int:
+    here = fin.tell()
+    end = fin.seek(0, io.SEEK_END)
+    fin.seek(here)
+    return end - here
+
+
 def parse_ppm(data: bytes) -> tuple[int, int, bytes]:
     """Return (width, height, rgb bytes); maxval must be 255."""
     f = io.BytesIO(data)
@@ -89,13 +96,17 @@ def downscale_to_fit(fin: BinaryIO, fout: BinaryIO, max_resolution: int,
     The header is read first, then whole rows at most IO_CHUNK_BYTES at a
     time; each output row is written once its band of input rows is summed,
     so memory is O(row), not O(image).  on_chunk(n) runs once per read of n
-    bytes; bytes after the pixel data are not read.
+    bytes; bytes after the pixel data are not read.  fin must be seekable:
+    the pixel data is measured against the header before anything sized by
+    the header is allocated.
     """
     if max_resolution <= 0:
         raise TransformError("max_resolution must be positive")
     width, height, header_bytes = _read_header(fin)
     on_chunk(header_bytes)
     row_len = 3 * width
+    if _bytes_left(fin) < row_len * height:
+        raise TransformError("PPM pixel data truncated")
     batches = _pixel_rows(fin, row_len, height, on_chunk)
     factor = -(-max(width, height) // max_resolution)  # ceil division
     if factor <= 1:

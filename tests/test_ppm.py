@@ -42,6 +42,10 @@ MALFORMED = [
     b"P6\n2",                              # truncated header
     b"P6\n2 1\n255",                       # no whitespace after maxval
     pytest.param(b"P6\n" + b"9" * 5000 + b" 1\n255\n", id="5000-digit-width"),
+    # headers claiming far more pixels than follow, which must be refused
+    # before a row buffer of that size is allocated
+    pytest.param(b"P6\n400000000 1\n255\n", id="huge-width-no-pixels"),
+    pytest.param(b"P6\n" + b"9" * 18 + b" 1\n255\n", id="18-digit-width-no-pixels"),
 ]
 
 
@@ -54,7 +58,7 @@ def test_parse_rejects_malformed(data):
 @pytest.mark.parametrize("data", MALFORMED + [
     pytest.param(b"P6\n600 600\n255\n" + bytes(600 * 600 * 3 - 1), id="cut-in-last-batch"),
 ])
-@pytest.mark.parametrize("limit", [1, 1000])
+@pytest.mark.parametrize("limit", [1, 1000, 10**9])
 def test_downscale_from_a_file_rejects_malformed(tmp_path, data, limit):
     path = tmp_path / "in.ppm"
     path.write_bytes(data)
