@@ -46,7 +46,7 @@ from .errors import (
     StartError,
 )
 from .keying import encrypt_credentials, job_binding
-from .storage import ShadowFS, StorageBackend, parent_of
+from .storage import ShadowFS, StorageBackend
 from .wire import (
     Certificate,
     Channel,
@@ -229,13 +229,8 @@ class AgentSession:
     # -- cloud-assisted operations --
 
     def _free_name(self, put_path: str) -> str:
-        parent = parent_of(put_path)
-        name = put_path.rsplit("/", 1)[-1]
-        prefix = "/" if parent == "/" else parent + "/"
-        taken = {p[len(prefix):] for p in self.shadow.entries
-                 if p.startswith(prefix) and "/" not in p[len(prefix):]}
-        free = uncollide(name, taken)
-        return prefix + free
+        # one lookup per candidate, never a pass over the shadow
+        return uncollide(put_path, self.shadow.entries)
 
     def _prepare_fois(self, req: OperationRequest) -> list[FOI]:
         fois = compile_op_to_fois(req)

@@ -165,11 +165,15 @@ def classify_operation(req: OperationRequest) -> str:
 
 
 def uncollide(name: str, taken) -> str:
-    """Insert a counter before the final suffix until name is free."""
+    """Insert a counter before the final suffix until name is not in taken.
+
+    name may be a path: the counter goes into its last segment.  taken is
+    only asked `in`, so a whole shadow's entries serve without a scan.
+    """
     if name not in taken:
         return name
     stem, dot, suffix = name.rpartition(".")
-    if not dot:
+    if not dot or "/" in suffix:
         stem, suffix = name, ""
     n = 1
     while True:

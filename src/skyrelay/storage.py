@@ -1,17 +1,20 @@
 """Token-authenticated object store standing in for Dropbox/S3.
 
 The backend interface is pluggable; the one required implementation keeps
-the whole namespace in one SQLite database per store root and each file's
-bytes in an immutable blob file beside it.  Only the database knows paths,
-so metadata operations (listing, shadow sync, rename) never touch content.
+the whole namespace in one SQLite database per store root, each small
+file's bytes as a row in that database and each larger file's bytes in an
+immutable blob file beside it.  Only the database knows paths, so metadata
+operations (listing, shadow sync, rename) never touch content.
 
-The database, ``<root>/.meta/store.db``, holds the accounts and their
-quotas, the token digests, every entry and each path's revision counter,
-which survives a delete so revisions stay monotone per path.  It runs in
-write-ahead-log mode: each mutation is one ``BEGIN IMMEDIATE`` transaction
-that checks the session inside it, so backends in other threads or
-processes on the same root neither lose each other's changes nor read a
-stale view.
+The database, ``<root>/.meta/store.db``, holds the accounts with their
+quotas and the bytes each uses, the token digests, every entry and each
+path's revision counter, which survives a delete so revisions stay monotone
+per path.  It runs in write-ahead-log mode: each mutation is one ``BEGIN
+IMMEDIATE`` transaction that checks the session inside it, so backends in
+other threads or processes on the same root neither lose each other's
+changes nor read a stale view.  A put, put-over or delete moves the
+account's ``used`` in the same transaction, so the quota check reads one
+row however many entries the account holds.
 
 Each account also has a change cursor.  Every mutation stamps the ``revs``
 row of each path it creates, changes or removes with a number above the
@@ -21,20 +24,27 @@ which serves as its tombstone.  A shadow carries the cursor it was read
 at, and ``refresh_shadow`` reads only the rows stamped after it, in the
 same statement as the session check and the new cursor.
 
-A file entry names its blob, ``<root>/.meta/blobs/<random id>``.  A put
-writes a new blob before the transaction that commits its entry, and the
-blob it replaces, like every blob a delete drops, is unlinked only after
-COMMIT; a rename rewrites rows and touches no file.  So a crash at any
-point leaves every entry with its whole blob, old or new, and at worst a
-blob that no entry names.  Nothing writes a blob again, so a reader may
-hard-link one and keep a stable snapshot, and a writer may hand over a file
-by link, as long as nothing writes that file again either.
+A file entry names its blob by a random id.  One rule, by size, places the
+bytes on every write path: a file of at most INLINE_MAX_BYTES is a row of
+``inline_blobs``, inserted and deleted in the transaction of its entry, so
+a small put creates no file at all; a larger one is the file
+``<root>/.meta/blobs/<id>``.  The rows stay out of the ``entries`` tree,
+so scans of it stay narrow.  A put writes a blob file before the
+transaction that commits its entry, and the blob file it replaces, like
+every blob file a delete drops, is unlinked only after COMMIT; a rename
+rewrites entries and touches neither rows of ``inline_blobs`` nor files.
+So a crash at any point leaves every entry with its whole bytes, old or
+new, and at worst a blob file that no entry names.  Nothing writes a blob
+again, so a reader may hard-link a blob file and keep a stable snapshot,
+and a writer may hand over a file by link, as long as nothing writes that
+file again either.
 
 Tokens are stored only as SHA-256 hex digests.  The database records its
 layout in ``PRAGMA user_version``; a backend refuses a store of any other
 layout with ``ConfigError`` when it opens it.  Stores written in earlier
 layouts (JSON indexes, plaintext tokens, the SQLite layouts without change
-cursors or without blobs) are not migrated.
+cursors, without blobs, or with every file's bytes in a blob file and no
+``used``) are not migrated.
 """
 
 from __future__ import annotations
@@ -67,10 +77,15 @@ COPY_CHUNK_BYTES = 1024 * 1024  # when a blob cannot be linked
 META_DIR = ".meta"  # reserved name under the root: the database and the blobs
 # upsert needs 3.24, RETURNING 3.35 and built-in JSON functions 3.38
 MIN_SQLITE = (3, 38, 0)
-LAYOUT = 2  # the database's user_version; 1 kept a data tree, 0 had no cursors
+# the database's user_version; 2 kept every file in a blob file and summed
+# the account's sizes for its quota, 1 kept a data tree, 0 had no cursors
+LAYOUT = 3
+# a file of at most this many bytes lives in store.db, not in a blob file
+INLINE_MAX_BYTES = 64 * 1024
 
 _SCHEMA = """
-CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL);
+CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL,
+                      used INTEGER NOT NULL DEFAULT 0);
 CREATE TABLE tokens(digest TEXT PRIMARY KEY, account TEXT NOT NULL);
 CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
                      size INTEGER NOT NULL, mtime INTEGER NOT NULL,
@@ -79,7 +94,13 @@ CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
 CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
                   seq INTEGER NOT NULL, PRIMARY KEY (account, path)) WITHOUT ROWID;
 CREATE INDEX revs_seq ON revs(account, seq);
+CREATE TABLE inline_blobs(id TEXT PRIMARY KEY, data BLOB NOT NULL);
 """
+
+
+def _inline(size: int) -> bool:
+    """Whether a file of size bytes keeps them in store.db: the one rule."""
+    return size <= INLINE_MAX_BYTES
 
 
 def _valid_account_id(account_id) -> bool:
@@ -194,16 +215,20 @@ class StorageBackend:
         """
         return self.sync_shadow(session)
 
-    def get_object_to(self, session: Session, path: str, dst: str) -> int:
-        """Write the object at path to the new file dst; returns its size.
+    def get_object_or_file(self, session: Session, path: str, dst: str) -> bytes | None:
+        """The bytes of the object at path if it holds at most
+        INLINE_MAX_BYTES; otherwise None, with the object written to the new
+        file dst, which must not exist.
 
-        dst must not exist.  This fallback holds the object in memory; a
-        backend that can do better overrides it.
+        This fallback holds the object in memory; a backend that can do
+        better overrides it.
         """
         data = self.get_object(session, path)
+        if _inline(len(data)):
+            return data
         with open(dst, "xb") as f:
             f.write(data)
-        return len(data)
+        return None
 
     def put_object_from(self, session: Session, path: str, src: str) -> FileMeta:
         """Store the file src at path.  src must be a file the caller will
@@ -253,7 +278,8 @@ class LocalDirBackend(StorageBackend):
         token = secrets.token_hex(16)
         try:
             with self._transaction() as db:
-                db.execute("INSERT INTO accounts VALUES (?, ?)", (account_id, quota_bytes))
+                db.execute("INSERT INTO accounts(id, quota) VALUES (?, ?)",
+                           (account_id, quota_bytes))
                 db.execute("INSERT INTO tokens VALUES (?, ?)",
                            (token_digest(token), account_id))
         except sqlite3.IntegrityError:
@@ -299,23 +325,27 @@ class LocalDirBackend(StorageBackend):
             path = normalize_path(args["path"])
             if self._entry(db, account, path) is None:
                 raise NotFound(path)
-            blobs = self._drop_subtree(db, account, path)
-        for blob in blobs:
-            self._unlink_blob(blob)
+            files = self._drop_subtree(db, account, path)
+            db.executemany("DELETE FROM inline_blobs WHERE id = ?",
+                           [(blob,) for blob, size in files if _inline(size)])
+            db.execute("UPDATE accounts SET used = used - ? WHERE id = ?",
+                       (sum(size for _, size in files), account))
+        for blob, size in files:
+            if not _inline(size):
+                self._unlink_blob(blob)
         return None
 
     def get_object(self, session: Session, path: str) -> bytes:
         def read(blob):
             with open(blob, "rb") as f:
                 return f.read()
-        return self._with_blob(session, path, read)
+        return self._object(session, path, read)
 
     def put_object(self, session: Session, path: str, data: bytes) -> FileMeta:
         return self._put(session, normalize_path(path), data, must_create=False)
 
-    def get_object_to(self, session: Session, path: str, dst: str) -> int:
-        self._with_blob(session, path, lambda blob: _link_or_copy(blob, dst))
-        return os.stat(dst).st_size
+    def get_object_or_file(self, session: Session, path: str, dst: str) -> bytes | None:
+        return self._object(session, path, lambda blob: _link_or_copy(blob, dst))
 
     def put_object_from(self, session: Session, path: str, src: str) -> FileMeta:
         return self._put(session, normalize_path(path), None, must_create=False, src=src)
@@ -455,12 +485,15 @@ class LocalDirBackend(StorageBackend):
         return db.execute("SELECT kind, size, mtime, rev FROM entries"
                           " WHERE account = ? AND path = ?", (account, path)).fetchone()
 
-    def _with_blob(self, session: Session, path: str, use):
-        """use(blob file) for the file entry at path, after the session check.
+    def _object(self, session: Session, path: str, use):
+        """The bytes of the small file entry at path, or use(blob file) for
+        a larger one, after the session check.
 
-        The blob is read outside the lock, so a put or delete may commit and
-        unlink it first; then the lookup runs again and finds the new blob
-        or no entry.  A blob that is still there, or the same id gone twice,
+        The entry and its row of bytes are read in one statement, so a
+        concurrent put or delete is seen whole or not at all.  A blob file
+        is read outside the lock, so a put or delete may commit and unlink
+        it first; then the lookup runs again and finds the new blob or no
+        entry.  A blob file that is still there, or the same id gone twice,
         is not such a race, and its error stands.
         """
         gone = None
@@ -469,10 +502,14 @@ class LocalDirBackend(StorageBackend):
                 db = self._db()
                 self._check(db, session)
                 path = normalize_path(path)
-                row = db.execute("SELECT blob FROM entries WHERE account = ? AND path = ?",
+                row = db.execute("SELECT e.blob, i.data FROM entries e"
+                                 " LEFT JOIN inline_blobs i ON i.id = e.blob"
+                                 " WHERE e.account = ? AND e.path = ?",
                                  (session.account_id, path)).fetchone()
             if row is None or row[0] is None:
                 raise NotFound(path)
+            if row[1] is not None:
+                return row[1]
             blob = os.path.join(self._blob_dir, row[0])
             try:
                 return use(blob)
@@ -498,14 +535,16 @@ class LocalDirBackend(StorageBackend):
         return _meta(path, kind, size, mtime, rev)
 
     @staticmethod
-    def _drop_subtree(db: sqlite3.Connection, account: str, path: str) -> list[str]:
+    def _drop_subtree(db: sqlite3.Connection, account: str,
+                      path: str) -> list[tuple[str, int]]:
         """Delete the entry at path and everything below it, stamping each
         removed path's revs row first: that row is its tombstone.  Returns
-        the blobs of the removed files, for the caller to unlink or carry."""
+        (blob, size) of the removed files, for the caller to drop or carry."""
         params = (account, path, *_below(path))
         db.execute("UPDATE revs SET seq = " + _NEXT_SEQ + " WHERE account = ?"
                    " AND path IN (SELECT path" + _SUBTREE + ")", (account, account, *params))
-        return [blob for (blob,) in db.execute("DELETE" + _SUBTREE + " RETURNING blob", params)
+        return [(blob, size) for blob, size
+                in db.execute("DELETE" + _SUBTREE + " RETURNING blob, size", params)
                 if blob is not None]
 
     def _ensure_parents(self, db: sqlite3.Connection, account: str, path: str):
@@ -524,7 +563,8 @@ class LocalDirBackend(StorageBackend):
 
     def _put(self, session: Session, path: str, data: bytes | None,
              must_create: bool, src: str | None = None) -> FileMeta:
-        """Store data, or the file src by link where it can, at path."""
+        """Store data, or the file src, at path: a small one as a row, a
+        larger src by link where it can."""
         if path == "/":
             raise PermissionDenied("cannot write the account root")
         # a new blob names no account, so a forged session writes nothing
@@ -532,13 +572,18 @@ class LocalDirBackend(StorageBackend):
         fs = os.path.join(self._blob_dir, blob)
         account = session.account_id
         try:
-            if src is None:
-                with open(fs, "xb") as f:
-                    f.write(data)
-                size = len(data)
-            else:
+            if src is not None:
+                with open(src, "rb") as f:
+                    if _inline(os.fstat(f.fileno()).st_size):
+                        data = f.read()
+            if data is None:
                 _link_or_copy(src, fs)
                 size = os.stat(fs).st_size
+            else:
+                size = len(data)
+                if not _inline(size):
+                    with open(fs, "xb") as f:
+                        f.write(data)
             with self._transaction() as db:
                 self._check(db, session)
                 existing = db.execute("SELECT kind, size, blob FROM entries"
@@ -549,20 +594,24 @@ class LocalDirBackend(StorageBackend):
                         raise AlreadyExists(path)
                     if existing[0] == "folder":
                         raise AlreadyExists(f"folder exists at {path}")
-                old_size = existing[1] if existing else 0
-                # folders have size 0, so the sum counts files only
-                quota, used = db.execute(
-                    "SELECT quota, (SELECT coalesce(sum(size), 0) FROM entries"
-                    " WHERE account = accounts.id) FROM accounts WHERE id = ?",
-                    (account,)).fetchone()
-                if used - old_size + size > quota:
+                    if _inline(existing[1]):
+                        db.execute("DELETE FROM inline_blobs WHERE id = ?", (existing[2],))
+                grow = size - (existing[1] if existing else 0)
+                if db.execute("UPDATE accounts SET used = used + ?"
+                              " WHERE id = ? AND used + ? <= quota",
+                              (grow, account, grow)).rowcount == 0:
+                    quota = db.execute("SELECT quota FROM accounts WHERE id = ?",
+                                       (account,)).fetchone()[0]
                     raise QuotaError(f"quota {quota} exceeded on {account}")
                 self._ensure_parents(db, account, path)
+                if data is not None and _inline(size):
+                    # bytes() refuses a str, which sqlite would keep as text
+                    db.execute("INSERT INTO inline_blobs VALUES (?, ?)", (blob, bytes(data)))
                 meta = self._set_entry(db, account, path, kind="file", size=size, blob=blob)
         except BaseException:
             self._unlink_blob(blob)
             raise
-        if existing is not None:
+        if existing is not None and not _inline(existing[1]):
             self._unlink_blob(existing[2])  # after COMMIT, as no entry names it
         return meta
 

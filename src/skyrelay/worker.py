@@ -4,8 +4,11 @@ A worker binds a listener, optionally registers with a coordinator (whose
 reply hands it a process id, a certificate, the epoch-key chain and the
 ping interval), then accepts jobs.  The chain's root is random, not the
 paper's H(pid || t0): pid and t0 are in the certificate every grantee
-holds.  Each job runs in its own workspace and is wiped afterward;
-decrypted storage credentials exist only inside the running job.
+holds.  A job whose get fetches an object of at most
+storage.INLINE_MAX_BYTES keeps each step's bytes in memory; any other step
+writes jobs/<job_id>.<step> in the scratch directory, and the job removes
+its step files when it ends.  Decrypted storage credentials exist only
+inside the running job.
 
 Workers shut themselves down shortly before the next billing boundary so an
 instance shared for the remainder of a paid period never incurs another
@@ -36,6 +39,7 @@ import collections
 import contextlib
 import functools
 import hmac
+import io
 import os
 import platform
 import re
@@ -106,7 +110,8 @@ STREAM_FORMAT = 1
 STREAM_HEADER_BYTES = 8
 GCM_TAG_BYTES = 16
 
-# A job id names the job's workspace directory, so it must stay one segment.
+# A job id names the job's step files, jobs/<job_id>.<step>, so it must stay
+# one segment, and it has no dot, so no two jobs' names can meet.
 JOB_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
 
 
@@ -198,8 +203,13 @@ class _Exposed:
 
 
 class _Job:
-    """One FOI sequence run as a pipeline: each get, download or op writes
-    <workspace>/<step>, and op, put and push read `file`, the latest of those."""
+    """One FOI sequence run as a pipeline: each get, download or op leaves
+    its output in `data` or in `file`, and op, put and push read the latest.
+
+    A get of an object of at most storage.INLINE_MAX_BYTES, and each op
+    after it, keep bytes in `data`, so such a job holds about twice that at
+    most; any other output is the step file `<prefix><step>`.
+    """
 
     def __init__(self, job_id: str, fois: list[FOI], conn: ServerConn, seq: int):
         self.job_id = job_id
@@ -208,8 +218,9 @@ class _Job:
         self.seq = seq
         self.step: int | None = None  # the running step; None until the first
         self.work_bytes = 0
-        self.workspace: str | None = None
+        self.prefix: str | None = None  # jobs/<job_id>. in the scratch directory
         self.file: str | None = None
+        self.data: bytes | None = None
         self.outputs: list[dict] = []
         self.pushed: list[dict] = []
         self.keys: list[dict] = []
@@ -218,7 +229,7 @@ class _Job:
         self.last_beat = time.monotonic()
 
     def step_path(self) -> str:
-        return os.path.join(self.workspace, str(self.step))
+        return f"{self.prefix}{self.step}"
 
 
 class Worker:
@@ -454,13 +465,18 @@ class Worker:
 
     # -- exposure --
 
-    def expose_intermediate(self, src_path: str, job_id: str, name: str) -> dict:
+    def expose_intermediate(self, src: str | bytes, job_id: str, name: str) -> dict:
+        """Expose a step's output: its file, by link, or its bytes."""
         file_id = secrets.token_hex(16)
         guest_token = secrets.token_hex(16)
         dst = os.path.join(self._scratch, "exposed", f"{job_id}.{file_id}")
-        # the job never rewrites a step's file, and its workspace is on the
-        # same scratch volume, so a link outlives the workspace without a copy
-        os.link(src_path, dst)
+        if isinstance(src, bytes):
+            with open(dst, "xb") as f:
+                f.write(src)
+        else:
+            # the job never rewrites a step's file, and its step files are on
+            # the same scratch volume, so a link outlives them without a copy
+            os.link(src, dst)
         size = os.path.getsize(dst)
         expires_at = time.time() + EXPOSE_TTL_S
         with self._state_lock:
@@ -608,8 +624,7 @@ class Worker:
 
     def _run_job(self, job: _Job, ct: CredentialCiphertext | None,
                  creds: CredentialSet | None):
-        job.workspace = os.path.join(self._scratch, "jobs", job.job_id)
-        os.makedirs(job.workspace, exist_ok=True)
+        job.prefix = os.path.join(self._scratch, "jobs", job.job_id + ".")
         session = None
         try:
             sc = creds
@@ -643,7 +658,9 @@ class Worker:
                 body["step"] = job.step
             self._send_job_error(job, body)
         finally:
-            shutil.rmtree(job.workspace, ignore_errors=True)
+            for step in range(0 if job.step is None else job.step + 1):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(f"{job.prefix}{step}")
             with self._state_lock:
                 self._jobs.pop(job.job_id, None)
             job.finished.set()
@@ -666,7 +683,8 @@ class Worker:
         elif foi.verb == "op":
             self._foi_op(job, foi)
         elif foi.verb == "push":
-            job.pushed.append(self.expose_intermediate(job.file, job.job_id, foi.target))
+            job.pushed.append(self.expose_intermediate(
+                job.file if job.data is None else job.data, job.job_id, foi.target))
         else:
             raise TransformError(f"unknown verb {foi.verb!r}")
 
@@ -676,14 +694,22 @@ class Worker:
         if session is None:
             raise AuthError("get requires storage credentials")
         path = job.step_path()
-        self._add_work(job, self._get_backend().get_object_to(session, foi.target, path))
-        job.file = path
+        data = self._get_backend().get_object_or_file(session, foi.target, path)
+        if data is None:
+            job.file, job.data = path, None
+            self._add_work(job, os.path.getsize(path))
+        else:
+            job.file, job.data = None, data
+            self._add_work(job, len(data))
 
     def _foi_put(self, job: _Job, foi: FOI, session):
-        # a job never writes a step's file again, so the store may keep it by link
         if session is None:
             raise AuthError("put requires storage credentials")
-        meta = self._get_backend().put_object_from(session, foi.target, job.file)
+        if job.data is not None:
+            meta = self._get_backend().put_object(session, foi.target, job.data)
+        else:
+            # a job never writes a step's file again, so the store may keep it by link
+            meta = self._get_backend().put_object_from(session, foi.target, job.file)
         self._add_work(job, meta.size_bytes)
         job.outputs.append(meta.to_wire())
 
@@ -699,7 +725,7 @@ class Worker:
                 self._pump(job, fin, fout, throttle_bps)
         else:
             raise TransformError(f"unsupported download scheme in {url!r}")
-        job.file = path
+        job.file, job.data = path, None
 
     def _pump(self, job: _Job, fin, fout, throttle_bps=None):
         while True:
@@ -740,31 +766,41 @@ class Worker:
             ch.close()
 
     def _foi_op(self, job: _Job, foi: FOI):
+        if job.data is not None:
+            fout = io.BytesIO()
+            self._transform(job, foi, io.BytesIO(job.data), fout)
+            job.data = fout.getvalue()
+            self._add_work(job, len(job.data))
+            return
         out_path = job.step_path()
-        on_chunk = functools.partial(self._add_work, job)
         with open(job.file, "rb") as fin, open(out_path, "wb") as fout:
-            if foi.op_kind == "compress":
-                try:
-                    gzip_blocks(fin, fout, self._gzip_pool, 2 * GZIP_THREADS, on_chunk)
-                except (RuntimeError, CancelledError):
-                    # the pool refuses or cancels work once the instance stops
-                    if not self._stopping:
-                        raise
-                    raise ShutdownError("job aborted by instance shutdown") from None
-            elif foi.op_kind == "encrypt":
-                file_key = secrets.token_bytes(32)
-                encrypt_stream(fin, fout, file_key, on_chunk)
-                # the file key goes back to the requester in the RESULT, never
-                # into storage next to the ciphertext nor onto this instance's disk
-                job.keys.append({"name": foi.target.rsplit("/", 1)[-1] + ".key",
-                                 "cipher": STREAM_CIPHER, "key": file_key.hex()})
-            elif foi.op_kind == "convert":
-                ppm.downscale_to_fit(fin, fout, int(foi.op_params.get("max_resolution", 128)),
-                                     on_chunk)
-            else:
-                raise TransformError(f"unknown op kind {foi.op_kind!r}")
-        self._add_work(job, os.path.getsize(out_path))
+            self._transform(job, foi, fin, fout)
         job.file = out_path
+        self._add_work(job, os.path.getsize(out_path))
+
+    def _transform(self, job: _Job, foi: FOI, fin, fout):
+        """Run the op's transform from the file object fin to fout."""
+        on_chunk = functools.partial(self._add_work, job)
+        if foi.op_kind == "compress":
+            try:
+                gzip_blocks(fin, fout, self._gzip_pool, 2 * GZIP_THREADS, on_chunk)
+            except (RuntimeError, CancelledError):
+                # the pool refuses or cancels work once the instance stops
+                if not self._stopping:
+                    raise
+                raise ShutdownError("job aborted by instance shutdown") from None
+        elif foi.op_kind == "encrypt":
+            file_key = secrets.token_bytes(32)
+            encrypt_stream(fin, fout, file_key, on_chunk)
+            # the file key goes back to the requester in the RESULT, never
+            # into storage next to the ciphertext nor onto this instance's disk
+            job.keys.append({"name": foi.target.rsplit("/", 1)[-1] + ".key",
+                             "cipher": STREAM_CIPHER, "key": file_key.hex()})
+        elif foi.op_kind == "convert":
+            ppm.downscale_to_fit(fin, fout, int(foi.op_params.get("max_resolution", 128)),
+                                 on_chunk)
+        else:
+            raise TransformError(f"unknown op kind {foi.op_kind!r}")
 
 
 def gzip_blocks(fin, fout, pool: ThreadPoolExecutor, max_inflight: int,

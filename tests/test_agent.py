@@ -29,7 +29,7 @@ from skyrelay.errors import (
     StartError,
     VerificationFailed,
 )
-from skyrelay.storage import LocalDirBackend
+from skyrelay.storage import LocalDirBackend, ShadowFS
 from skyrelay.wire import open_channel, parse_addr
 
 
@@ -210,6 +210,30 @@ def test_put_names_uncollide(cluster, tmp_path):
     agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
     assert "/d/f.bin.gz" in agent.shadow.entries
     assert "/d/f.bin.1.gz" in agent.shadow.entries
+
+
+class _LookupOnly(dict):
+    """Shadow entries that answer `in` but refuse to be listed."""
+
+    def __iter__(self):
+        raise AssertionError("the free-name check iterated the shadow")
+
+    def keys(self):
+        raise AssertionError("the free-name check listed the shadow")
+
+
+def test_free_name_looks_up_candidates_without_reading_the_shadow():
+    session = object.__new__(AgentSession)  # _free_name reads only the shadow
+    session.shadow = ShadowFS("alice", entries=_LookupOnly({"/d.x/other": None}))
+    names = []
+    for _ in range(3):
+        name = session._free_name("/d.x/x.gz")
+        names.append(name)
+        dict.__setitem__(session.shadow.entries, name, None)
+    assert names == ["/d.x/x.gz", "/d.x/x.1.gz", "/d.x/x.2.gz"]
+    assert session._free_name("/d.x/plain") == "/d.x/plain"
+    dict.__setitem__(session.shadow.entries, "/d.x/plain", None)
+    assert session._free_name("/d.x/plain") == "/d.x/plain.1"
 
 
 def test_encrypt_saves_key_locally_and_key_decrypts(cluster, tmp_path):

@@ -137,3 +137,6 @@ def test_uncollide():
     assert uncollide("a.txt.gz", {"a.txt.gz"}) == "a.txt.1.gz"
     assert uncollide("a.txt.gz", {"a.txt.gz", "a.txt.1.gz"}) == "a.txt.2.gz"
     assert uncollide("plain", {"plain"}) == "plain.1"
+    # a path gets its counter in the last segment only
+    assert uncollide("/a.b/plain", {"/a.b/plain"}) == "/a.b/plain.1"
+    assert uncollide("/a.b/c.gz", {"/a.b/c.gz"}) == "/a.b/c.1.gz"

@@ -612,14 +612,29 @@ PRAGMA user_version=1;
 """
 
 
+# layout 2: every file's bytes in a blob file, and no per-account `used`
+_LAYOUT_2 = """
+CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL);
+CREATE TABLE tokens(digest TEXT PRIMARY KEY, account TEXT NOT NULL);
+CREATE TABLE entries(account TEXT, path TEXT, kind TEXT NOT NULL,
+                     size INTEGER NOT NULL, mtime INTEGER NOT NULL,
+                     rev INTEGER NOT NULL, blob TEXT, PRIMARY KEY (account, path))
+    WITHOUT ROWID;
+CREATE TABLE revs(account TEXT, path TEXT, rev INTEGER NOT NULL,
+                  seq INTEGER NOT NULL, PRIMARY KEY (account, path)) WITHOUT ROWID;
+CREATE INDEX revs_seq ON revs(account, seq);
+PRAGMA user_version=2;
+"""
+
+
 def test_store_of_another_layout_is_refused(tmp_path):
     token = "t" * 32
-    for n, script in enumerate([_LAYOUT_0, _LAYOUT_1,
-                                storage._SCHEMA + "PRAGMA user_version=3;"]):
+    for n, script in enumerate([_LAYOUT_0, _LAYOUT_1, _LAYOUT_2,
+                                storage._SCHEMA + "PRAGMA user_version=4;"]):
         root = tmp_path / f"store{n}"
         (root / META_DIR).mkdir(parents=True)
         db = sqlite3.connect(root / META_DIR / "store.db")
-        db.executescript(script + "INSERT INTO accounts VALUES ('a', 100);"
+        db.executescript(script + "INSERT INTO accounts(id, quota) VALUES ('a', 100);"
                          f"INSERT INTO tokens VALUES ('{token_digest(token)}', 'a');")
         db.close()
         backend = LocalDirBackend(str(root))
@@ -638,9 +653,26 @@ def test_old_sqlite_is_refused(tmp_path, monkeypatch):
 
 # -- linked get and put --
 
+def _unnamed_rows_and_wrong_used(root):
+    """Rows of inline bytes that no entry names, and the accounts whose
+    `used` is not the sum of their entries' sizes."""
+    db = _open_db(root)
+    try:
+        rows = [i for (i,) in db.execute(
+            "SELECT id FROM inline_blobs WHERE id NOT IN"
+            " (SELECT blob FROM entries WHERE blob IS NOT NULL)")]
+        wrong = [a for (a,) in db.execute(
+            "SELECT id FROM accounts a WHERE used !="
+            " (SELECT coalesce(sum(size), 0) FROM entries WHERE account = a.id)")]
+    finally:
+        db.close()
+    return rows, wrong
+
+
 def _meta_leftovers(root):
-    """Files in .meta/ other than the database and the blobs, and blobs that
-    no entry names: what a failed put left behind."""
+    """Files in .meta/ other than the database and the blobs, blobs that no
+    entry names, and rows of inline bytes that no entry names: what a failed
+    put left behind."""
     db = _open_db(root)
     try:
         named = {blob for (blob,) in db.execute("SELECT blob FROM entries")}
@@ -648,26 +680,148 @@ def _meta_leftovers(root):
         db.close()
     meta = os.path.join(root, META_DIR)
     return ([f for f in os.listdir(meta) if not f.startswith("store.db") and f != "blobs"]
-            + [b for b in os.listdir(os.path.join(meta, "blobs")) if b not in named])
+            + [b for b in os.listdir(os.path.join(meta, "blobs")) if b not in named]
+            + ["row " + i for i in _unnamed_rows_and_wrong_used(root)[0]])
+
+
+def _kinds(root):
+    """(blob files, rows of inline bytes) in the store."""
+    db = _open_db(root)
+    try:
+        rows = db.execute("SELECT count(*) FROM inline_blobs").fetchone()[0]
+    finally:
+        db.close()
+    return len(os.listdir(os.path.join(root, META_DIR, "blobs"))), rows
+
+
+BIG = storage.INLINE_MAX_BYTES + 1  # the smallest file kept as a blob file
 
 
 def test_linked_get_is_a_snapshot(backend, session, tmp_path):
-    backend.put_object(session, "/a.bin", b"first")
+    first, second = b"1" * BIG, b"2" * (BIG + 1)
+    backend.put_object(session, "/a.bin", first)
     dst = tmp_path / "dst"
-    assert backend.get_object_to(session, "/a.bin", str(dst)) == 5
+    assert backend.get_object_or_file(session, "/a.bin", str(dst)) is None
     assert os.stat(dst).st_nlink == 2  # a link, not a copy
     # a data file is never written in place, so the link keeps its bytes
-    backend.put_object(session, "/a.bin", b"second!")
-    assert dst.read_bytes() == b"first"
+    backend.put_object(session, "/a.bin", second)
+    assert dst.read_bytes() == first
     backend.basic_op(session, "delete", {"path": "/a.bin"})
-    assert dst.read_bytes() == b"first"
+    assert dst.read_bytes() == first
     # dst must be new, so a get never writes through an earlier get's link
-    backend.put_object(session, "/c.bin", b"c")
-    backend.put_object(session, "/d.bin", b"d")
-    backend.get_object_to(session, "/c.bin", str(tmp_path / "c"))
+    backend.put_object(session, "/c.bin", b"c" * BIG)
+    backend.put_object(session, "/d.bin", b"d" * BIG)
+    backend.get_object_or_file(session, "/c.bin", str(tmp_path / "c"))
     with pytest.raises(FileExistsError):
-        backend.get_object_to(session, "/d.bin", str(tmp_path / "c"))
-    assert backend.get_object(session, "/c.bin") == b"c"
+        backend.get_object_or_file(session, "/d.bin", str(tmp_path / "c"))
+    assert backend.get_object(session, "/c.bin") == b"c" * BIG
+
+
+def test_inline_up_to_the_bound_and_a_blob_file_past_it(backend, session, tmp_path):
+    at, past = b"a" * storage.INLINE_MAX_BYTES, b"p" * BIG
+    backend.put_object(session, "/at", at)
+    assert _kinds(backend.root) == (0, 1)
+    backend.put_object(session, "/past", past)
+    assert _kinds(backend.root) == (1, 1)
+    assert backend.get_object(session, "/at") == at
+    assert backend.get_object(session, "/past") == past
+    dst = tmp_path / "dst"
+    assert backend.get_object_or_file(session, "/at", str(dst)) == at
+    assert not dst.exists()
+    assert backend.get_object_or_file(session, "/past", str(dst)) is None
+    assert dst.read_bytes() == past
+    # the same rule for a put from a file: the small one is read, not linked
+    for name, data in (("at", at), ("past", past)):
+        (tmp_path / name).write_bytes(data)
+        backend.put_object_from(session, f"/from-{name}", str(tmp_path / name))
+    assert _kinds(backend.root) == (2, 2)
+    assert os.stat(tmp_path / "at").st_nlink == 1
+    assert os.stat(tmp_path / "past").st_nlink == 2
+    assert backend.get_object(session, "/from-at") == at
+    assert _meta_leftovers(backend.root) == []
+
+
+def test_put_over_across_the_bound_leaves_no_orphan(backend, session):
+    backend.put_object(session, "/f", b"small")
+    backend.put_object(session, "/f", b"L" * BIG)
+    assert _kinds(backend.root) == (1, 0)
+    assert backend.get_object(session, "/f") == b"L" * BIG
+    backend.put_object(session, "/f", b"small again")
+    assert _kinds(backend.root) == (0, 1)
+    assert backend.get_object(session, "/f") == b"small again"
+    assert _meta_leftovers(backend.root) == []
+    assert _unnamed_rows_and_wrong_used(backend.root) == ([], [])
+
+
+def test_rename_keeps_inline_bytes(backend, session):
+    backend.put_object(session, "/d/small", b"inline bytes")
+    backend.put_object(session, "/d/sub/big", b"B" * BIG)
+    backend.basic_op(session, "rename", {"src": "/d", "dst": "/e"})
+    assert backend.get_object(session, "/e/small") == b"inline bytes"
+    assert backend.get_object(session, "/e/sub/big") == b"B" * BIG
+    assert _kinds(backend.root) == (1, 1)
+    assert _meta_leftovers(backend.root) == []
+
+
+def test_deleting_a_folder_drops_both_kinds(backend, session):
+    backend.put_object(session, "/d/small", b"s")
+    backend.put_object(session, "/d/sub/big", b"B" * BIG)
+    backend.put_object(session, "/keep", b"k")
+    backend.basic_op(session, "delete", {"path": "/d"})
+    assert _kinds(backend.root) == (0, 1)
+    assert _meta_leftovers(backend.root) == []
+    assert _unnamed_rows_and_wrong_used(backend.root) == ([], [])
+    assert backend.get_object(session, "/keep") == b"k"
+
+
+def test_quota_crosses_the_bound_at_the_exact_byte(backend):
+    quota = 3 * BIG
+    s = backend.authenticate(backend.create_account("q", quota_bytes=quota))
+    backend.put_object(s, "/a", b"a" * BIG)
+    backend.put_object(s, "/b", b"b" * 10)
+    backend.put_object(s, "/b", b"b" * BIG)  # small over large frees nothing
+    with pytest.raises(QuotaError):
+        backend.put_object(s, "/c", b"c" * (BIG + 1))
+    backend.basic_op(s, "rename", {"src": "/a", "dst": "/r/a"})
+    with pytest.raises(QuotaError):
+        backend.put_object(s, "/c", b"c" * (BIG + 1))
+    backend.put_object(s, "/c", b"c" * BIG)
+    backend.put_object(s, "/r/a", b"a")  # large over small frees BIG - 1
+    backend.put_object(s, "/d", b"d" * (BIG - 1))
+    with pytest.raises(QuotaError):
+        backend.put_object(s, "/e", b"e")
+    backend.basic_op(s, "delete", {"path": "/r"})
+    backend.put_object(s, "/e", b"e")
+    assert _unnamed_rows_and_wrong_used(backend.root) == ([], [])
+
+
+def test_a_put_reads_entries_by_key_only(tmp_path):
+    root = str(tmp_path / "store")
+    b = LocalDirBackend(root)
+    s = b.authenticate(b.create_account("alice"))
+    db = _open_db(root)
+    db.executemany("INSERT INTO entries VALUES ('alice', ?, 'folder', 0, 0, 1, NULL)",
+                   [(f"/f{i:05d}",) for i in range(10_000)])
+    db.commit()
+    with b._lock:
+        conn = b._db()
+    statements = []
+    conn.set_trace_callback(statements.append)
+    b.put_object(s, "/n/x", b"x")
+    b.put_object(s, "/n/x", b"y" * BIG)
+    b.put_object(s, "/n/x", b"z")
+    conn.set_trace_callback(None)
+    plans = {}
+    for sql in statements:
+        if not sql.startswith(("BEGIN", "COMMIT", "ROLLBACK", "PRAGMA")):
+            plans[sql] = [row[3] for row in db.execute("EXPLAIN QUERY PLAN " + sql)]
+    db.close()
+    assert len(plans) >= 6
+    # the quota check reads the account's row, not every entry of it
+    reads = [(sql, step) for sql, steps in plans.items() for step in steps
+             if " entries" in step]
+    assert reads and all(step == "SEARCH entries USING PRIMARY KEY (account=? AND path=?)"
+                         for _, step in reads), reads
 
 
 def test_put_from_outlives_its_source(backend, session, tmp_path):
@@ -684,20 +838,20 @@ def test_put_from_outlives_its_source(backend, session, tmp_path):
 
 def test_linked_methods_copy_when_no_link_can_be_made(backend, session, tmp_path,
                                                       monkeypatch):
-    backend.put_object(session, "/a.bin", b"stored")
+    backend.put_object(session, "/a.bin", b"stored" * BIG)
     src = tmp_path / "src"
-    src.write_bytes(b"source")
+    src.write_bytes(b"source" * BIG)
 
     def no_link(a, b):
         raise OSError(errno.EXDEV, "cross-device link")
     monkeypatch.setattr(os, "link", no_link)
     dst = tmp_path / "dst"
-    assert backend.get_object_to(session, "/a.bin", str(dst)) == 6
-    assert dst.read_bytes() == b"stored" and os.stat(dst).st_nlink == 1
+    assert backend.get_object_or_file(session, "/a.bin", str(dst)) is None
+    assert dst.read_bytes() == b"stored" * BIG and os.stat(dst).st_nlink == 1
     backend.put_object_from(session, "/b.bin", str(src))
     assert os.stat(src).st_nlink == 1
     src.write_bytes(b"rewritten")  # a copy does not follow its source
-    assert backend.get_object(session, "/b.bin") == b"source"
+    assert backend.get_object(session, "/b.bin") == b"source" * BIG
     assert _meta_leftovers(backend.root) == []
 
 
@@ -717,12 +871,12 @@ def test_forged_session_links_nothing(backend, tmp_path):
     backend.put_object(backend.authenticate(backend.create_account("b")), "/secret", b"b's")
     before = sorted(_files_under(backend.root))
     src = tmp_path / "src"
-    src.write_bytes(b"forged")
+    src.write_bytes(b"forged" * BIG)
     dst = tmp_path / "dst"
     for account_id in ("b", "../evil", "a/../../evil"):
         forged = Session(account_id=account_id, token=token_a)
         with pytest.raises(AuthError):
-            backend.get_object_to(forged, "/secret", str(dst))
+            backend.get_object_or_file(forged, "/secret", str(dst))
         with pytest.raises(AuthError):
             backend.put_object_from(forged, "/x", str(src))
     assert not dst.exists()
@@ -760,28 +914,38 @@ def test_failed_puts_leave_no_blob(backend, tmp_path):
 
 # -- crash consistency and racing readers --
 
-_BEFORE = {"/a.txt": b"nine byte", "/d/x": b"x1", "/d/sub/y": b"y22"}
+_BEFORE = {"/a.txt": b"nine byte", "/d/x": b"x1", "/d/sub/y": b"y22", "/d/big": b"B" * BIG}
 _NEW = b"sixteen new byte"
+_NEW_BIG = b"N" * (BIG + 1)
 
 
-def _put_from(b, s):
-    """Put _NEW at a new path by link, so the blob's creation is a crash point."""
-    src = b.root + ".src"
-    with open(src, "wb") as f:
-        f.write(_NEW)
-    b.put_object_from(s, "/n/new.txt", src)
+def _put_from(data):
+    """Put data at a new path from a file: a blob file's link is a crash point."""
+    def put(b, s):
+        src = b.root + ".src"
+        with open(src, "wb") as f:
+            f.write(data)
+        b.put_object_from(s, "/n/new.txt", src)
+    return put
 
 
 _MUTATIONS = {
     "put over a file": (lambda b, s: b.put_object(s, "/a.txt", _NEW),
                         {**_BEFORE, "/a.txt": _NEW}),
-    "put to a new path": (_put_from, {**_BEFORE, "/n/new.txt": _NEW}),
+    "put a blob file over an inline one": (lambda b, s: b.put_object(s, "/a.txt", _NEW_BIG),
+                                           {**_BEFORE, "/a.txt": _NEW_BIG}),
+    "put an inline file over a blob file": (lambda b, s: b.put_object(s, "/d/big", _NEW),
+                                            {**_BEFORE, "/d/big": _NEW}),
+    "put to a new path": (_put_from(_NEW), {**_BEFORE, "/n/new.txt": _NEW}),
+    "put a blob file to a new path": (_put_from(_NEW_BIG),
+                                      {**_BEFORE, "/n/new.txt": _NEW_BIG}),
     "delete a file": (lambda b, s: b.basic_op(s, "delete", {"path": "/a.txt"}),
                       {p: v for p, v in _BEFORE.items() if p != "/a.txt"}),
     "delete a folder": (lambda b, s: b.basic_op(s, "delete", {"path": "/d"}),
                         {"/a.txt": _BEFORE["/a.txt"]}),
     "rename a folder": (lambda b, s: b.basic_op(s, "rename", {"src": "/d", "dst": "/e"}),
-                        {"/a.txt": _BEFORE["/a.txt"], "/e/x": b"x1", "/e/sub/y": b"y22"}),
+                        {"/a.txt": _BEFORE["/a.txt"], "/e/x": b"x1", "/e/sub/y": b"y22",
+                         "/e/big": _BEFORE["/d/big"]}),
 }
 
 
@@ -869,7 +1033,10 @@ def test_a_crash_at_any_point_leaves_every_entry_whole(tmp_path):
                     continue
                 if len(data) != size or data not in (_BEFORE.get(path), after.get(path)):
                     failures.append(f"{where}: {path}'s entry says {size} B, "
-                                    f"its bytes are {data!r}")
+                                    f"its bytes are {data[:20]!r}")
+            rows, wrong_used = _unnamed_rows_and_wrong_used(root)
+            if rows or wrong_used:
+                failures.append(f"{where}: unnamed rows {rows}, wrong used in {wrong_used}")
             if code == 0:
                 if files != {p: len(v) for p, v in after.items()}:
                     failures.append(f"{where}: entries {sorted(files)}")
@@ -886,7 +1053,7 @@ def test_a_crash_at_any_point_leaves_every_entry_whole(tmp_path):
 def test_reader_racing_put_and_delete_sees_bytes_or_not_found(tmp_path):
     root = str(tmp_path / "store")
     token = LocalDirBackend(root).create_account("alice")
-    payloads = (b"a" * 100, b"b" * 5000)
+    payloads = (b"a" * 100, b"b" * 5000, b"c" * BIG)
     stop = threading.Event()
     errors, seen = [], collections.Counter()
 
@@ -914,9 +1081,10 @@ def test_reader_racing_put_and_delete_sees_bytes_or_not_found(tmp_path):
             n += 1
             dst = tmp_path / f"get{n}"
             try:
-                if n % 2:  # the worker's linked get, beside the bytes one
-                    reader.get_object_to(s, "/a", str(dst))
-                    data = dst.read_bytes()
+                if n % 2:  # the worker's get, beside the bytes one
+                    data = reader.get_object_or_file(s, "/a", str(dst))
+                    if data is None:
+                        data = dst.read_bytes()
                 else:
                     data = reader.get_object(s, "/a")
             except NotFound:

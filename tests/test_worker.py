@@ -1,5 +1,6 @@
 """Worker service tests: FOI execution, heartbeats, exposure, shutdown."""
 
+import builtins
 import copy
 import gzip
 import hashlib
@@ -15,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from cryptography.exceptions import InvalidTag
 
-from skyrelay import ppm
+from skyrelay import ppm, storage
 from skyrelay import coordinator as sky_coordinator
 from skyrelay import worker as sky_worker
 from skyrelay.coordinator import Coordinator, CoordinatorConfig
@@ -76,6 +77,18 @@ def seed_file(cluster, account, token, path, data):
     sess = cluster.backend.authenticate(token)
     cluster.backend.put_object(sess, path, data)
     return sess
+
+
+def step_files_left(scratch, job_id, timeout=5.0):
+    """The job's step files in scratch/jobs, once its clean-up had the time
+    to run: the RESULT is sent before it."""
+    def left():
+        return [f for f in os.listdir(os.path.join(scratch, "jobs"))
+                if f.startswith(job_id + ".")]
+    deadline = time.monotonic() + timeout
+    while left() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return left()
 
 
 # -- exposure URI helpers --
@@ -237,7 +250,7 @@ def test_compress_raises_shutdown_when_the_pool_stops(tmp_path):
     w = Worker(WorkerConfig(scratch_dir=str(tmp_path / "scratch")))
     w.start()
     job = _Job("j1", [], conn=None, seq=0)
-    job.workspace, job.file = str(tmp_path), str(src)
+    job.prefix, job.file = str(tmp_path / "j1."), str(src)
     # the instance stops between two blocks; the job is not told to abort,
     # so the next block meets a pool that takes no more work
     w._add_work = lambda job, n: w.stop()
@@ -327,7 +340,7 @@ def test_encrypt_stops_between_segments_on_shutdown(tmp_path):
     src.write_bytes(bytes(3 * IO_CHUNK_BYTES))
     w = Worker(WorkerConfig(scratch_dir=str(tmp_path / "scratch")))
     job = _Job("j1", [], conn=None, seq=0)
-    job.workspace, job.file, job.step = str(tmp_path), str(src), 0
+    job.prefix, job.file, job.step = str(tmp_path / "j1."), str(src), 0
     add_work = w._add_work
 
     def shut_down_after(j, n):
@@ -476,7 +489,7 @@ def test_same_instance_download_links_the_exposure(cluster, tmp_path):
     assert download(desc["guest_token"])["work_bytes"] == 2 * len(payload)
     assert cluster.backend.get_object(sess_b, "/in/big.bin") == payload
     stored = tmp_path / "stored"
-    cluster.backend.get_object_to(sess_b, "/in/big.bin", str(stored))
+    assert cluster.backend.get_object_or_file(sess_b, "/in/big.bin", str(stored)) is None
     assert os.stat(stored).st_ino == inode
     # the link was the exposure's one read: it is retired, and its name gone
     assert key not in w._exposed and not os.path.exists(exposed)
@@ -542,11 +555,7 @@ def test_exposure_outlives_its_job_workspace(cluster, tmp_path):
     result, _ = submit(w.addr, {
         "fois": sequence_to_wire([FOI("get", "/f/y.bin"), FOI("push", "y.bin")]),
         "credentials": creds_body("u1", tok)})
-    workspace = tmp_path / "scratch" / "jobs" / result["job_id"]
-    deadline = time.monotonic() + 5.0
-    while workspace.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not workspace.exists()
+    assert step_files_left(tmp_path / "scratch", result["job_id"]) == []
     desc = result["pushed"][0]
     data, eof, _ = w.read_exposed(result["job_id"], desc["file_id"],
                                   desc["guest_token"], 0, FETCH_CHUNK_BYTES)
@@ -667,17 +676,55 @@ def test_wrong_account_token_pairing_fails(cluster):
                         "credentials": creds_body("u2", tok1)})
 
 
-def test_workspace_wiped_between_jobs(cluster):
+def test_workspace_wiped_between_jobs(cluster, tmp_path):
     tok = cluster.account("u1")
-    seed_file(cluster, "u1", tok, "/d/one.bin", b"1" * 100)
-    w = cluster.worker(registered=False)
-    submit(w.addr, {"fois": sequence_to_wire(
-        [FOI("get", "/d/one.bin"), FOI("put", "/d/copy.bin")]),
-        "credentials": creds_body("u1", tok)})
-    # second job must not see the first job's artifact
+    w = cluster.worker(registered=False, scratch_dir=str(tmp_path / "w"))
+    # a job held in memory, and one whose steps are files
+    for size in (100, storage.INLINE_MAX_BYTES + 1):
+        seed_file(cluster, "u1", tok, f"/d/{size}.bin", b"1" * size)
+        result, _ = submit(w.addr, {"fois": sequence_to_wire(
+            [FOI("get", f"/d/{size}.bin"), FOI("op", f"/d/{size}.bin", op_kind="compress"),
+             FOI("put", f"/d/{size}.bin.gz")]), "credentials": creds_body("u1", tok)})
+        assert step_files_left(tmp_path / "w", result["job_id"]) == []
+    # a later job must not see an earlier job's artifact
     with pytest.raises(Exception):
         submit(w.addr, {"fois": sequence_to_wire([FOI("put", "/d/again.bin")]),
                         "credentials": creds_body("u1", tok)})
+
+
+def test_a_small_job_creates_no_file(cluster, tmp_path, monkeypatch):
+    tok = cluster.account("u1")
+    data = _text(20_000)
+    sess = seed_file(cluster, "u1", tok, "/d/s.txt", data)
+    scratch = str(tmp_path / "w")
+    w = cluster.worker(registered=False, scratch_dir=scratch)
+    watched = (scratch, os.path.join(cluster.backend.root, storage.META_DIR, "blobs"))
+    made = []
+    writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT
+
+    def under(path):
+        return os.path.abspath(os.fspath(path)).startswith(watched)
+
+    def spy(fn, is_write):
+        def call(path, *args, **kwargs):
+            if under(path) and is_write(*args, **kwargs):
+                made.append((fn.__name__, os.fspath(path)))
+            return fn(path, *args, **kwargs)
+        return call
+    monkeypatch.setattr(os, "mkdir", spy(os.mkdir, lambda *a, **k: True))
+    monkeypatch.setattr(os, "open", spy(os.open, lambda flags, *a, **k: flags & writes))
+    monkeypatch.setattr(builtins, "open", spy(
+        builtins.open, lambda mode="r", *a, **k: set(mode) & set("wxa+")))
+    fois = [FOI("get", "/d/s.txt"), FOI("op", "/d/s.txt", op_kind="compress"),
+            FOI("put", "/d/s.txt.gz")]
+    result, _ = submit(w.addr, {"fois": sequence_to_wire(fois),
+                                "credentials": creds_body("u1", tok)})
+    monkeypatch.undo()
+    assert made == []
+    stored = cluster.backend.get_object(sess, "/d/s.txt.gz")
+    assert gzip.decompress(stored) == data
+    assert result["work_bytes"] == 2 * len(data) + 2 * len(stored)
+    assert os.listdir(os.path.join(scratch, "jobs")) == []
 
 
 def test_job_runs_on_a_backend_without_linked_methods(cluster, six_methods):
@@ -1080,7 +1127,7 @@ def test_shared_worker_refuses_push_of_host_paths(cluster, tmp_path, target):
 
 @pytest.mark.parametrize("job_id", ["../victim", "..", ".", "a/b"])
 def test_job_id_cannot_name_a_directory_outside_jobs(cluster, tmp_path, job_id):
-    # the job id names the workspace that is wiped when the job ends
+    # the job id names the step files that are removed when the job ends
     scratch = tmp_path / "w"
     w = cluster.worker(registered=False, scratch_dir=str(scratch))
     victim = os.path.normpath(os.path.join(scratch, "jobs", job_id))
@@ -1196,15 +1243,18 @@ def test_thread_census(tmp_path, monkeypatch):
         thread_start = threading.Thread.start
 
         def spy(t):
-            started.append(t.name)
+            started.append((threading.current_thread(), t.name))
             thread_start(t)
+        # only what the worker's own listener starts: a listener that an
+        # earlier test left running may accept a connection meanwhile
+        accept = w._listener._thread
         monkeypatch.setattr(threading.Thread, "start", spy)
         for _ in range(3):
             submit(w.addr, {"fois": []})
         monkeypatch.undo()
-        assert started.count("skyrelay-conn") == 3
+        assert [n for by, n in started if by is accept] == ["skyrelay-conn"] * 3
         assert all(n == "skyrelay-conn" or n.startswith(("skyrelay-job_", "skyrelay-gzip_"))
-                   for n in started), started
+                   for _, n in started), started
     finally:
         w.stop()
         coord.stop()
