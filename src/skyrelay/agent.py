@@ -111,7 +111,8 @@ def write_ticket(ticket: TransferTicket, path: str):
     """Serialize a ticket to the out-of-band drop point (a local file)."""
     frame = encode_message(Message(kind="TRANSFER_NOTIFY", seq=0, body=ticket.to_wire()))
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    # owner-only from creation: the ticket carries the guest token
+    with open(tmp, "wb", opener=lambda p, flags: os.open(p, flags, 0o600)) as f:
         f.write(frame)
     os.replace(tmp, path)
 
@@ -150,7 +151,6 @@ class AgentConfig:
     download_dir: str | None = None
     seed: int | None = None
     channel_factory: Callable[[str, str], Channel] | None = None
-    user_id: str | None = None  # identity shown to the coordinator
 
 
 class AgentSession:
@@ -159,7 +159,6 @@ class AgentSession:
     def __init__(self, cfg: AgentConfig):
         self.cfg = cfg
         self.creds = CredentialSet(cfg.account_id, cfg.token)
-        self.user_id = cfg.user_id or cfg.account_id
         self.session = cfg.backend.authenticate(cfg.token)
         self.rng = random.Random(cfg.seed)
         self.shadow: ShadowFS = cfg.backend.sync_shadow(self.session)
@@ -201,14 +200,6 @@ class AgentSession:
                if p.startswith(prefix) and "/" not in p[len(prefix):]]
         return sorted(out, key=lambda m: m.path)
 
-    def save_state(self, path: str):
-        """Persist the agent's view: shadow metadata, never content or creds."""
-        doc = {"account_id": self.cfg.account_id, "shadow": self.shadow.to_wire()}
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, separators=(",", ":"))
-        os.replace(tmp, path)
-
     # -- basic operations --
 
     def cmd_basic(self, action: str, args: dict[str, Any]) -> ShadowFS:
@@ -243,7 +234,7 @@ class AgentSession:
 
     def _coordinator_grant(self, kind: str, body: dict, purpose: str,
                            channels: list[Channel]) -> dict:
-        """One coordinator round trip that yields an instance grant.
+        """One coordinator round trip whose ACK carries an instance grant.
 
         REQUEST_INSTANCE places a cloud op or a send on the shared pool;
         VERIFY_TRANSFER admits a receiver to the sender's instance.
@@ -252,14 +243,12 @@ class AgentSession:
             raise StartError("shared mode needs a coordinator address")
         ch = self._open(self.cfg.coordinator_addr, purpose)
         channels.append(ch)
-        grants: list[dict] = []
         try:
-            ch.request(kind, body, on_event=lambda m: grants.append(m.body))
+            grant = ch.request(kind, body).body
         finally:
             ch.close()
-        if not grants:
+        if not grant:
             raise StartError(f"coordinator acknowledged {kind} without a grant")
-        grant = grants[0]
         self._check_certificate(grant["certificate"])
         return grant
 
@@ -274,7 +263,7 @@ class AgentSession:
             return None
         if self._grant is None or time.time() >= self._grant["reuse_until"]:
             self._grant = self._coordinator_grant(
-                "REQUEST_INSTANCE", {"user_id": self.user_id}, "grant", channels)
+                "REQUEST_INSTANCE", {"user_id": self.cfg.account_id}, "grant", channels)
         return self._grant
 
     def _place_and_submit(self, fois: list[FOI], protocol: str, channels: list[Channel],
@@ -396,7 +385,13 @@ class AgentSession:
 
         The private protocol stages the file on this user's own instance; the
         shared one on a granted pool instance the receiver will run on too.
+        A private send whose instance has no certificate for the ticket
+        refuses before it exposes anything.
         """
+        if protocol == "private":
+            self._ensure_private()
+            if self.private_certificate is None:
+                raise StartError("own instance carries no certificate to embed")
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
@@ -406,13 +401,11 @@ class AgentSession:
         descriptor = result["pushed"][0]
         if grant is None:
             pid, certificate = "", self.private_certificate
-            if certificate is None:
-                raise StartError("own instance carries no certificate to embed")
         else:
             pid, certificate = grant["pid"], grant["certificate"]
         ticket = TransferTicket(
             protocol=protocol,
-            sender_id=self.user_id,
+            sender_id=self.cfg.account_id,
             instance_addr=addr,
             instance_pid=pid,
             uri_f=descriptor["uri"],
@@ -442,7 +435,7 @@ class AgentSession:
         grant = None
         if ticket.protocol != "private":
             grant = self._coordinator_grant("VERIFY_TRANSFER", {
-                "user_id": self.user_id,
+                "user_id": self.cfg.account_id,
                 "sender_id": ticket.sender_id,
                 "pid": ticket.instance_pid,
             }, "verify", channels)

@@ -87,21 +87,6 @@ class MetricsReport:
     def passed(self) -> bool:
         return all(a["pass"] for a in self.assertions)
 
-    def pass_vector(self) -> list[tuple[str, bool]]:
-        return [(a["name"], a["pass"]) for a in self.assertions]
-
-    def byte_signature(self) -> dict:
-        """The deterministic portion: everything except wall-clock fields."""
-        return {
-            "principals": self.principals,
-            "op_bytes": [
-                {k: o[k] for k in ("op", "size_bytes", "bytes_agent",
-                                   "bytes_worker", "heartbeats", "ok")}
-                for o in self.ops
-            ],
-            "reconciliation": self.reconciliation,
-        }
-
     def to_json(self) -> dict:
         return {
             "scenario": self.scenario,

@@ -43,9 +43,12 @@ def _load_profile(state_dir: str) -> dict:
 def _save_profile(state_dir: str, profile: dict):
     os.makedirs(state_dir, exist_ok=True)
     path = _profile_path(state_dir)
-    with open(path, "w", encoding="utf-8") as f:
+    tmp = path + ".tmp"
+    # a new file, owner-only from creation: the profile holds the storage token
+    with open(tmp, "w", encoding="utf-8",
+              opener=lambda p, flags: os.open(p, flags, 0o600)) as f:
         json.dump(profile, f, indent=2)
-    os.chmod(path, 0o600)  # holds the storage token
+    os.replace(tmp, path)
 
 
 def _agent_from_profile(args) -> AgentSession:
@@ -68,7 +71,6 @@ def _agent_from_profile(args) -> AgentSession:
 
 
 def _finish(agent: AgentSession, args):
-    agent.save_state(os.path.join(args.state_dir, "shadow.json"))
     if getattr(args, "metrics_out", None):
         with open(args.metrics_out, "w", encoding="utf-8") as f:
             json.dump(agent.metrics, f, indent=2)
@@ -156,7 +158,7 @@ def _cmd_worker(args) -> int:
     worker = Worker(WorkerConfig(
         listen_addr=args.listen,
         coordinator_addr=args.coordinator,
-        store_root=args.store_root,
+        backend=LocalDirBackend(args.store_root),
         billing_period_s=args.billing_period,
         safety_margin_s=args.safety_margin,
         max_jobs=args.max_jobs,

@@ -7,14 +7,16 @@ sender/receiver pairings for transfers through shared instances, and signs
 instance certificates so agents can authenticate what a worker claims.
 
 It runs no thread of its own.  Chain position, retirement (share window
-over, or no ping within ping_miss_limit intervals) and allocation expiry
-are all functions of the clock, so each request settles the records it
-reads to the current time before it uses them.
+over, or no ping within PING_MISS_LIMIT intervals of PING_INTERVAL_S) and
+allocation expiry are all functions of the clock, so each request settles
+the records it reads to the current time before it uses them.
 
 Registration is one request and one reply on the channel the instance
 opened: the reply carries the pid, the certificate, the chain (a random
 32-byte root plus t0, offset and interval) and the ping interval, so the
-instance pings at the cadence its retirement is judged by.  The paper
+instance pings at the cadence its retirement is judged by.  A grant, to
+REQUEST_INSTANCE or VERIFY_TRANSFER, is the body of the ACK that ends the
+request.  The paper
 derives the root as H(pid || t0); both of those are in every certificate,
 so any grantee could recompute the chain, and the root here is drawn at
 random instead.
@@ -69,6 +71,10 @@ DEFAULT_TICKET_TIMEOUT_S = 60.0
 # so clocks a little apart and a job in flight still make it
 REUSE_SLACK_S = 5
 LOG_MAX_LINES = 10_000
+# an instance pings every PING_INTERVAL_S and is retired after
+# PING_MISS_LIMIT intervals without one
+PING_INTERVAL_S = 30.0
+PING_MISS_LIMIT = 3
 
 
 @dataclass
@@ -77,8 +83,6 @@ class CoordinatorConfig:
     min_share_remaining_s: float = DEFAULT_MIN_SHARE_REMAINING_S
     alloc_ttl_s: float = DEFAULT_ALLOC_TTL_S
     interval_s: int = DEFAULT_INTERVAL_S
-    ping_miss_limit: int = 3
-    ping_interval_s: float = 30.0
     rng: random.Random | None = None
     channel_factory: object | None = None  # (addr, purpose) -> Channel
     tap_factory: object | None = None
@@ -173,7 +177,7 @@ class Coordinator:
         if rec.status != "active":
             return
         over = now >= rec.share_until
-        if over or now - rec.last_ping > self.cfg.ping_interval_s * self.cfg.ping_miss_limit:
+        if over or now - rec.last_ping > PING_INTERVAL_S * PING_MISS_LIMIT:
             rec.status = "retired"
             self._log(f"retired instance {rec.pid.hex()[:8]} "
                       f"({'share window over' if over else 'missed pings'})")
@@ -272,7 +276,7 @@ class Coordinator:
             "t0": key_state.t0,
             "offset_s": key_state.offset_s,
             "interval_s": key_state.interval_s,
-            "ping_interval_s": self.cfg.ping_interval_s,
+            "ping_interval_s": PING_INTERVAL_S,
             "certificate": certificate.to_wire(),
         })
 
@@ -333,8 +337,7 @@ class Coordinator:
             body["hardware_info"] = best.hardware_info
         self._log(f"granted instance {body['pid'][:8]} to user {user_id} "
                   f"(epoch {body['epoch']})")
-        conn.send_event("INSTANCE_GRANT", msg.seq, body)
-        conn.send_ack(msg.seq)
+        conn.send_ack(msg.seq, body)
 
     def _handle_verify_transfer(self, conn: ServerConn, msg: Message):
         body = msg.body
@@ -353,8 +356,7 @@ class Coordinator:
                     f"no live allocation of this instance to sender {sender_id!r}")
             reply = self._grant(rec, user_id, now)
         self._log(f"verified transfer on {pid.hex()[:8]}: sender {sender_id} -> {user_id}")
-        conn.send_event("VERIFY_GRANT", msg.seq, reply)
-        conn.send_ack(msg.seq)
+        conn.send_ack(msg.seq, reply)
 
     def _handle_ping(self, conn: ServerConn, msg: Message):
         pid = self._pid_of(msg.body)

@@ -72,17 +72,6 @@ class FileMeta:
             "revision": self.revision,
         }
 
-    @classmethod
-    def from_wire(cls, d: dict) -> FileMeta:
-        return cls(
-            path=d["path"],
-            name=d["name"],
-            kind=d["kind"],
-            size_bytes=d["size_bytes"],
-            modified_at=d["modified_at"],
-            revision=d["revision"],
-        )
-
 
 @dataclass
 class FOI:

@@ -165,25 +165,7 @@ class ShadowFS:
 
     account_id: str
     entries: dict[str, FileMeta] = field(default_factory=dict)
-    synced_at: int = 0
     cursor: int = 0  # the account's last change number the entries include
-
-    def to_wire(self) -> dict:
-        return {
-            "account_id": self.account_id,
-            "synced_at": self.synced_at,
-            "cursor": self.cursor,
-            "entries": {p: m.to_wire() for p, m in sorted(self.entries.items())},
-        }
-
-    @classmethod
-    def from_wire(cls, d: dict) -> ShadowFS:
-        return cls(
-            account_id=d["account_id"],
-            synced_at=d["synced_at"],
-            cursor=d["cursor"],
-            entries={p: FileMeta.from_wire(m) for p, m in d["entries"].items()},
-        )
 
 
 class StorageBackend:
@@ -382,8 +364,7 @@ class LocalDirBackend(StorageBackend):
         if row is None:
             raise AuthError("session not valid for this account")
         entries = {p: _meta(p, *v) for p, v in json.loads(row[1]).items()}
-        return ShadowFS(account_id=session.account_id, entries=entries,
-                        synced_at=int(time.time()), cursor=row[0])
+        return ShadowFS(account_id=session.account_id, entries=entries, cursor=row[0])
 
     def refresh_shadow(self, session: Session, shadow: ShadowFS) -> ShadowFS:
         """Apply to shadow, in place, the paths changed after its cursor."""
@@ -406,7 +387,6 @@ class LocalDirBackend(StorageBackend):
             else:
                 entries[path] = _meta(path, kind, *rest)
         shadow.cursor = row[0]
-        shadow.synced_at = int(time.time())
         return shadow
 
     # -- internals --

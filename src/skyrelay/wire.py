@@ -5,9 +5,10 @@ Frames are a 4-byte big-endian length prefix followed by UTF-8 JSON:
 beside that header: its payload is a 0x00 lead byte (no JSON frame starts
 with it), the header's 4-byte length, the JSON header, then the bytes; only
 exposure-fetch replies use it.  The client side of a channel
-keeps at most one request in flight; the server may interleave event
-messages (heartbeats, grants) carrying the same seq before the single
-terminal RESULT/ACK/ERROR.
+keeps at most one request in flight; the server may interleave HEARTBEAT
+events carrying the same seq before the single terminal RESULT/ACK/ERROR.
+A server takes inbound frames of at most MAX_REQUEST_BYTES: it receives
+only control frames, and closes a connection whose frame declares more.
 
 Every channel endpoint counts the exact bytes it puts on and takes off the
 socket, which is what the bench harness reconciles.  Channels are plain
@@ -44,6 +45,10 @@ from .errors import (
 )
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+# the largest frame a server takes in: the largest SUBMIT_OP an agent builds,
+# a compress naming one 4096-byte path of control characters three times
+# (each escaped to \uXXXX), is about 73 KiB
+MAX_REQUEST_BYTES = 128 * 1024
 DEFAULT_TIMEOUT_S = 10.0
 DATA_LEAD = b"\x00"
 _U32 = struct.Struct(">I")
@@ -51,13 +56,11 @@ _U32 = struct.Struct(">I")
 KINDS = frozenset({
     "REGISTER_INSTANCE",
     "REQUEST_INSTANCE",
-    "INSTANCE_GRANT",
     "SUBMIT_OP",
     "HEARTBEAT",
     "RESULT",
     "TRANSFER_NOTIFY",
     "VERIFY_TRANSFER",
-    "VERIFY_GRANT",
     "SHUTDOWN_NOTICE",
     "ACK",
     "ERROR",
@@ -147,6 +150,8 @@ def format_addr(host: str, port: int) -> str:
 class _Framed:
     """Socket wrapper doing framing, byte counting, and the optional tap."""
 
+    max_frame_bytes = MAX_FRAME_BYTES  # the largest frame this end takes in
+
     def __init__(self, sock: socket.socket,
                  tap: Callable[[str, bytes], None] | None = None):
         # a frame can leave in more than one segment; don't hold the last back
@@ -180,9 +185,9 @@ class _Framed:
                 if not self._recv_into(memoryview(prefix), allow_eof=True):
                     raise ChannelClosed("peer closed the channel")
                 (length,) = _U32.unpack(prefix)
-                if length > MAX_FRAME_BYTES:
+                if length > self.max_frame_bytes:  # refused before allocating it
                     raise FrameError(
-                        f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+                        f"frame of {length} bytes exceeds {self.max_frame_bytes}")
                 frame = bytearray(4 + length)
                 frame[:4] = prefix
                 self._recv_into(memoryview(frame)[4:], allow_eof=False)
@@ -233,7 +238,7 @@ class Channel(_Framed):
         the typed error its body names.
 
         The timeout applies to gaps between frames, not the whole exchange;
-        interleaved events (heartbeats, grants) keep a long job alive.
+        interleaved heartbeats keep a long job alive.
         """
         with self._req_lock:
             self._seq += 1
@@ -274,6 +279,8 @@ def default_opener(addr: str, purpose: str) -> Channel:
 
 class ServerConn(_Framed):
     """Server end of one accepted connection."""
+
+    max_frame_bytes = MAX_REQUEST_BYTES
 
     def __init__(self, sock: socket.socket, peer: str,
                  tap: Callable[[str, bytes], None] | None = None):

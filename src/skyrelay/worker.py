@@ -81,7 +81,7 @@ from .errors import (
     error_body,
 )
 from .keying import EpochKeyState, CredentialCiphertext, decrypt_credentials, job_binding
-from .storage import LocalDirBackend, StorageBackend
+from .storage import StorageBackend
 from .wire import Certificate, Channel, Listener, Message, ServerConn, default_opener
 
 HEARTBEAT_QUANTUM_BYTES = 16 * 1024 * 1024
@@ -177,7 +177,6 @@ def pull_exposure(read: Callable[[int], tuple[bytes, bool]], path: str,
 class WorkerConfig:
     listen_addr: str = "127.0.0.1:0"
     coordinator_addr: str | None = None
-    store_root: str | None = None
     backend: StorageBackend | None = None
     scratch_dir: str | None = None
     billing_period_s: float = DEFAULT_BILLING_PERIOD_S
@@ -253,7 +252,6 @@ class Worker:
         self._gzip_pool: ThreadPoolExecutor | None = None
         self._jobs: dict[str, _Job] = {}
         self._exposed: dict[tuple[str, str], _Exposed] = {}
-        self._backend: StorageBackend | None = cfg.backend
         self._open = cfg.channel_factory or default_opener
         self._key_lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -615,13 +613,6 @@ class Worker:
         if job.work_bytes // HEARTBEAT_QUANTUM_BYTES > before // HEARTBEAT_QUANTUM_BYTES:
             self._beat(job)
 
-    def _get_backend(self) -> StorageBackend:
-        if self._backend is None:
-            if self.cfg.store_root is None:
-                raise NotFound("worker has no storage backend configured")
-            self._backend = LocalDirBackend(self.cfg.store_root)
-        return self._backend
-
     def _run_job(self, job: _Job, ct: CredentialCiphertext | None,
                  creds: CredentialSet | None):
         job.prefix = os.path.join(self._scratch, "jobs", job.job_id + ".")
@@ -636,7 +627,9 @@ class Worker:
                     sc = decrypt_credentials(self.key_state, ct, aad=job_binding(
                         self.pid, job.job_id, sequence_to_wire(job.fois)))
             if sc is not None:
-                session = self._get_backend().authenticate(sc.token)
+                if self.cfg.backend is None:
+                    raise NotFound("worker has no storage backend configured")
+                session = self.cfg.backend.authenticate(sc.token)
                 if session.account_id != sc.account_id:
                     raise AuthError("token does not belong to the named account")
             for i, foi in enumerate(job.fois):
@@ -694,7 +687,7 @@ class Worker:
         if session is None:
             raise AuthError("get requires storage credentials")
         path = job.step_path()
-        data = self._get_backend().get_object_or_file(session, foi.target, path)
+        data = self.cfg.backend.get_object_or_file(session, foi.target, path)
         if data is None:
             job.file, job.data = path, None
             self._add_work(job, os.path.getsize(path))
@@ -706,10 +699,10 @@ class Worker:
         if session is None:
             raise AuthError("put requires storage credentials")
         if job.data is not None:
-            meta = self._get_backend().put_object(session, foi.target, job.data)
+            meta = self.cfg.backend.put_object(session, foi.target, job.data)
         else:
             # a job never writes a step's file again, so the store may keep it by link
-            meta = self._get_backend().put_object_from(session, foi.target, job.file)
+            meta = self.cfg.backend.put_object_from(session, foi.target, job.file)
         self._add_work(job, meta.size_bytes)
         job.outputs.append(meta.to_wire())
 

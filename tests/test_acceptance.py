@@ -7,7 +7,6 @@ store, loopback wire).
 """
 
 import hashlib
-import json
 import os
 import random
 import threading
@@ -17,7 +16,7 @@ import pytest
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from skyrelay import ppm
+from skyrelay import cli, ppm
 from skyrelay.agent import AgentConfig, AgentSession, read_ticket
 from skyrelay.bench import ScenarioSpec, compare_modes, run_scenario
 from skyrelay.core import (
@@ -48,6 +47,7 @@ from skyrelay.scheduler import (
     solve_exact,
     solve_greedy,
 )
+from skyrelay.storage import LocalDirBackend
 
 MIB = 1024 * 1024
 
@@ -390,28 +390,28 @@ def test_c09_shared_pool_beats_cold_private_start():
           f"shared mean {out['mean_shared_ms']:.0f}ms")
 
 
-def test_c10_persisted_state_stays_thin(cluster, tmp_path):
-    """1000-file corpus: saved agent state < 512 B per entry, zero content."""
-    agent, token = _agent(cluster, "alice", seed=10)
-    sess = cluster.backend.authenticate(token)
+def test_c10_persisted_state_stays_thin(tmp_path):
+    """CLI commands over a 10-file and a 1000-file corpus leave the same
+    bytes in the state directory, with no content; the token is only in
+    the profile, which is owner-only."""
     marker = b"BODYMARKER-7e2a-"
-    for i in range(1000):
-        cluster.backend.put_object(
-            sess, f"/corpus/d{i % 10}/file_{i:04d}.bin",
-            marker + os.urandom(64) + f"-{i}".encode())
-    agent.sync()
-    state = tmp_path / "state.json"
-    agent.save_state(str(state))
-    raw = state.read_bytes()
-    doc = json.loads(raw)
-    entries = doc["shadow"]["entries"]
-    n_files = sum(1 for e in entries.values() if e.get("kind") == "file")
-    assert n_files == 1000
-    # the change cursor rides along: one integer, one change per entry made
-    assert doc["shadow"]["cursor"] == len(entries)
-    per_entry = len(raw) / len(entries)
-    assert per_entry < 512, f"{per_entry:.1f} bytes per entry"
-    assert marker not in raw
-    assert token.encode() not in raw
-    print(f"{len(entries)} entries in {len(raw)} bytes "
-          f"({per_entry:.1f} B/entry), no content bytes")
+    layouts = {}
+    for n in (10, 1000):
+        store, state = tmp_path / f"store{n:04d}", tmp_path / f"state{n:04d}"
+        backend = LocalDirBackend(str(store))
+        token = backend.create_account("alice", quota_bytes=1 << 33)
+        sess = backend.authenticate(token)
+        for i in range(n):
+            backend.put_object(sess, f"/corpus/d{i % 10}/file_{i:04d}.bin",
+                               marker + os.urandom(64) + f"-{i}".encode())
+        for argv in (["login", "alice", "--store-root", str(store), "--token", token],
+                     ["mkdir", "/x"], ["ls", "/corpus/d0"]):
+            assert cli.main(["agent", "--state-dir", str(state), *argv]) == 0
+        files = {str(p.relative_to(state)): p.read_bytes()
+                 for p in state.rglob("*") if p.is_file()}
+        assert not any(marker in raw for raw in files.values())
+        assert [p for p, raw in files.items() if token.encode() in raw] == ["profile.json"]
+        assert os.stat(state / "profile.json").st_mode & 0o077 == 0
+        layouts[n] = {p: len(raw) for p, raw in files.items()}
+    assert layouts[10] == layouts[1000]
+    print(f"state dir after 10 and 1000 files: {layouts[1000]}, no content bytes")

@@ -30,7 +30,7 @@ from skyrelay.errors import (
     VerificationFailed,
 )
 from skyrelay.storage import LocalDirBackend, ShadowFS
-from skyrelay.wire import open_channel, parse_addr
+from skyrelay.wire import Listener, open_channel, parse_addr
 
 
 def make_agent(cluster, name, *, seed=7, launcher=None, download_dir=None,
@@ -131,21 +131,6 @@ def test_backend_without_refresh_keeps_the_shadow_right(cluster, tmp_path, six_m
         assert agent.shadow.entries == cluster.backend.sync_shadow(sess).entries
     assert set(agent.shadow.entries) == {"/m", "/m/f.bin", "/m/f.bin.gz"}
     assert six_methods.calls.count("sync_shadow") == 1 + len(steps)
-
-
-def test_save_state_is_metadata_only(cluster, tmp_path):
-    agent, tok = make_agent(cluster, "alice")
-    marker = b"CONTENTMARKER-9c1f"
-    put_file(cluster, tok, "/d/secret.bin", marker * 100)
-    agent.sync()
-    state = tmp_path / "state.json"
-    agent.save_state(str(state))
-    raw = state.read_bytes()
-    doc = json.loads(raw)
-    assert doc["account_id"] == "alice"
-    assert "/d/secret.bin" in doc["shadow"]["entries"]
-    assert marker not in raw
-    assert tok.encode() not in raw
 
 
 # -- cloud-assisted operations --
@@ -430,6 +415,20 @@ def test_no_pool_raises_before_any_job(cluster, tmp_path):
         agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
 
 
+def test_an_ack_without_a_grant_is_a_start_error(cluster, tmp_path):
+    stub = Listener("127.0.0.1:0", lambda conn, msg: conn.send_ack(msg.seq))
+    try:
+        agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path),
+                                coordinator=False)
+        agent.cfg.coordinator_addr = stub.addr
+        put_file(cluster, tok, "/d/f.bin", b"x" * 10)
+        agent.sync()
+        with pytest.raises(StartError):
+            agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
+    finally:
+        stub.close()
+
+
 def test_private_mode_lazy_launch_once(cluster, tmp_path):
     launcher, calls = private_launcher_for(cluster)
     agent, tok = make_agent(cluster, "alice", launcher=launcher,
@@ -456,6 +455,7 @@ def test_ticket_file_round_trip(tmp_path):
     write_ticket(ticket, str(path))
     got = read_ticket(str(path))
     assert got == ticket
+    assert os.stat(path).st_mode & 0o077 == 0  # it carries the guest token
 
 
 def test_read_ticket_times_out(tmp_path):
@@ -538,16 +538,18 @@ def test_recv_rejects_tampered_certificate(cluster, tmp_path):
 
 
 def test_private_send_requires_certified_instance(cluster, tmp_path):
-    # a launcher that returns no certificate cannot produce tickets
-    def launch():
-        w = cluster.worker(registered=False)
-        return w.addr, None
-
-    alice, tok_a = make_agent(cluster, "alice", launcher=launch, seed=1)
-    put_file(cluster, tok_a, "/out/f.bin", b"f" * 10)
-    alice.sync()
-    with pytest.raises(StartError):
-        alice.cmd_send("bob", "/out/f.bin", str(tmp_path / "t.ticket"))
+    # an own instance with no certificate, launched or configured, cannot
+    # produce tickets, so the send refuses before it exposes anything there
+    w = cluster.worker(registered=False)
+    for name, extra in (("alice", {"launcher": lambda: (w.addr, None)}),
+                        ("carol", {"private_instance": w.addr})):
+        sender, tok = make_agent(cluster, name, seed=1, **extra)
+        put_file(cluster, tok, "/out/f.bin", b"f" * 10)
+        sender.sync()
+        with pytest.raises(StartError):
+            sender.cmd_send("bob", "/out/f.bin", str(tmp_path / "t.ticket"))
+    assert cluster.recorder.occurrences(b'"SUBMIT_OP"') == []
+    assert w._exposed == {}
 
 
 def test_recv_expired_exposure_is_gone(cluster, tmp_path):

@@ -30,12 +30,24 @@ def test_login_then_basic_flow(home, capsys):
     assert code == 0
     code, out, _ = run(capsys, "agent", "ls", "/")
     assert code == 0 and "/docs" in out
-    # state dir holds the profile and shadow, never world readable
+    # the state dir holds only the profile, never world readable
     prof = home / "home" / "profile.json"
-    assert prof.exists()
+    assert [p.name for p in (home / "home").iterdir()] == ["profile.json"]
     assert os.stat(prof).st_mode & 0o077 == 0
     doc = json.loads(prof.read_text())
     assert doc["account_id"] == "alice"
+
+
+def test_profile_is_owner_only_from_creation(home, capsys, monkeypatch):
+    chmod = os.chmod
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    prof = home / "home" / "profile.json"
+    for account in ("alice", "bob"):  # bob's login replaces a world-readable profile
+        code, _, _ = run(capsys, "agent", "login", account,
+                         "--store-root", str(home / "store"), "--create")
+        assert code == 0
+        assert os.stat(prof).st_mode & 0o077 == 0
+        chmod(prof, 0o644)
 
 
 def test_agent_error_is_clean_nonzero(home, capsys):

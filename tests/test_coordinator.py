@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from skyrelay import coordinator
 from skyrelay.coordinator import REUSE_SLACK_S, Coordinator, CoordinatorConfig
 from skyrelay.errors import (
     AlreadyRegistered,
@@ -25,7 +26,7 @@ from skyrelay.keying import (
     round_minute,
 )
 from skyrelay.scheduler import plan_batch
-from skyrelay.wire import Certificate, open_channel, verify_certificate
+from skyrelay.wire import Certificate, decode_message, open_channel, verify_certificate
 from skyrelay.worker import CPU_COUNT, Worker, WorkerConfig
 
 
@@ -81,9 +82,8 @@ def test_grant_contains_working_user_key(cluster):
     w = cluster.worker(shared=True)
     reply, events = request(cluster.coordinator.addr, "REQUEST_INSTANCE",
                             {"user_id": "alice"})
-    grants = [e.body for e in events if e.kind == "INSTANCE_GRANT"]
-    assert len(grants) == 1
-    g = grants[0]
+    assert reply.kind == "ACK" and events == []
+    g = reply.body
     assert g["pid"] == w.pid.hex() and g["addr"] == w.addr
     verify_certificate(cluster.coordinator.public_key,
                        Certificate.from_wire(g["certificate"]))
@@ -95,12 +95,29 @@ def test_grant_contains_working_user_key(cluster):
         rec.key_state.key_current + bytes.fromhex(g["r"])).digest()
 
 
+@pytest.mark.parametrize("kind", ["REQUEST_INSTANCE", "VERIFY_TRANSFER"])
+def test_a_grant_round_trip_is_two_frames(cluster, kind):
+    w = cluster.worker(shared=True)
+    if kind == "VERIFY_TRANSFER":
+        request(cluster.coordinator.addr, "REQUEST_INSTANCE", {"user_id": "alice"})
+    frames = []
+    ch = open_channel(cluster.coordinator.addr,
+                      tap=lambda direction, frame: frames.append((direction, frame)))
+    try:
+        ch.request(kind, {"user_id": "bob", "sender_id": "alice", "pid": w.pid.hex()})
+    finally:
+        ch.close()
+    assert [d for d, _ in frames] == ["sent", "received"]
+    ack = decode_message(frames[1][1])
+    assert ack.kind == "ACK" and ack.body["pid"] == w.pid.hex()
+    assert {"addr", "certificate", "r", "key", "epoch", "reuse_until"} <= ack.body.keys()
+
+
 def test_grant_key_not_derivable_from_certificate(cluster):
     # pid and issued_at are public in every certificate; with a hashed
     # chain root they would give away the instance key behind the grant
     cluster.worker(shared=True)
-    _, events = request(cluster.coordinator.addr, "REQUEST_INSTANCE", {"user_id": "alice"})
-    g = [e.body for e in events if e.kind == "INSTANCE_GRANT"][0]
+    g = request(cluster.coordinator.addr, "REQUEST_INSTANCE", {"user_id": "alice"})[0].body
     cert = Certificate.from_wire(g["certificate"])
     pid = bytes.fromhex(cert.subject["pid"])
     # the paper's root, H(pid || be64(minute(t0))), from the certificate alone
@@ -124,9 +141,8 @@ def test_reuse_until_is_the_earliest_bound(tmp_path, bound):
     try:
         w.start()
         before = time.time()
-        _, events = request(coord.addr, "REQUEST_INSTANCE", {"user_id": "alice"})
+        g = request(coord.addr, "REQUEST_INSTANCE", {"user_id": "alice"})[0].body
         after = time.time()
-        g = events[0].body
         st = w.key_state
         expect = {
             "epoch": [st.t0 + (g["epoch"] + 2) * st.interval_s],
@@ -196,9 +212,8 @@ def test_longest_lived_instance_preferred(cluster):
     short = cluster.worker(shared=True, share_duration_s=400)
     long = cluster.worker(shared=True, share_duration_s=4000)
     for _ in range(3):
-        _, events = request(cluster.coordinator.addr, "REQUEST_INSTANCE",
-                            {"user_id": "alice"})
-        g = [e.body for e in events if e.kind == "INSTANCE_GRANT"][0]
+        g = request(cluster.coordinator.addr, "REQUEST_INSTANCE",
+                    {"user_id": "alice"})[0].body
         assert g["pid"] == long.pid.hex() != short.pid.hex()
 
 
@@ -214,19 +229,18 @@ def test_verify_transfer_requires_sender_allocation(cluster):
 def test_verify_transfer_happy_path(cluster):
     w = cluster.worker(shared=True)
     request(cluster.coordinator.addr, "REQUEST_INSTANCE", {"user_id": "alice"})
-    _, events = request(cluster.coordinator.addr, "VERIFY_TRANSFER", {
+    reply, events = request(cluster.coordinator.addr, "VERIFY_TRANSFER", {
         "user_id": "bob", "sender_id": "alice", "pid": w.pid.hex()})
-    grants = [e.body for e in events if e.kind == "VERIFY_GRANT"]
-    assert len(grants) == 1
-    g = grants[0]
+    assert reply.kind == "ACK" and events == []
+    g = reply.body
     assert g["pid"] == w.pid.hex()
     rec = cluster.coordinator._instances[w.pid]
     assert bytes.fromhex(g["key"]) == derive_user_key(
         rec.key_state.key_current, bytes.fromhex(g["r"]))
     # receiver now holds an allocation: a chained verify succeeds
-    _, events2 = request(cluster.coordinator.addr, "VERIFY_TRANSFER", {
+    chained, _ = request(cluster.coordinator.addr, "VERIFY_TRANSFER", {
         "user_id": "carol", "sender_id": "bob", "pid": w.pid.hex()})
-    assert any(e.kind == "VERIFY_GRANT" for e in events2)
+    assert chained.body["pid"] == w.pid.hex()
 
 
 def test_verify_transfer_wrong_instance(cluster):
@@ -244,9 +258,15 @@ def test_heartbeat_unknown_pid(cluster):
         request(cluster.coordinator.addr, "HEARTBEAT", {"pid": "ab" * 16})
 
 
-def test_missed_pings_retire_instance(cluster):
-    coord = Coordinator(CoordinatorConfig(
-        ping_interval_s=0.1, ping_miss_limit=2))
+@pytest.fixture
+def ping_every_100ms(monkeypatch):
+    """Instances ping every 0.1 s and retire after 0.2 s without one."""
+    monkeypatch.setattr(coordinator, "PING_INTERVAL_S", 0.1)
+    monkeypatch.setattr(coordinator, "PING_MISS_LIMIT", 2)
+
+
+def test_missed_pings_retire_instance(cluster, ping_every_100ms):
+    coord = Coordinator()
     addr = coord.start()
     try:
         # worker pings slower than the coordinator demands, then stops
@@ -270,8 +290,8 @@ def test_missed_pings_retire_instance(cluster):
         coord.stop()
 
 
-def test_late_heartbeat_leaves_instance_retired(cluster):
-    coord = Coordinator(CoordinatorConfig(ping_interval_s=0.1, ping_miss_limit=2))
+def test_late_heartbeat_leaves_instance_retired(cluster, ping_every_100ms):
+    coord = Coordinator()
     addr = coord.start()
     try:
         w = cluster.worker(shared=True, registered=False)
@@ -292,10 +312,10 @@ def test_late_heartbeat_leaves_instance_retired(cluster):
 
 
 @pytest.fixture
-def fast_pings(tmp_path):
+def fast_pings(tmp_path, ping_every_100ms):
     """A coordinator that retires an instance after 0.2 s without a ping,
     and a worker registered with it."""
-    coord = Coordinator(CoordinatorConfig(ping_interval_s=0.1, ping_miss_limit=2))
+    coord = Coordinator()
     coord.start()
     w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path)))
     w.start()

@@ -8,6 +8,8 @@ import http.server
 import io
 import os
 import random
+import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -20,7 +22,13 @@ from skyrelay import ppm, storage
 from skyrelay import coordinator as sky_coordinator
 from skyrelay import worker as sky_worker
 from skyrelay.coordinator import Coordinator, CoordinatorConfig
-from skyrelay.core import FOI, CredentialSet, sequence_to_wire
+from skyrelay.core import (
+    FOI,
+    CredentialSet,
+    OperationRequest,
+    compile_op_to_fois,
+    sequence_to_wire,
+)
 from skyrelay.errors import (
     AuthError,
     ConfigError,
@@ -40,7 +48,14 @@ from skyrelay.keying import (
     job_binding,
     key_at_epoch,
 )
-from skyrelay.wire import Message, open_channel
+from skyrelay.wire import (
+    MAX_FRAME_BYTES,
+    MAX_REQUEST_BYTES,
+    Message,
+    encode_message,
+    open_channel,
+    parse_addr,
+)
 from skyrelay.worker import (
     FETCH_CHUNK_BYTES,
     IO_CHUNK_BYTES,
@@ -995,11 +1010,9 @@ def test_shared_job_opens_on_a_chain_behind_the_coordinator(cluster, tmp_path):
             w.key_state = stale
         ch = open_channel(coord.addr)
         try:
-            grants = []
-            ch.request("REQUEST_INSTANCE", {"user_id": "u1"}, on_event=grants.append)
+            grant = ch.request("REQUEST_INSTANCE", {"user_id": "u1"}).body
         finally:
             ch.close()
-        grant = grants[0].body
         assert grant["epoch"] > stale.epoch
         fois = sequence_to_wire([FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")])
         ct = encrypt_credentials(bytes.fromhex(grant["key"]), CredentialSet("u1", tok),
@@ -1018,11 +1031,9 @@ def _sealed(cluster, w, tok, job_id, fois) -> dict:
     """u1's credentials sealed under a fresh grant on w, bound to job_id and fois."""
     ch = open_channel(cluster.coordinator.addr)
     try:
-        grants = []
-        ch.request("REQUEST_INSTANCE", {"user_id": "u1"}, on_event=grants.append)
+        grant = ch.request("REQUEST_INSTANCE", {"user_id": "u1"}).body
     finally:
         ch.close()
-    grant = grants[0].body
     assert grant["pid"] == w.pid.hex()
     return encrypt_credentials(bytes.fromhex(grant["key"]), CredentialSet("u1", tok),
                                bytes.fromhex(grant["r"]), grant["epoch"],
@@ -1296,3 +1307,40 @@ def test_parallel_jobs_on_separate_channels(cluster):
     sess = cluster.backend.authenticate(tok)
     for i in range(3):
         assert cluster.backend.get_object(sess, f"/d/p{i}.bin.gz")
+
+
+def test_a_job_with_credentials_on_a_worker_without_a_backend_is_not_found(cluster):
+    tok = cluster.account("u1")
+    w = cluster.worker(shared=False, backend=None)
+    with pytest.raises(NotFound):
+        submit(w.addr, {"fois": sequence_to_wire([FOI("get", "/a")]),
+                        "credentials": creds_body("u1", tok)})
+
+
+# -- inbound frame cap --
+
+def test_a_frame_declared_past_the_request_cap_is_closed_before_allocation(cluster):
+    w = cluster.worker(shared=False)
+    tracemalloc.start()
+    try:
+        with socket.create_connection(parse_addr(w.addr)) as s:
+            s.sendall(struct.pack(">I", MAX_FRAME_BYTES - 1))  # and no body
+            s.settimeout(1.0)
+            assert s.recv(1) == b""  # closed, with no reply
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_REQUEST_BYTES, f"peak {peak} bytes"
+
+
+def test_the_largest_submit_an_agent_builds_is_answered(cluster):
+    # compress names its path three times; a control character escapes to 6 bytes
+    tok = cluster.account("u1")
+    src = "/" + "\x01" * 4092  # .gz brings the put target to 4096 bytes
+    seed_file(cluster, "u1", tok, src, b"f" * 10)
+    w = cluster.worker(shared=False)
+    fois = compile_op_to_fois(OperationRequest(action="compress", args={"path": src}))
+    body = {"fois": sequence_to_wire(fois), "credentials": creds_body("u1", tok)}
+    assert 70_000 < len(encode_message(Message("SUBMIT_OP", 1, body))) < MAX_REQUEST_BYTES
+    result, _ = submit(w.addr, body)
+    assert result["outputs"][0]["path"] == src + ".gz"
