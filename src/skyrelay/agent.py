@@ -56,7 +56,7 @@ from .wire import (
     encode_message,
     verify_certificate,
 )
-from .worker import fetch_reader, pull_exposure
+from .worker import fetch_reader, parse_exposure_uri, pull_exposure
 
 
 def _never_started(e: SkyrelayError) -> bool:
@@ -159,9 +159,9 @@ class AgentSession:
     def __init__(self, cfg: AgentConfig):
         self.cfg = cfg
         self.creds = CredentialSet(cfg.account_id, cfg.token)
-        self.session = cfg.backend.authenticate(cfg.token)
         self.rng = random.Random(cfg.seed)
-        self.shadow: ShadowFS = cfg.backend.sync_shadow(self.session)
+        # raises AuthError unless the token belongs to the account
+        self.shadow: ShadowFS = cfg.backend.sync_shadow(self.creds)
         self.metrics: list[dict] = []
         self.private_instance = cfg.private_instance
         self.private_certificate = cfg.private_certificate
@@ -185,7 +185,7 @@ class AgentSession:
 
     def sync(self) -> ShadowFS:
         """Bring the shadow up to date; reads only what changed since its cursor."""
-        self.shadow = self.cfg.backend.refresh_shadow(self.session, self.shadow)
+        self.shadow = self.cfg.backend.refresh_shadow(self.creds, self.shadow)
         return self.shadow
 
     def ls(self, path: str = "/") -> list:
@@ -210,9 +210,9 @@ class AgentSession:
         if action == "create":
             kind = args.get("kind", "folder" if args.get("folder") else "file")
             storage_action = "create_folder" if kind == "folder" else "create_file"
-            self.cfg.backend.basic_op(self.session, storage_action, args)
+            self.cfg.backend.basic_op(self.creds, storage_action, args)
         else:
-            self.cfg.backend.basic_op(self.session, action, args)
+            self.cfg.backend.basic_op(self.creds, action, args)
         self.sync()
         self._record(action, [], started, [])
         return self.shadow
@@ -249,7 +249,7 @@ class AgentSession:
             ch.close()
         if not grant:
             raise StartError(f"coordinator acknowledged {kind} without a grant")
-        self._check_certificate(grant["certificate"])
+        self._check_certificate(grant["certificate"], grant["addr"], grant["pid"])
         return grant
 
     def _place(self, protocol: str, channels: list[Channel]) -> dict | None:
@@ -287,13 +287,20 @@ class AgentSession:
             addr, result = self._submit(fois, grant, channels, events)
         return grant, addr, result
 
-    def _check_certificate(self, cert_wire: dict):
+    def _check_certificate(self, cert_wire: dict, addr: str, pid: str | None) -> dict | None:
+        """The subject of a certificate the pinned coordinator signed, that
+        has not expired and that vouches for the instance at addr (and pid);
+        PermissionDenied for any other.  None when nothing is pinned."""
         if self.cfg.coordinator_pub is None:
-            return  # nothing pinned; accept (tests always pin)
+            return None  # nothing pinned; accept (tests always pin)
         try:
-            verify_certificate(self.cfg.coordinator_pub, Certificate.from_wire(cert_wire))
+            cert = Certificate.from_wire(cert_wire)
+            verify_certificate(self.cfg.coordinator_pub, cert)
         except SkyrelayError as e:
             raise PermissionDenied(f"instance certificate rejected: {e}") from None
+        if cert.subject.get("addr") != addr or pid is not None and cert.subject.get("pid") != pid:
+            raise PermissionDenied(f"certificate vouches for {cert.subject}, not {addr}")
+        return cert.subject
 
     def _ensure_private(self) -> str:
         if self.private_instance:
@@ -428,7 +435,14 @@ class AgentSession:
         """
         if isinstance(ticket, str):
             ticket = read_ticket(ticket)
-        self._check_certificate(ticket.certificate)
+        try:
+            uri_addr = parse_exposure_uri(ticket.uri_f)[0]
+        except ValueError as e:
+            raise PermissionDenied(str(e)) from None
+        if uri_addr != ticket.instance_addr:
+            raise PermissionDenied(f"ticket uri names {uri_addr}, not {ticket.instance_addr}")
+        # a shared ticket's pid is checked once the coordinator has verified it
+        subject = self._check_certificate(ticket.certificate, ticket.instance_addr, None)
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
@@ -439,7 +453,8 @@ class AgentSession:
                 "sender_id": ticket.sender_id,
                 "pid": ticket.instance_pid,
             }, "verify", channels)
-            if grant["addr"] != ticket.instance_addr:
+            if grant["addr"] != ticket.instance_addr or (
+                    subject is not None and subject.get("pid") != ticket.instance_pid):
                 raise PermissionDenied("ticket instance does not match the verified one")
         dst = self._free_name(dst_path or ticket.suggested_dst)
         fois = [

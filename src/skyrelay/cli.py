@@ -18,7 +18,8 @@ import threading
 from .agent import AgentConfig, AgentSession, read_ticket
 from .bench import ScenarioSpec, compare_modes, run_scenario, write_report
 from .coordinator import Coordinator, CoordinatorConfig
-from .errors import Infeasible, SkyrelayError
+from .core import CredentialSet
+from .errors import AuthError, Infeasible, SkyrelayError
 from .scheduler import brute_force_optimum, problem_from_json, solve_exact, solve_greedy
 from .storage import LocalDirBackend
 from .worker import Worker, WorkerConfig
@@ -87,14 +88,15 @@ def _cmd_agent(args) -> int:
             print(f"created account {args.account}; token: {token}")
         if not token:
             raise SystemExit("pass --token or --create")
-        backend.authenticate(token)
+        if backend.authenticate(token) != CredentialSet(args.account, token):
+            raise AuthError(f"token does not belong to account {args.account}")
         _save_profile(args.state_dir, {
             "account_id": args.account,
             "token": token,
             "store_root": os.path.abspath(args.store_root),
-            "coordinator": args.coordinator,
+            "coordinator": getattr(args, "coordinator", None),
             "coordinator_pub": args.coordinator_pub,
-            "mode": args.mode or "shared",
+            "mode": getattr(args, "mode", "shared"),
         })
         print(f"logged in as {args.account}")
         return 0
@@ -235,25 +237,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="skyrelay")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    ag = sub.add_parser("agent", help="user session commands")
+    # taken before or after `login`; an option left out stays unset, so one
+    # parser's default never overwrites what the other parsed
+    placement = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    placement.add_argument("--mode", choices=("private", "shared"))
+    placement.add_argument("--coordinator")
+
+    ag = sub.add_parser("agent", help="user session commands", parents=[placement])
     ag.add_argument("--state-dir", default=None)
     ag.add_argument("--metrics-out", default=None)
-    ag.add_argument("--mode", choices=("private", "shared"), default=None)
-    ag.add_argument("--coordinator", default=None)
     ag.add_argument("--private-instance", default=None,
                     help="addr of this user's own worker")
     agsub = ag.add_subparsers(dest="agent_cmd", required=True)
 
-    login = agsub.add_parser("login")
+    login = agsub.add_parser("login", parents=[placement])
     login.add_argument("account")
     login.add_argument("--store-root", required=True)
     login.add_argument("--token", default=None)
     login.add_argument("--create", action="store_true",
                        help="create the account and print its token")
     login.add_argument("--quota-bytes", type=int, default=1 << 30)
-    login.add_argument("--coordinator", default=None)
     login.add_argument("--coordinator-pub", default=None)
-    login.add_argument("--mode", choices=("private", "shared"), default=None)
 
     ls = agsub.add_parser("ls")
     ls.add_argument("path", nargs="?", default="/")

@@ -35,6 +35,13 @@ MAX_PATH_BYTES = 4096
 # the most a worker step reads from a file or stream at once
 IO_CHUNK_BYTES = 1024 * 1024
 
+# the op_params a verb or op kind takes, each with its test; others take none
+OP_PARAMS = {
+    "download": {"throttle_bps": lambda v: type(v) in (int, float) and v >= 0,
+                 "guest_token": lambda v: isinstance(v, str)},
+    "convert": {"max_resolution": lambda v: type(v) is int and v > 0},
+}
+
 _URL_RE = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
 
 
@@ -210,7 +217,8 @@ def compile_op_to_fois(req: OperationRequest) -> FoiSequence:
 
 
 def validate_foi_sequence(seq: FoiSequence) -> list[str]:
-    """Check per-verb target constraints; violations come back as strings.
+    """Check every field of every FOI, op_params by OP_PARAMS; violations
+    come back as strings.
 
     Data flows step to step: op, put and push read the file the latest get,
     download or op wrote, so each needs a get or download before it.  An
@@ -235,8 +243,12 @@ def validate_foi_sequence(seq: FoiSequence) -> list[str]:
             violations.append(f"{where}: op_kind present iff verb is 'op'")
         if foi.verb == "op" and foi.op_kind is not None and foi.op_kind not in OP_KINDS:
             violations.append(f"{where}: unknown op_kind {foi.op_kind!r}")
-        if not foi.target:
-            violations.append(f"{where}: empty target")
+        allowed = OP_PARAMS.get(foi.op_kind if foi.op_kind in OP_KINDS else foi.verb, {})
+        if not isinstance(foi.op_params, dict) or not all(
+                k in allowed and allowed[k](v) for k, v in foi.op_params.items()):
+            violations.append(f"{where}: bad op_params {foi.op_params!r}")
+        if not foi.target or not isinstance(foi.target, str):
+            violations.append(f"{where}: target must be a non-empty string")
             continue
         if len(foi.target.encode("utf-8")) > MAX_PATH_BYTES:
             violations.append(f"{where}: target exceeds {MAX_PATH_BYTES} bytes")

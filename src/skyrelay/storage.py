@@ -10,7 +10,7 @@ The database, ``<root>/.meta/store.db``, holds the accounts with their
 quotas and the bytes each uses, the token digests, every entry and each
 path's revision counter, which survives a delete so revisions stay monotone
 per path.  It runs in write-ahead-log mode: each mutation is one ``BEGIN
-IMMEDIATE`` transaction that checks the session inside it, so backends in
+IMMEDIATE`` transaction that checks the credentials inside it, so backends in
 other threads or processes on the same root neither lose each other's
 changes nor read a stale view.  A put, put-over or delete moves the
 account's ``used`` in the same transaction, so the quota check reads one
@@ -22,7 +22,7 @@ account's largest so far, so the rows stamped after a cursor are exactly
 the paths that changed since it.  A removed path keeps its ``revs`` row,
 which serves as its tombstone.  A shadow carries the cursor it was read
 at, and ``refresh_shadow`` reads only the rows stamped after it, in the
-same statement as the session check and the new cursor.
+same statement as the credential check and the new cursor.
 
 A file entry names its blob by a random id.  One rule, by size, places the
 bytes on every write path: a file of at most INLINE_MAX_BYTES is a row of
@@ -39,6 +39,8 @@ again, so a reader may hard-link a blob file and keep a stable snapshot,
 and a writer may hand over a file by link, as long as nothing writes that
 file again either.
 
+Every call takes the ``core.CredentialSet`` that crosses the wire and
+checks its token against its account in the statement that does the work.
 Tokens are stored only as SHA-256 hex digests.  The database records its
 layout in ``PRAGMA user_version``; a backend refuses a store of any other
 layout with ``ConfigError`` when it opens it.  Stores written in earlier
@@ -62,7 +64,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .core import MAX_PATH_BYTES, FileMeta
+from .core import MAX_PATH_BYTES, CredentialSet, FileMeta
 from .errors import (
     AlreadyExists,
     AuthError,
@@ -152,14 +154,6 @@ _NEXT_SEQ = "(SELECT coalesce(max(seq), 0) + 1 FROM revs WHERE account = ?)"
 
 
 @dataclass
-class Session:
-    """Proof of a successful token check, bound to one account."""
-
-    account_id: str
-    token: str
-
-
-@dataclass
 class ShadowFS:
     """Metadata-only mirror of one account's store contents."""
 
@@ -171,33 +165,34 @@ class ShadowFS:
 class StorageBackend:
     """Interface every store implementation provides."""
 
-    def authenticate(self, token: str) -> Session:
+    def authenticate(self, token: str) -> CredentialSet:
         raise NotImplementedError
 
-    def basic_op(self, session: Session, action: str, args: dict):
+    def basic_op(self, creds: CredentialSet, action: str, args: dict):
         raise NotImplementedError
 
-    def get_object(self, session: Session, path: str) -> bytes:
+    def get_object(self, creds: CredentialSet, path: str) -> bytes:
         raise NotImplementedError
 
-    def put_object(self, session: Session, path: str, data: bytes) -> FileMeta:
+    def put_object(self, creds: CredentialSet, path: str, data: bytes) -> FileMeta:
         raise NotImplementedError
 
-    def list_meta(self, session: Session, path: str, recursive: bool = False) -> list[FileMeta]:
+    def list_meta(self, creds: CredentialSet, path: str,
+                  recursive: bool = False) -> list[FileMeta]:
         raise NotImplementedError
 
-    def sync_shadow(self, session: Session) -> ShadowFS:
+    def sync_shadow(self, creds: CredentialSet) -> ShadowFS:
         raise NotImplementedError
 
-    def refresh_shadow(self, session: Session, shadow: ShadowFS) -> ShadowFS:
+    def refresh_shadow(self, creds: CredentialSet, shadow: ShadowFS) -> ShadowFS:
         """The account's shadow as of now, given an earlier one.
 
         A backend may update shadow in place and return it, so callers use
         the return value only.  This fallback reads the whole account.
         """
-        return self.sync_shadow(session)
+        return self.sync_shadow(creds)
 
-    def get_object_or_file(self, session: Session, path: str, dst: str) -> bytes | None:
+    def get_object_or_file(self, creds: CredentialSet, path: str, dst: str) -> bytes | None:
         """The bytes of the object at path if it holds at most
         INLINE_MAX_BYTES; otherwise None, with the object written to the new
         file dst, which must not exist.
@@ -205,18 +200,18 @@ class StorageBackend:
         This fallback holds the object in memory; a backend that can do
         better overrides it.
         """
-        data = self.get_object(session, path)
+        data = self.get_object(creds, path)
         if _inline(len(data)):
             return data
         with open(dst, "xb") as f:
             f.write(data)
         return None
 
-    def put_object_from(self, session: Session, path: str, src: str) -> FileMeta:
+    def put_object_from(self, creds: CredentialSet, path: str, src: str) -> FileMeta:
         """Store the file src at path.  src must be a file the caller will
         not write again: a backend may keep it by link instead of a copy."""
         with open(src, "rb") as f:
-            return self.put_object(session, path, f.read())
+            return self.put_object(creds, path, f.read())
 
 
 def _link_or_copy(src: str, dst: str):
@@ -277,22 +272,22 @@ class LocalDirBackend(StorageBackend):
 
     # -- storage API --
 
-    def authenticate(self, token: str) -> Session:
+    def authenticate(self, token: str) -> CredentialSet:
         digest = token_digest(token)
         with self._lock:
             row = self._db().execute(
                 "SELECT account FROM tokens WHERE digest = ?", (digest,)).fetchone()
         if row is None:
             raise AuthError("unknown or revoked token")
-        return Session(account_id=row[0], token=token)
+        return CredentialSet(row[0], token)
 
-    def basic_op(self, session: Session, action: str, args: dict):
+    def basic_op(self, creds: CredentialSet, action: str, args: dict):
         if action == "create_file":
-            return self._put(session, normalize_path(args["path"]),
+            return self._put(creds, normalize_path(args["path"]),
                              args.get("data", b""), must_create=True)
-        account = session.account_id
+        account = creds.account_id
         with self._transaction() as db:
-            self._check(db, session)
+            self._check(db, creds)
             if action == "create_folder":
                 path = normalize_path(args["path"])
                 if path == "/" or self._entry(db, account, path) is not None:
@@ -317,27 +312,27 @@ class LocalDirBackend(StorageBackend):
                 self._unlink_blob(blob)
         return None
 
-    def get_object(self, session: Session, path: str) -> bytes:
+    def get_object(self, creds: CredentialSet, path: str) -> bytes:
         def read(blob):
             with open(blob, "rb") as f:
                 return f.read()
-        return self._object(session, path, read)
+        return self._object(creds, path, read)
 
-    def put_object(self, session: Session, path: str, data: bytes) -> FileMeta:
-        return self._put(session, normalize_path(path), data, must_create=False)
+    def put_object(self, creds: CredentialSet, path: str, data: bytes) -> FileMeta:
+        return self._put(creds, normalize_path(path), data, must_create=False)
 
-    def get_object_or_file(self, session: Session, path: str, dst: str) -> bytes | None:
-        return self._object(session, path, lambda blob: _link_or_copy(blob, dst))
+    def get_object_or_file(self, creds: CredentialSet, path: str, dst: str) -> bytes | None:
+        return self._object(creds, path, lambda blob: _link_or_copy(blob, dst))
 
-    def put_object_from(self, session: Session, path: str, src: str) -> FileMeta:
-        return self._put(session, normalize_path(path), None, must_create=False, src=src)
+    def put_object_from(self, creds: CredentialSet, path: str, src: str) -> FileMeta:
+        return self._put(creds, normalize_path(path), None, must_create=False, src=src)
 
-    def list_meta(self, session: Session, path: str = "/",
+    def list_meta(self, creds: CredentialSet, path: str = "/",
                   recursive: bool = False) -> list[FileMeta]:
-        account = session.account_id
+        account = creds.account_id
         with self._lock:
             db = self._db()
-            self._check(db, session)
+            self._check(db, creds)
             path = normalize_path(path)
             if path != "/":
                 ent = self._entry(db, account, path)
@@ -352,24 +347,24 @@ class LocalDirBackend(StorageBackend):
                 (account, lo, hi)).fetchall()
         return [_meta(*row) for row in rows if recursive or "/" not in row[0][len(lo):]]
 
-    def sync_shadow(self, session: Session) -> ShadowFS:
-        # one row, so the session check, the cursor and the listing cost one step
+    def sync_shadow(self, creds: CredentialSet) -> ShadowFS:
+        # one row, so the credential check, the cursor and the listing cost one step
         with self._lock:
             row = self._db().execute(
                 "SELECT (SELECT coalesce(max(seq), 0) FROM revs WHERE account = t.account),"
                 " (SELECT json_group_object(path, json_array(kind, size, mtime, rev))"
                 " FROM entries WHERE account = t.account)"
                 " FROM tokens t WHERE digest = ? AND account = ?",
-                (token_digest(session.token), session.account_id)).fetchone()
+                (token_digest(creds.token), creds.account_id)).fetchone()
         if row is None:
-            raise AuthError("session not valid for this account")
+            raise AuthError("token does not belong to the named account")
         entries = {p: _meta(p, *v) for p, v in json.loads(row[1]).items()}
-        return ShadowFS(account_id=session.account_id, entries=entries, cursor=row[0])
+        return ShadowFS(account_id=creds.account_id, entries=entries, cursor=row[0])
 
-    def refresh_shadow(self, session: Session, shadow: ShadowFS) -> ShadowFS:
+    def refresh_shadow(self, creds: CredentialSet, shadow: ShadowFS) -> ShadowFS:
         """Apply to shadow, in place, the paths changed after its cursor."""
-        if shadow.account_id != session.account_id:
-            return self.sync_shadow(session)
+        if shadow.account_id != creds.account_id:
+            return self.sync_shadow(creds)
         with self._lock:
             row = self._db().execute(
                 "SELECT (SELECT coalesce(max(seq), 0) FROM revs WHERE account = t.account),"
@@ -377,9 +372,9 @@ class LocalDirBackend(StorageBackend):
                 " FROM revs r LEFT JOIN entries e USING (account, path)"
                 " WHERE r.account = t.account AND r.seq > ?)"
                 " FROM tokens t WHERE digest = ? AND account = ?",
-                (shadow.cursor, token_digest(session.token), session.account_id)).fetchone()
+                (shadow.cursor, token_digest(creds.token), creds.account_id)).fetchone()
         if row is None:
-            raise AuthError("session not valid for this account")
+            raise AuthError("token does not belong to the named account")
         entries = shadow.entries
         for path, kind, *rest in json.loads(row[1]):
             if kind is None:  # no entry left: the revs row is a tombstone
@@ -453,11 +448,11 @@ class LocalDirBackend(StorageBackend):
                 raise
 
     @staticmethod
-    def _check(db: sqlite3.Connection, session: Session):
-        """Raise AuthError unless the session's token belongs to its account."""
+    def _check(db: sqlite3.Connection, creds: CredentialSet):
+        """Raise AuthError unless the token of creds belongs to its account."""
         if db.execute("SELECT 1 FROM tokens WHERE digest = ? AND account = ?",
-                      (token_digest(session.token), session.account_id)).fetchone() is None:
-            raise AuthError("session not valid for this account")
+                      (token_digest(creds.token), creds.account_id)).fetchone() is None:
+            raise AuthError("token does not belong to the named account")
 
     @staticmethod
     def _entry(db: sqlite3.Connection, account: str, path: str):
@@ -465,9 +460,9 @@ class LocalDirBackend(StorageBackend):
         return db.execute("SELECT kind, size, mtime, rev FROM entries"
                           " WHERE account = ? AND path = ?", (account, path)).fetchone()
 
-    def _object(self, session: Session, path: str, use):
+    def _object(self, creds: CredentialSet, path: str, use):
         """The bytes of the small file entry at path, or use(blob file) for
-        a larger one, after the session check.
+        a larger one, after the credential check.
 
         The entry and its row of bytes are read in one statement, so a
         concurrent put or delete is seen whole or not at all.  A blob file
@@ -480,12 +475,12 @@ class LocalDirBackend(StorageBackend):
         while True:
             with self._lock:
                 db = self._db()
-                self._check(db, session)
+                self._check(db, creds)
                 path = normalize_path(path)
                 row = db.execute("SELECT e.blob, i.data FROM entries e"
                                  " LEFT JOIN inline_blobs i ON i.id = e.blob"
                                  " WHERE e.account = ? AND e.path = ?",
-                                 (session.account_id, path)).fetchone()
+                                 (creds.account_id, path)).fetchone()
             if row is None or row[0] is None:
                 raise NotFound(path)
             if row[1] is not None:
@@ -541,16 +536,16 @@ class LocalDirBackend(StorageBackend):
         for p in reversed(missing):
             self._set_entry(db, account, p, kind="folder", size=0)
 
-    def _put(self, session: Session, path: str, data: bytes | None,
+    def _put(self, creds: CredentialSet, path: str, data: bytes | None,
              must_create: bool, src: str | None = None) -> FileMeta:
         """Store data, or the file src, at path: a small one as a row, a
         larger src by link where it can."""
         if path == "/":
             raise PermissionDenied("cannot write the account root")
-        # a new blob names no account, so a forged session writes nothing
+        # a new blob names no account, so forged credentials write nothing
         blob = secrets.token_hex(16)
         fs = os.path.join(self._blob_dir, blob)
-        account = session.account_id
+        account = creds.account_id
         try:
             if src is not None:
                 with open(src, "rb") as f:
@@ -565,7 +560,7 @@ class LocalDirBackend(StorageBackend):
                     with open(fs, "xb") as f:
                         f.write(data)
             with self._transaction() as db:
-                self._check(db, session)
+                self._check(db, creds)
                 existing = db.execute("SELECT kind, size, blob FROM entries"
                                       " WHERE account = ? AND path = ?",
                                       (account, path)).fetchone()

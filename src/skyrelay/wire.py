@@ -8,7 +8,9 @@ exposure-fetch replies use it.  The client side of a channel
 keeps at most one request in flight; the server may interleave HEARTBEAT
 events carrying the same seq before the single terminal RESULT/ACK/ERROR.
 A server takes inbound frames of at most MAX_REQUEST_BYTES: it receives
-only control frames, and closes a connection whose frame declares more.
+only control frames, and closes a connection whose frame declares more, or
+whose frame does not arrive whole within FRAME_DEADLINE_S of its first
+byte.  The time between frames is unbounded.
 
 Every channel endpoint counts the exact bytes it puts on and takes off the
 socket, which is what the bench harness reconciles.  Channels are plain
@@ -49,6 +51,8 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 # a compress naming one 4096-byte path of control characters three times
 # (each escaped to \uXXXX), is about 73 KiB
 MAX_REQUEST_BYTES = 128 * 1024
+# a 128 KiB request takes 16 s at 64 kbit/s
+FRAME_DEADLINE_S = 30.0
 DEFAULT_TIMEOUT_S = 10.0
 DATA_LEAD = b"\x00"
 _U32 = struct.Struct(">I")
@@ -151,6 +155,7 @@ class _Framed:
     """Socket wrapper doing framing, byte counting, and the optional tap."""
 
     max_frame_bytes = MAX_FRAME_BYTES  # the largest frame this end takes in
+    frame_deadline = False  # whether a frame must be whole FRAME_DEADLINE_S after its first byte
 
     def __init__(self, sock: socket.socket,
                  tap: Callable[[str, bytes], None] | None = None):
@@ -163,6 +168,7 @@ class _Framed:
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._closed = False
+        self._deadline: float | None = None  # of the frame being read, if bounded
 
     def send_message(self, m: Message):
         frame = encode_message(m)
@@ -192,9 +198,13 @@ class _Framed:
                 frame[:4] = prefix
                 self._recv_into(memoryview(frame)[4:], allow_eof=False)
             except socket.timeout as e:
-                raise RequestTimeout(f"no frame within {timeout}s") from e
+                raise RequestTimeout(f"no frame within {timeout}s: {e}") from e
             except OSError as e:
                 raise ChannelClosed(f"recv failed: {e}") from e
+            finally:
+                if self._deadline is not None:  # the deadline bounds reads only
+                    self._deadline = None
+                    self.sock.settimeout(timeout)
             self.bytes_received += 4 + length
         if self.tap:
             self.tap("received", frame)
@@ -204,11 +214,18 @@ class _Framed:
         """Fill view from the socket; False if the peer closed before any byte."""
         got = 0
         while got < len(view):
+            if self._deadline is not None:
+                left = self._deadline - time.monotonic()
+                if left <= 0:
+                    raise socket.timeout("frame deadline passed")
+                self.sock.settimeout(left)
             n = self.sock.recv_into(view[got:])
             if not n:
                 if allow_eof and got == 0:
                     return False
                 raise FrameError(f"peer closed mid-frame ({got}/{len(view)} bytes)")
+            if self.frame_deadline and self._deadline is None:
+                self._deadline = time.monotonic() + FRAME_DEADLINE_S
             got += n
         return True
 
@@ -281,6 +298,7 @@ class ServerConn(_Framed):
     """Server end of one accepted connection."""
 
     max_frame_bytes = MAX_REQUEST_BYTES
+    frame_deadline = True
 
     def __init__(self, sock: socket.socket, peer: str,
                  tap: Callable[[str, bytes], None] | None = None):

@@ -7,8 +7,9 @@ paper's H(pid || t0): pid and t0 are in the certificate every grantee
 holds.  A job whose get fetches an object of at most
 storage.INLINE_MAX_BYTES keeps each step's bytes in memory; any other step
 writes jobs/<job_id>.<step> in the scratch directory, and the job removes
-its step files when it ends.  Decrypted storage credentials exist only
-inside the running job.
+its step files when it ends.  Whether a job may run is decided whole at
+intake, before it is registered, and its steps trust what intake admitted.
+Decrypted storage credentials exist only inside the running job.
 
 Workers shut themselves down shortly before the next billing boundary so an
 instance shared for the remainder of a paid period never incurs another
@@ -561,7 +562,7 @@ class Worker:
         job_id = body.get("job_id") or secrets.token_hex(6)
         if not isinstance(job_id, str) or not JOB_ID_RE.fullmatch(job_id):
             raise DecodeError(f"bad job_id {job_id!r}")
-        # decoded before the job is registered, so a bad envelope leaves no job
+        # the whole admission rule, before the job is registered: a refusal leaves nothing
         ct = creds = None
         try:
             if "credentials_ct" in body:
@@ -570,8 +571,12 @@ class Worker:
                 creds = CredentialSet.from_wire(body["credentials"])
         except (KeyError, TypeError, ValueError) as e:
             raise DecodeError(f"bad credentials: {e!r}") from None
-        if creds is not None and self.cfg.shared and self.cfg.coordinator_addr:
-            raise PermissionDenied("shared instances accept sealed credentials only")
+        if ct is None and self.cfg.shared and self.cfg.coordinator_addr:
+            raise PermissionDenied("a pool instance runs only jobs with sealed credentials")
+        if ct is not None and self.key_state is None:
+            raise CredentialAuthFailure("instance holds no key chain")
+        if ct is None and creds is None and any(f.verb in ("get", "put") for f in fois):
+            raise AuthError("get and put require storage credentials")
         with self._state_lock:
             if job_id in self._jobs:
                 raise AlreadyExists(f"job {job_id} exists")
@@ -616,26 +621,22 @@ class Worker:
     def _run_job(self, job: _Job, ct: CredentialCiphertext | None,
                  creds: CredentialSet | None):
         job.prefix = os.path.join(self._scratch, "jobs", job.job_id + ".")
-        session = None
         try:
             sc = creds
             if ct is not None:
                 with self._key_lock:
-                    if self.key_state is None:
-                        raise CredentialAuthFailure("instance holds no key chain")
                     self._advance_keys(time.time())
                     sc = decrypt_credentials(self.key_state, ct, aad=job_binding(
                         self.pid, job.job_id, sequence_to_wire(job.fois)))
             if sc is not None:
                 if self.cfg.backend is None:
                     raise NotFound("worker has no storage backend configured")
-                session = self.cfg.backend.authenticate(sc.token)
-                if session.account_id != sc.account_id:
+                if self.cfg.backend.authenticate(sc.token) != sc:
                     raise AuthError("token does not belong to the named account")
             for i, foi in enumerate(job.fois):
                 job.step = i
                 self._beat(job)
-                self._execute_foi(job, foi, session)
+                self._execute_foi(job, foi, sc)
                 self._log(f"job {job.job_id}: step {i} ({foi.verb}) done")
             job.conn.send_result(job.seq, {
                 "job_id": job.job_id,
@@ -666,28 +667,24 @@ class Worker:
         except SkyrelayError:
             pass
 
-    def _execute_foi(self, job: _Job, foi: FOI, session):
+    def _execute_foi(self, job: _Job, foi: FOI, sc: CredentialSet | None):
         if foi.verb == "download":
             self._foi_download(job, foi)
         elif foi.verb == "get":
-            self._foi_get(job, foi, session)
+            self._foi_get(job, foi, sc)
         elif foi.verb == "put":
-            self._foi_put(job, foi, session)
+            self._foi_put(job, foi, sc)
         elif foi.verb == "op":
             self._foi_op(job, foi)
-        elif foi.verb == "push":
+        else:  # push
             job.pushed.append(self.expose_intermediate(
                 job.file if job.data is None else job.data, job.job_id, foi.target))
-        else:
-            raise TransformError(f"unknown verb {foi.verb!r}")
 
     # -- verb implementations --
 
-    def _foi_get(self, job: _Job, foi: FOI, session):
-        if session is None:
-            raise AuthError("get requires storage credentials")
+    def _foi_get(self, job: _Job, foi: FOI, sc: CredentialSet):
         path = job.step_path()
-        data = self.cfg.backend.get_object_or_file(session, foi.target, path)
+        data = self.cfg.backend.get_object_or_file(sc, foi.target, path)
         if data is None:
             job.file, job.data = path, None
             self._add_work(job, os.path.getsize(path))
@@ -695,14 +692,12 @@ class Worker:
             job.file, job.data = None, data
             self._add_work(job, len(data))
 
-    def _foi_put(self, job: _Job, foi: FOI, session):
-        if session is None:
-            raise AuthError("put requires storage credentials")
+    def _foi_put(self, job: _Job, foi: FOI, sc: CredentialSet):
         if job.data is not None:
-            meta = self.cfg.backend.put_object(session, foi.target, job.data)
+            meta = self.cfg.backend.put_object(sc, foi.target, job.data)
         else:
             # a job never writes a step's file again, so the store may keep it by link
-            meta = self.cfg.backend.put_object_from(session, foi.target, job.file)
+            meta = self.cfg.backend.put_object_from(sc, foi.target, job.file)
         self._add_work(job, meta.size_bytes)
         job.outputs.append(meta.to_wire())
 
@@ -728,7 +723,7 @@ class Worker:
             fout.write(chunk)
             self._add_work(job, len(chunk))
             if throttle_bps:
-                self._throttled_wait(job, len(chunk) / float(throttle_bps))
+                self._throttled_wait(job, len(chunk) / throttle_bps)
 
     def _throttled_wait(self, job: _Job, seconds: float):
         # sleep in slices so an instance shutdown aborts promptly
@@ -789,11 +784,8 @@ class Worker:
             # into storage next to the ciphertext nor onto this instance's disk
             job.keys.append({"name": foi.target.rsplit("/", 1)[-1] + ".key",
                              "cipher": STREAM_CIPHER, "key": file_key.hex()})
-        elif foi.op_kind == "convert":
-            ppm.downscale_to_fit(fin, fout, int(foi.op_params.get("max_resolution", 128)),
-                                 on_chunk)
-        else:
-            raise TransformError(f"unknown op kind {foi.op_kind!r}")
+        else:  # convert
+            ppm.downscale_to_fit(fin, fout, foi.op_params.get("max_resolution", 128), on_chunk)
 
 
 def gzip_blocks(fin, fout, pool: ThreadPoolExecutor, max_inflight: int,

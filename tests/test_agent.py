@@ -30,7 +30,13 @@ from skyrelay.errors import (
     VerificationFailed,
 )
 from skyrelay.storage import LocalDirBackend, ShadowFS
-from skyrelay.wire import Listener, open_channel, parse_addr
+from skyrelay.wire import (
+    Certificate,
+    Listener,
+    issue_certificate,
+    open_channel,
+    parse_addr,
+)
 
 
 def make_agent(cluster, name, *, seed=7, launcher=None, download_dir=None,
@@ -89,6 +95,13 @@ def test_basic_op_errors_surface(cluster):
         agent.cmd_basic("delete", {"path": "/nope"})
     with pytest.raises(NotCloudAssisted):
         agent.cmd_basic("compress", {"path": "/x"})
+
+
+def test_a_token_of_another_account_is_refused_when_the_session_is_built(cluster):
+    cluster.account("alice")
+    tok_b = cluster.account("bob")
+    with pytest.raises(AuthError):
+        AgentSession(AgentConfig(account_id="alice", token=tok_b, backend=cluster.backend))
 
 
 def test_ls_reads_shadow_not_storage(cluster):
@@ -535,6 +548,92 @@ def test_recv_rejects_tampered_certificate(cluster, tmp_path):
         bob.cmd_recv(forged)
     assert opened == []  # rejected before opening any connection
     assert calls_b == []  # and before launching an instance
+
+
+def _job_purposes():
+    """A channel factory that records each purpose, and the list it fills."""
+    purposes = []
+
+    def factory(addr, purpose):
+        purposes.append(purpose)
+        return open_channel(addr)
+    return factory, purposes
+
+
+@pytest.mark.parametrize("where", ["uri", "uri-and-addr"])
+def test_recv_refuses_a_certificate_for_another_instance(cluster, tmp_path, where):
+    # the ticket carries instance X's valid certificate but sends the pull to Y
+    la, _ = private_launcher_for(cluster)
+    lb, calls_b = private_launcher_for(cluster)
+    alice, tok_a = make_agent(cluster, "alice", launcher=la, seed=1)
+    carol, tok_c = make_agent(cluster, "carol", launcher=lb, seed=3)
+    factory, purposes = _job_purposes()
+    bob, _ = make_agent(cluster, "bob", launcher=lb, seed=2, channel_factory=factory)
+    put_file(cluster, tok_a, "/out/f.bin", b"a" * 100)
+    put_file(cluster, tok_c, "/out/f.bin", b"c" * 100)
+    alice.sync()
+    carol.sync()
+    ticket = alice.cmd_send("bob", "/out/f.bin", str(tmp_path / "a.ticket"))
+    other = carol.cmd_send("bob", "/out/f.bin", str(tmp_path / "c.ticket"))
+    assert other.instance_addr != ticket.instance_addr
+    forged = TransferTicket.from_wire(ticket.to_wire())
+    forged.uri_f, forged.guest_token = other.uri_f, other.guest_token
+    if where == "uri-and-addr":
+        forged.instance_addr = other.instance_addr
+    launched = len(calls_b)
+    with pytest.raises(PermissionDenied):
+        bob.cmd_recv(forged)
+    assert purposes == [] and len(calls_b) == launched
+
+
+def test_shared_recv_refuses_a_certificate_for_another_pid(cluster, tmp_path):
+    alice, tok_a = make_agent(cluster, "alice", seed=1)
+    factory, purposes = _job_purposes()
+    bob, _ = make_agent(cluster, "bob", seed=2, channel_factory=factory)
+    cluster.worker(shared=True)
+    put_file(cluster, tok_a, "/out/f.bin", b"f" * 100)
+    alice.sync()
+    ticket = alice.cmd_send_shared("bob", "/out/f.bin", str(tmp_path / "t.ticket"))
+    forged = TransferTicket.from_wire(ticket.to_wire())
+    cert = Certificate.from_wire(ticket.certificate)
+    forged.certificate = issue_certificate(
+        cluster.coordinator._signing_key, dict(cert.subject, pid="00" * 16),
+        cert.issued_at, cert.expiry).to_wire()
+    with pytest.raises(PermissionDenied):
+        bob.cmd_recv(forged)
+    assert "job" not in purposes
+
+
+@pytest.mark.parametrize("swap", ["certificate", "addr"])
+def test_a_grant_whose_certificate_names_another_instance_is_refused(cluster, tmp_path,
+                                                                      swap):
+    w1 = cluster.worker(shared=True)
+    w2 = cluster.worker(shared=False)
+
+    def relay(conn, msg):
+        # the coordinator's grant on w1, with one field taken from w2
+        ch = open_channel(cluster.coordinator.addr)
+        try:
+            grant = ch.request(msg.kind, msg.body).body
+        finally:
+            ch.close()
+        assert grant["pid"] == w1.pid.hex()
+        grant[swap] = w2.certificate.to_wire() if swap == "certificate" else w2.addr
+        conn.send_ack(msg.seq, grant)
+
+    stub = Listener("127.0.0.1:0", relay)
+    try:
+        factory, purposes = _job_purposes()
+        agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path),
+                                channel_factory=factory)
+        agent.cfg.coordinator_addr = stub.addr
+        put_file(cluster, tok, "/d/f.bin", b"x" * 10)
+        agent.sync()
+        with pytest.raises(PermissionDenied):
+            agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
+        assert purposes == ["grant"]
+    finally:
+        stub.close()
 
 
 def test_private_send_requires_certified_instance(cluster, tmp_path):

@@ -50,6 +50,29 @@ def test_profile_is_owner_only_from_creation(home, capsys, monkeypatch):
         chmod(prof, 0o644)
 
 
+@pytest.mark.parametrize("order", ["agent-level", "login-level"])
+def test_login_takes_mode_and_coordinator_on_either_side(home, capsys, order):
+    placement = ["--mode", "private", "--coordinator", "127.0.0.1:9"]
+    login = ["login", "alice", "--store-root", str(home / "store"), "--create"]
+    argv = placement + login if order == "agent-level" else login + placement
+    code, _, _ = run(capsys, "agent", *argv)
+    assert code == 0
+    doc = json.loads((home / "home" / "profile.json").read_text())
+    assert (doc["mode"], doc["coordinator"]) == ("private", "127.0.0.1:9")
+
+
+def test_login_refuses_a_token_of_another_account(home, capsys):
+    store = str(home / "store")
+    run(capsys, "agent", "login", "alice", "--store-root", store, "--create")
+    code, out, _ = run(capsys, "agent", "login", "bob", "--store-root", store, "--create")
+    token_b = out.split("token: ")[1].split()[0]
+    code, _, err = run(capsys, "agent", "login", "alice", "--store-root", store,
+                       "--token", token_b)
+    assert code == 1 and "AUTH_ERROR" in err
+    doc = json.loads((home / "home" / "profile.json").read_text())
+    assert doc["account_id"] == "bob"  # the refused login wrote nothing
+
+
 def test_agent_error_is_clean_nonzero(home, capsys):
     store = str(home / "store")
     run(capsys, "agent", "login", "alice", "--store-root", store, "--create")

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from skyrelay import storage
-from skyrelay.core import canonical_json
+from skyrelay.core import CredentialSet, canonical_json
 from skyrelay.errors import (
     AlreadyExists,
     AuthError,
@@ -29,7 +29,6 @@ from skyrelay.errors import (
 from skyrelay.storage import (
     META_DIR,
     LocalDirBackend,
-    Session,
     token_digest,
 )
 
@@ -64,7 +63,7 @@ def test_cross_account_session_forgery(backend, tmp_path):
     token_b = backend.create_account("b")
     backend.put_object(backend.authenticate(token_b), "/secret", b"b's")
     for account_id in ("b", "../evil", "..", "a/../../evil", "a\x00"):
-        forged = Session(account_id=account_id, token=token_a)
+        forged = CredentialSet(account_id=account_id, token=token_a)
         with pytest.raises(AuthError):
             backend.list_meta(forged, "/")
         with pytest.raises(AuthError):
@@ -321,7 +320,7 @@ def test_refresh_refuses_a_revoked_or_forged_session(backend):
     shadow_a, shadow_b = backend.sync_shadow(sa), backend.sync_shadow(sb)
     backend.put_object(sa, "/a2", b"2")
     backend.put_object(sb, "/b2", b"2")
-    forged = Session(account_id="b", token=token_a)
+    forged = CredentialSet(account_id="b", token=token_a)
     want = copy.deepcopy(shadow_b)
     with pytest.raises(AuthError):
         backend.refresh_shadow(forged, shadow_b)
@@ -453,7 +452,7 @@ def test_account_id_rule(tmp_path):
     token = backend.create_account("alice")
     for forged in (META_DIR, "../escaped"):
         with pytest.raises(AuthError):
-            backend.put_object(Session(account_id=forged, token=token), "/x", b"x")
+            backend.put_object(CredentialSet(account_id=forged, token=token), "/x", b"x")
     assert os.listdir(root) == [META_DIR]
     assert set(os.listdir(root / META_DIR)) <= {"store.db", "store.db-wal", "store.db-shm",
                                                 "blobs"}
@@ -871,7 +870,7 @@ def test_forged_session_links_nothing(backend, tmp_path):
     src.write_bytes(b"forged" * BIG)
     dst = tmp_path / "dst"
     for account_id in ("b", "../evil", "a/../../evil"):
-        forged = Session(account_id=account_id, token=token_a)
+        forged = CredentialSet(account_id=account_id, token=token_a)
         with pytest.raises(AuthError):
             backend.get_object_or_file(forged, "/secret", str(dst))
         with pytest.raises(AuthError):
@@ -886,7 +885,7 @@ def test_failed_puts_leave_no_blob(backend, tmp_path):
     s = backend.authenticate(token)
     backend.put_object(s, "/a", b"a")
     backend.basic_op(s, "create_folder", {"path": "/d"})
-    forged = Session(account_id="tiny", token="not-" + token)
+    forged = CredentialSet(account_id="tiny", token="not-" + token)
     src, big = tmp_path / "src", tmp_path / "big"
     src.write_bytes(b"x" * 10)
     big.write_bytes(b"x" * 101)

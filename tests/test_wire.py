@@ -2,6 +2,7 @@
 
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -9,7 +10,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives import serialization
 
-from skyrelay import errors
+from skyrelay import errors, wire
 from skyrelay.errors import (
     CertificateError,
     ChannelClosed,
@@ -28,6 +29,7 @@ from skyrelay.wire import (
     encode_message,
     issue_certificate,
     open_channel,
+    parse_addr,
     verify_certificate,
 )
 
@@ -179,6 +181,58 @@ def test_close_wakes_accept_thread():
     listener.close()
     listener._thread.join(1.0)
     assert not listener._thread.is_alive()
+
+
+def _new_conn_threads(before):
+    return [t for t in threading.enumerate()
+            if t.name == "skyrelay-conn" and t not in before]
+
+
+def test_a_frame_that_never_finishes_is_closed_at_its_deadline(monkeypatch):
+    monkeypatch.setattr(wire, "FRAME_DEADLINE_S", 0.3)
+    before = set(threading.enumerate())
+    listener = Listener("127.0.0.1:0", echo_handler)
+    try:
+        with socket.create_connection(parse_addr(listener.addr)) as s:
+            s.sendall(struct.pack(">I", 64 * 1024) + b"x" * 10)  # and no more
+            s.settimeout(2.0)
+            started = time.monotonic()
+            assert s.recv(1) == b""  # closed, with no reply
+            assert time.monotonic() - started < 2.0
+        for t in _new_conn_threads(before):
+            t.join(2.0)
+        assert _new_conn_threads(before) == []
+    finally:
+        listener.close()
+
+
+def test_idle_time_between_frames_is_not_bounded(monkeypatch):
+    monkeypatch.setattr(wire, "FRAME_DEADLINE_S", 0.3)
+    listener = Listener("127.0.0.1:0", echo_handler)
+    try:
+        ch = open_channel(listener.addr)
+        assert ch.request("SUBMIT_OP", {"i": 1}).body["echo"] == {"i": 1}
+        time.sleep(0.6)  # twice the deadline, between two frames
+        assert ch.request("SUBMIT_OP", {"i": 2}).body["echo"] == {"i": 2}
+        ch.close()
+    finally:
+        listener.close()
+
+
+def test_a_reply_to_a_slow_reader_is_not_cut_at_the_frame_deadline(monkeypatch):
+    # the deadline bounds reading a request, never sending the reply
+    monkeypatch.setattr(wire, "FRAME_DEADLINE_S", 0.3)
+    payload = bytes(12 * 1024 * 1024)  # more than the socket buffers hold
+    listener = Listener("127.0.0.1:0",
+                        lambda conn, msg: conn.send_result(msg.seq, {}, data=payload))
+    try:
+        ch = open_channel(listener.addr)
+        ch.send_message(Message("SUBMIT_OP", 1, {}))
+        time.sleep(1.0)  # four deadlines with the reply stalled on a full buffer
+        assert ch.recv_message(timeout=5.0).data == payload
+        ch.close()
+    finally:
+        listener.close()
 
 
 def test_connect_refused():

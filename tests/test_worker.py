@@ -39,6 +39,7 @@ from skyrelay.errors import (
     NotFound,
     PermissionDenied,
     ShutdownError,
+    SkyrelayError,
     TransformError,
 )
 from skyrelay.keying import (
@@ -1113,6 +1114,119 @@ def test_shared_worker_rejects_plaintext_credentials(cluster):
 
 
 
+# -- admission at intake: a refused job is never registered --
+
+class _JobLedger(dict):
+    """A worker's job table that remembers every job ever registered."""
+
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def __setitem__(self, job_id, job):
+        self.added.append(job_id)
+        super().__setitem__(job_id, job)
+
+
+def _refusal(w, body):
+    """(error, events) of a SUBMIT_OP that w refuses; checks that it
+    registered no job and holds no exposure."""
+    w._jobs = ledger = _JobLedger()
+    events = []
+    ch = open_channel(w.addr)
+    try:
+        with pytest.raises(SkyrelayError) as err:
+            ch.request("SUBMIT_OP", body, on_event=events.append, timeout=10.0)
+    finally:
+        ch.close()
+    assert ledger.added == []
+    assert w._exposed == {}
+    return err.value, events
+
+
+@pytest.fixture
+def origin():
+    """(base url, paths requested) of a loopback http origin serving 1 KiB."""
+    requested = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            requested.append(self.path)
+            self.send_response(200)
+            self.send_header("Content-Length", "1024")
+            self.end_headers()
+            self.wfile.write(b"o" * 1024)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    yield f"http://127.0.0.1:{httpd.server_address[1]}", requested
+    httpd.shutdown()
+    httpd.server_close()
+
+
+def test_pool_instance_refuses_a_job_without_sealed_credentials(cluster, origin):
+    url, requested = origin
+    w = cluster.worker(shared=True)
+    fois = sequence_to_wire([FOI("download", f"{url}/f.bin"), FOI("push", "f.bin")])
+    err, events = _refusal(w, {"fois": fois})
+    assert isinstance(err, PermissionDenied) and not hasattr(err, "step")
+    assert events == [] and requested == []
+
+
+def test_sealed_job_on_an_instance_without_a_chain_is_refused_at_intake(cluster):
+    tok = cluster.account("u1")
+    pool = cluster.worker(shared=True)
+    w = cluster.worker(registered=False)
+    fois = sequence_to_wire([FOI("get", "/d/f.bin"), FOI("put", "/d/g.bin")])
+    ct = _sealed(cluster, pool, tok, "j1", fois)
+    err, events = _refusal(w, {"job_id": "j1", "fois": fois, "credentials_ct": ct})
+    assert isinstance(err, CredentialAuthFailure) and not hasattr(err, "step")
+    assert events == []
+
+
+def test_get_or_put_without_credentials_is_refused_before_any_step(cluster, origin):
+    url, requested = origin
+    w = cluster.worker(registered=False)
+    fois = sequence_to_wire([FOI("download", f"{url}/f.bin"), FOI("put", "/d/f.bin")])
+    err, events = _refusal(w, {"fois": fois})
+    assert isinstance(err, AuthError) and not hasattr(err, "step")
+    assert events == [] and requested == []
+
+
+@pytest.mark.parametrize("fois", [
+    [{"verb": "get", "target": "/d/p.ppm"},
+     {"verb": "op", "target": "/d/p.ppm", "op_kind": "convert",
+      "op_params": {"max_resolution": "abc"}},
+     {"verb": "push", "target": "p.small"}],
+    [{"verb": "get", "target": "/d/p.ppm"},
+     {"verb": "op", "target": "/d/p.ppm", "op_kind": "convert",
+      "op_params": {"max_resolution": True}},
+     {"verb": "push", "target": "p.small"}],
+    [{"verb": "download", "target": "ORIGIN/f.bin", "op_params": {"throttle_bps": -5}},
+     {"verb": "put", "target": "/d/f.bin"}],
+    [{"verb": "get", "target": "/d/p.ppm", "op_params": []},
+     {"verb": "put", "target": "/d/q.ppm"}],
+    [{"verb": "get", "target": 5}, {"verb": "put", "target": "/d/q.ppm"}],
+], ids=["resolution-str", "resolution-bool", "negative-throttle", "params-list",
+        "int-target"])
+def test_a_bad_foi_field_is_refused_at_intake(cluster, origin, fois):
+    url, requested = origin
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/p.ppm", ppm.write_ppm(4, 4, bytes(48)))
+    w = cluster.worker(registered=False)
+    fois = copy.deepcopy(fois)
+    for foi in fois:
+        if isinstance(foi["target"], str):
+            foi["target"] = foi["target"].replace("ORIGIN", url)
+    err, events = _refusal(w, {"fois": fois, "credentials": creds_body("u1", tok)})
+    assert isinstance(err, DecodeError) and not hasattr(err, "step")
+    assert events == [] and requested == []
+
+
 @pytest.mark.parametrize("target", ["abs", "../../../secret.txt"])
 def test_shared_worker_refuses_push_of_host_paths(cluster, tmp_path, target):
     # push names a file the job produced; a path must not reach the host
@@ -1245,7 +1359,10 @@ def test_thread_census(tmp_path, monkeypatch):
     coord = Coordinator()
     coord.start()
     assert names() == ["skyrelay-accept"]
-    w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path)))
+    # registered outside the pool: a pool instance refuses jobs without
+    # sealed credentials, and these empty jobs carry none
+    w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path),
+                            shared=False))
     w.start()
     try:
         assert names() == ["skyrelay-accept", "skyrelay-accept", "skyrelay-clock"]
