@@ -1,11 +1,11 @@
 """Agent: the user-facing client that never holds file content.
 
-The agent keeps a metadata shadow of the account, performs basic operations
-directly against the storage service, and delegates anything that needs file
-bytes to a worker instance: a private one it launched, or a shared one the
-coordinator grants.  In shared mode storage credentials leave the agent only
-sealed under the granted user key; in private mode plaintext credentials go
-only to the agent's own instance.
+The agent lists folders and performs basic operations against the storage
+service, reads a metadata shadow of the account only to name an op's output,
+and delegates anything that needs file bytes to a worker instance: a private
+one it launched, or a shared one the coordinator grants.  In shared mode
+storage credentials leave the agent only sealed under the granted user key;
+in private mode plaintext credentials go only to the agent's own instance.
 
 A shared-pool grant is kept and reused until its reuse_until, so a run of
 small ops costs one coordinator round trip.  A job sent under a reused
@@ -27,6 +27,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 from .core import (
@@ -40,6 +41,7 @@ from .core import (
 )
 from .coordinator import DEFAULT_TICKET_TIMEOUT_S
 from .errors import (
+    AuthError,
     NotCloudAssisted,
     PermissionDenied,
     SkyrelayError,
@@ -154,14 +156,14 @@ class AgentConfig:
 
 
 class AgentSession:
-    """One logged-in user driving the system; holds metadata only."""
+    """One logged-in user; holds metadata only, and reads it only when an op needs it."""
 
     def __init__(self, cfg: AgentConfig):
         self.cfg = cfg
         self.creds = CredentialSet(cfg.account_id, cfg.token)
+        if cfg.backend.authenticate(cfg.token) != self.creds:
+            raise AuthError(f"token does not belong to account {cfg.account_id}")
         self.rng = random.Random(cfg.seed)
-        # raises AuthError unless the token belongs to the account
-        self.shadow: ShadowFS = cfg.backend.sync_shadow(self.creds)
         self.metrics: list[dict] = []
         self.private_instance = cfg.private_instance
         self.private_certificate = cfg.private_certificate
@@ -183,26 +185,23 @@ class AgentSession:
             "heartbeats": sum(1 for e in events if e.kind == "HEARTBEAT"),
         })
 
-    def sync(self) -> ShadowFS:
-        """Bring the shadow up to date; reads only what changed since its cursor."""
-        self.shadow = self.cfg.backend.refresh_shadow(self.creds, self.shadow)
-        return self.shadow
+    @cached_property
+    def shadow(self) -> ShadowFS:
+        """The account's metadata mirror, read whole on first access."""
+        return self.cfg.backend.sync_shadow(self.creds)
+
+    def sync(self):
+        """Refresh the shadow, if it was read, with what changed since its cursor."""
+        if "shadow" in vars(self):
+            self.shadow = self.cfg.backend.refresh_shadow(self.creds, self.shadow)
 
     def ls(self, path: str = "/") -> list:
-        """List from the shadow; no storage round trip."""
-        path = path.rstrip("/") or "/"
-        if path != "/" and path in self.shadow.entries:
-            ent = self.shadow.entries[path]
-            if ent.kind == "file":
-                return [ent]
-        prefix = "/" if path == "/" else path + "/"
-        out = [m for p, m in self.shadow.entries.items()
-               if p.startswith(prefix) and "/" not in p[len(prefix):]]
-        return sorted(out, key=lambda m: m.path)
+        """The folder's direct children by path, or [the file]; one listing from the store."""
+        return self.cfg.backend.list_meta(self.creds, path)
 
     # -- basic operations --
 
-    def cmd_basic(self, action: str, args: dict[str, Any]) -> ShadowFS:
+    def cmd_basic(self, action: str, args: dict[str, Any]):
         req = OperationRequest(action=action, args=args)
         if classify_operation(req) != "basic":
             raise NotCloudAssisted(f"{action} is not a basic operation")
@@ -215,7 +214,6 @@ class AgentSession:
             self.cfg.backend.basic_op(self.creds, action, args)
         self.sync()
         self._record(action, [], started, [])
-        return self.shadow
 
     # -- cloud-assisted operations --
 
@@ -287,12 +285,12 @@ class AgentSession:
             addr, result = self._submit(fois, grant, channels, events)
         return grant, addr, result
 
-    def _check_certificate(self, cert_wire: dict, addr: str, pid: str | None) -> dict | None:
-        """The subject of a certificate the pinned coordinator signed, that
-        has not expired and that vouches for the instance at addr (and pid);
-        PermissionDenied for any other.  None when nothing is pinned."""
+    def _check_certificate(self, cert_wire: dict, addr: str, pid: str | None):
+        """PermissionDenied unless the pinned coordinator signed the
+        certificate, it has not expired and it vouches for the instance at
+        addr (and pid).  Nothing is checked when nothing is pinned."""
         if self.cfg.coordinator_pub is None:
-            return None  # nothing pinned; accept (tests always pin)
+            return  # nothing pinned; accept (tests always pin)
         try:
             cert = Certificate.from_wire(cert_wire)
             verify_certificate(self.cfg.coordinator_pub, cert)
@@ -300,7 +298,6 @@ class AgentSession:
             raise PermissionDenied(f"instance certificate rejected: {e}") from None
         if cert.subject.get("addr") != addr or pid is not None and cert.subject.get("pid") != pid:
             raise PermissionDenied(f"certificate vouches for {cert.subject}, not {addr}")
-        return cert.subject
 
     def _ensure_private(self) -> str:
         if self.private_instance:
@@ -441,8 +438,9 @@ class AgentSession:
             raise PermissionDenied(str(e)) from None
         if uri_addr != ticket.instance_addr:
             raise PermissionDenied(f"ticket uri names {uri_addr}, not {ticket.instance_addr}")
-        # a shared ticket's pid is checked once the coordinator has verified it
-        subject = self._check_certificate(ticket.certificate, ticket.instance_addr, None)
+        # a shared ticket's pid is checked before the coordinator allocates for it
+        self._check_certificate(ticket.certificate, ticket.instance_addr,
+                                None if ticket.protocol == "private" else ticket.instance_pid)
         started = time.monotonic()
         channels: list[Channel] = []
         events: list[Message] = []
@@ -453,8 +451,7 @@ class AgentSession:
                 "sender_id": ticket.sender_id,
                 "pid": ticket.instance_pid,
             }, "verify", channels)
-            if grant["addr"] != ticket.instance_addr or (
-                    subject is not None and subject.get("pid") != ticket.instance_pid):
+            if grant["addr"] != ticket.instance_addr:
                 raise PermissionDenied("ticket instance does not match the verified one")
         dst = self._free_name(dst_path or ticket.suggested_dst)
         fois = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import signal
 import sys
 import threading
@@ -23,6 +24,17 @@ from .errors import AuthError, Infeasible, SkyrelayError
 from .scheduler import brute_force_optimum, problem_from_json, solve_exact, solve_greedy
 from .storage import LocalDirBackend
 from .worker import Worker, WorkerConfig
+
+# C0 controls, DEL, C1 controls and the backslash that escapes them
+_UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\\]")
+
+
+def _printable(text: str) -> str:
+    """text with each control character as \\xNN and a backslash doubled, so
+    a stored name cannot send the terminal an escape sequence."""
+    return _UNPRINTABLE.sub(
+        lambda m: "\\\\" if m[0] == "\\" else f"\\x{ord(m[0]):02x}", text)
+
 
 def default_state_dir() -> str:
     # resolved per call so SKYRELAY_HOME set after import still applies
@@ -106,7 +118,7 @@ def _cmd_agent(args) -> int:
         if args.agent_cmd == "ls":
             for meta in agent.ls(args.path):
                 marker = "/" if meta.kind == "folder" else ""
-                print(f"{meta.size_bytes:>12}  {meta.path}{marker}")
+                print(f"{meta.size_bytes:>12}  {_printable(meta.path)}{marker}")
         elif args.agent_cmd == "mkdir":
             agent.cmd_basic("create", {"path": args.path, "kind": "folder"})
         elif args.agent_cmd == "rm":
@@ -120,12 +132,12 @@ def _cmd_agent(args) -> int:
             result = agent.cmd_cloud_op(args.agent_cmd, {"path": args.path})
             print(json.dumps(result["outputs"], indent=2))
             for p in result["saved"]:
-                print(f"saved locally: {p}")
+                print(f"saved locally: {_printable(p)}")
         elif args.agent_cmd == "convert":
             result = agent.cmd_cloud_op("convert", {
                 "path": args.path, "max_resolution": args.max_resolution})
             for p in result["saved"]:
-                print(f"saved locally: {p}")
+                print(f"saved locally: {_printable(p)}")
         elif args.agent_cmd == "send":
             ticket = agent.cmd_send(args.dst_user, args.path, args.ticket,
                                     protocol=args.protocol or agent.cfg.mode)
@@ -342,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "bench":
             return _cmd_bench(args)
     except SkyrelayError as e:
-        print(f"error: {e.code}: {e}", file=sys.stderr)
+        print(_printable(f"error: {e.code}: {e}"), file=sys.stderr)
         return 1
     return 0
 

@@ -42,6 +42,10 @@ OP_PARAMS = {
     "convert": {"max_resolution": lambda v: type(v) is int and v > 0},
 }
 
+# the URL prefixes a download step fetches from, matched case-sensitively;
+# any other scheme, file:// included, is refused at intake
+DOWNLOAD_SCHEMES = ("http://", "https://", "skyrelay://")
+
 _URL_RE = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
 
 
@@ -253,8 +257,9 @@ def validate_foi_sequence(seq: FoiSequence) -> list[str]:
         if len(foi.target.encode("utf-8")) > MAX_PATH_BYTES:
             violations.append(f"{where}: target exceeds {MAX_PATH_BYTES} bytes")
         if foi.verb == "download":
-            if not is_url(foi.target):
-                violations.append(f"{where}: download requires a URL")
+            if not foi.target.startswith(DOWNLOAD_SCHEMES):
+                violations.append(f"{where}: download requires an http://, https:// "
+                                  "or skyrelay:// URL")
         elif foi.verb in ("get", "put"):
             if is_url(foi.target):
                 violations.append(f"{where}: {foi.verb} requires a storage path")

@@ -179,6 +179,8 @@ class StorageBackend:
 
     def list_meta(self, creds: CredentialSet, path: str,
                   recursive: bool = False) -> list[FileMeta]:
+        """The entries directly in the folder at path, or all below it if
+        recursive, sorted by path; [the file] at path; NotFound if none."""
         raise NotImplementedError
 
     def sync_shadow(self, creds: CredentialSet) -> ShadowFS:
@@ -342,10 +344,10 @@ class LocalDirBackend(StorageBackend):
                     return [_meta(path, *ent)]
             lo, hi = _below(path)
             rows = db.execute(
-                "SELECT path, kind, size, mtime, rev FROM entries"
-                " WHERE account = ? AND path > ? AND path < ? ORDER BY path",
-                (account, lo, hi)).fetchall()
-        return [_meta(*row) for row in rows if recursive or "/" not in row[0][len(lo):]]
+                "SELECT path, kind, size, mtime, rev FROM entries WHERE account = ? AND path > ?"
+                " AND path < ? AND (? OR instr(substr(path, ?), '/') = 0) ORDER BY path",
+                (account, lo, hi, recursive, len(lo) + 1)).fetchall()
+        return [_meta(*row) for row in rows]
 
     def sync_shadow(self, creds: CredentialSet) -> ShadowFS:
         # one row, so the credential check, the cursor and the listing cost one step

@@ -78,7 +78,6 @@ from .errors import (
     PermissionDenied,
     ShutdownError,
     SkyrelayError,
-    TransformError,
     error_body,
 )
 from .keying import EpochKeyState, CredentialCiphertext, decrypt_credentials, job_binding
@@ -707,12 +706,10 @@ class Worker:
         path = job.step_path()
         if url.startswith("skyrelay://"):
             self._fetch_exposed_to(job, url, foi.op_params.get("guest_token", ""), path)
-        elif url.startswith(("http://", "https://")):
+        else:  # http:// or https://: intake admits no other scheme
             req = urllib.request.Request(url, headers={"User-Agent": "skyrelay-worker"})
             with urllib.request.urlopen(req, timeout=30) as fin, open(path, "wb") as fout:
                 self._pump(job, fin, fout, throttle_bps)
-        else:
-            raise TransformError(f"unsupported download scheme in {url!r}")
         job.file, job.data = path, None
 
     def _pump(self, job: _Job, fin, fout, throttle_bps=None):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import socket
 import struct
 import threading
@@ -27,7 +28,6 @@ from skyrelay.errors import (
     PermissionDenied,
     ShutdownError,
     StartError,
-    VerificationFailed,
 )
 from skyrelay.storage import LocalDirBackend, ShadowFS
 from skyrelay.wire import (
@@ -104,12 +104,88 @@ def test_a_token_of_another_account_is_refused_when_the_session_is_built(cluster
         AgentSession(AgentConfig(account_id="alice", token=tok_b, backend=cluster.backend))
 
 
-def test_ls_reads_shadow_not_storage(cluster):
+def test_ls_reads_storage_not_the_mirror(cluster):
     agent, tok = make_agent(cluster, "alice")
-    put_file(cluster, tok, "/d/f.bin", b"x")
-    assert agent.ls("/d") == []  # created behind the agent's back
-    agent.sync()
+    other = LocalDirBackend(cluster.backend.root)
+    other.put_object(other.authenticate(tok), "/d/f.bin", b"x")  # behind the agent's back
     assert [m.path for m in agent.ls("/d")] == ["/d/f.bin"]
+    assert [m.path for m in agent.ls("/d/f.bin")] == ["/d/f.bin"]
+
+
+class CountingBackend(LocalDirBackend):
+    """A LocalDirBackend that counts its whole-account reads."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.full_reads = 0
+
+    def sync_shadow(self, creds):
+        self.full_reads += 1
+        return super().sync_shadow(creds)
+
+
+def test_only_an_op_that_names_an_output_reads_the_mirror(cluster, tmp_path):
+    backend = CountingBackend(cluster.backend.root)
+    agent, tok = make_agent(cluster, "alice", download_dir=str(tmp_path), backend=backend)
+    sess = put_file(cluster, tok, "/d/f.bin", b"f" * 100)
+    agent.ls("/")
+    agent.ls("/d")
+    agent.cmd_basic("create", {"path": "/m", "kind": "folder"})
+    agent.cmd_basic("rename", {"src": "/m", "dst": "/n"})
+    agent.cmd_basic("delete", {"path": "/n"})
+    assert backend.full_reads == 0
+    cluster.worker(shared=True)
+    agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})
+    assert backend.full_reads == 1
+    agent.cmd_cloud_op("compress", {"path": "/d/f.bin"})  # a refresh, not a read
+    assert backend.full_reads == 1
+    assert agent.shadow.entries == cluster.backend.sync_shadow(sess).entries
+    assert len(agent.shadow.entries) == 4
+
+
+# names that sort just before "/" ("-", "."), just after it ("0"), or span
+# several UTF-8 bytes, so a sibling can fall between a folder and its children
+_NAME_STEMS = ("a", "b", "é", "日本")
+_NAME_TAILS = ("", "-", ".", "0", "-1", ".z", "0é", "日")
+
+
+def test_ls_matches_what_a_fresh_sync_implies(cluster):
+    rng = random.Random(3217)
+    tok = cluster.account("alice")
+    sess = cluster.backend.authenticate(tok)
+    folders = ["/"]
+    made = set()
+    while len(made) < 320:
+        parent = rng.choice(folders)
+        path = (parent.rstrip("/") + "/" + rng.choice(_NAME_STEMS)
+                + rng.choice(_NAME_TAILS) + rng.choice(_NAME_TAILS))
+        if path in made:
+            continue
+        made.add(path)
+        if rng.random() < 0.3:
+            cluster.backend.basic_op(sess, "create_folder", {"path": path})
+            folders.append(path)
+        else:
+            cluster.backend.put_object(sess, path, b"x" * rng.randrange(4))
+    entries = cluster.backend.sync_shadow(sess).entries
+    assert len(entries) >= 300
+    agent = AgentSession(AgentConfig(account_id="alice", token=tok, backend=cluster.backend))
+
+    def implied(path):
+        if path != "/" and entries[path].kind == "file":
+            return [entries[path]]
+        prefix = "/" if path == "/" else path + "/"
+        return sorted((m for p, m in entries.items()
+                       if p.startswith(prefix) and "/" not in p[len(prefix):]),
+                      key=lambda m: m.path)
+
+    for path in ["/", *entries]:
+        assert agent.ls(path) == implied(path), path
+    assert sum(len(agent.ls(p)) for p in folders) == len(entries)
+    missing = folders[-1] + "-missing"  # sorts between a folder and its children
+    assert missing not in entries
+    with pytest.raises(NotFound):
+        agent.ls(missing)
 
 
 def test_sync_sees_writes_from_another_backend(cluster, tmp_path):
@@ -143,7 +219,9 @@ def test_backend_without_refresh_keeps_the_shadow_right(cluster, tmp_path, six_m
         step()
         assert agent.shadow.entries == cluster.backend.sync_shadow(sess).entries
     assert set(agent.shadow.entries) == {"/m", "/m/f.bin", "/m/f.bin.gz"}
-    assert six_methods.calls.count("sync_shadow") == 1 + len(steps)
+    # the check after the first step reads the shadow whole; each later
+    # step's refresh falls back to one more full sync
+    assert six_methods.calls.count("sync_shadow") == len(steps)
 
 
 # -- cloud-assisted operations --
@@ -713,8 +791,10 @@ def test_shared_recv_fails_without_sender_allocation(cluster, tmp_path):
     # forge the pid: the coordinator has no allocation for it
     forged = TransferTicket.from_wire(ticket.to_wire())
     forged.instance_pid = "00" * 16
-    with pytest.raises(VerificationFailed):
+    # refused on the certificate, so the coordinator allocates nothing for bob
+    with pytest.raises(PermissionDenied):
         bob.cmd_recv_shared(forged)
+    assert [k for k in cluster.coordinator._allocations if k[0] == "bob"] == []
 
 
 def test_shared_recv_rejects_address_mismatch(cluster, tmp_path):

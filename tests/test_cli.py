@@ -6,6 +6,7 @@ import os
 import pytest
 
 from skyrelay.cli import main
+from skyrelay.storage import LocalDirBackend
 
 
 @pytest.fixture
@@ -80,6 +81,32 @@ def test_agent_error_is_clean_nonzero(home, capsys):
     assert code == 1
     assert "NOT_FOUND" in err
     assert "Traceback" not in err
+
+
+def test_ls_of_a_missing_or_relative_path_is_an_error(home, capsys):
+    store = str(home / "store")
+    run(capsys, "agent", "login", "alice", "--store-root", store, "--create")
+    code, out, err = run(capsys, "agent", "ls", "/absent")
+    assert (code, out) == (1, "") and "NOT_FOUND" in err
+    code, out, err = run(capsys, "agent", "ls", "docs")
+    assert (code, out) == (1, "") and "PERMISSION_DENIED" in err
+
+
+def test_printed_names_carry_no_control_characters(home, capsys):
+    store = str(home / "store")
+    _, out, _ = run(capsys, "agent", "login", "alice", "--store-root", store, "--create")
+    backend = LocalDirBackend(store)
+    sess = backend.authenticate(out.split("token: ")[1].split()[0])
+    backend.put_object(sess, "/a\x1b[2Jb\x9b\\c", b"x")
+    code, out, _ = run(capsys, "agent", "ls", "/")
+    assert code == 0
+    assert not [c for c in out if (c < " " or "\x7f" <= c <= "\x9f") and c != "\n"]
+    assert "/a\\x1b[2Jb\\x9b\\\\c" in out
+    # the error line carries the path the user typed
+    code, _, err = run(capsys, "agent", "rm", "/gone\x1b]0;x\x07")
+    assert code == 1
+    assert not [c for c in err if c < " " and c != "\n"]
+    assert "/gone\\x1b]0;x\\x07" in err
 
 
 def test_sched_solve_exact_and_oracle_agree(home, capsys, tmp_path):

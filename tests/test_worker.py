@@ -40,7 +40,6 @@ from skyrelay.errors import (
     PermissionDenied,
     ShutdownError,
     SkyrelayError,
-    TransformError,
 )
 from skyrelay.keying import (
     OFFSET_MAX,
@@ -400,11 +399,13 @@ def test_download_refuses_a_host_file(cluster, tmp_path):
     src.write_bytes(os.urandom(300_000))
     scratch = tmp_path / "w"
     w = cluster.worker(registered=False, scratch_dir=str(scratch))
-    fois = [FOI("download", f"file://{src}"), FOI("put", "/dl/src.bin")]
-    with pytest.raises(TransformError) as err:
-        submit(w.addr, {"fois": sequence_to_wire(fois),
-                        "credentials": creds_body("u1", tok)})
-    assert err.value.step == 0
+    # the schemes match case-sensitively, as the step dispatches on them
+    for url in (f"file://{src}", "HTTP://127.0.0.1:9/host-secret.bin"):
+        fois = [FOI("download", url), FOI("put", "/dl/src.bin")]
+        err, events = _refusal(w, {"fois": sequence_to_wire(fois),
+                                   "credentials": creds_body("u1", tok)})
+        assert isinstance(err, DecodeError) and not hasattr(err, "step"), url
+        assert events == []
     assert cluster.backend.list_meta(sess, "/", recursive=True) == []
     assert os.listdir(scratch / "jobs") == []
 
@@ -1376,6 +1377,9 @@ def test_thread_census(tmp_path, monkeypatch):
         # only what the worker's own listener starts: a listener that an
         # earlier test left running may accept a connection meanwhile
         accept = w._listener._thread
+        # the coordinator's registration probe connected before this job, and
+        # connections are accepted in order: its thread has started by now
+        submit(w.addr, {"fois": []})
         monkeypatch.setattr(threading.Thread, "start", spy)
         for _ in range(3):
             submit(w.addr, {"fois": []})
