@@ -12,9 +12,11 @@ path's revision counter, which survives a delete so revisions stay monotone
 per path.  It runs in write-ahead-log mode: each mutation is one ``BEGIN
 IMMEDIATE`` transaction that checks the credentials inside it, so backends in
 other threads or processes on the same root neither lose each other's
-changes nor read a stale view.  A put, put-over or delete moves the
-account's ``used`` in the same transaction, so the quota check reads one
-row however many entries the account holds.
+changes nor read a stale view.  A transaction that finds the store locked
+tries again after sleeps that double from 0.1 ms to 1 ms, for 5 s in all.
+A put, put-over or delete moves the account's ``used`` in the same
+transaction, so the quota check reads one row however many entries the
+account holds.
 
 Each account also has a change cursor.  Every mutation stamps the ``revs``
 row of each path it creates, changes or removes with a number above the
@@ -40,7 +42,13 @@ and a writer may hand over a file by link, as long as nothing writes that
 file again either.
 
 Every call takes the ``core.CredentialSet`` that crosses the wire and
-checks its token against its account in the statement that does the work.
+checks its token against its account in the statement that does the work:
+its first lookup joins the token row, and an absent row is ``AuthError``.
+So a get, a shadow sync or refresh and ``list_meta("/")`` of an account
+that holds entries are one statement each.  A small put under an existing
+folder is seven: BEGIN, the lookup of the token, the entry and the parent's
+kind, the quota, the bytes, the revision, the entry, and COMMIT.  A mkdir
+under an existing folder is five.
 Tokens are stored only as SHA-256 hex digests.  The database records its
 layout in ``PRAGMA user_version``; a backend refuses a store of any other
 layout with ``ConfigError`` when it opens it.  Stores written in earlier
@@ -84,6 +92,12 @@ MIN_SQLITE = (3, 38, 0)
 LAYOUT = 3
 # a file of at most this many bytes lives in store.db, not in a blob file
 INLINE_MAX_BYTES = 64 * 1024
+# a statement that finds the store locked by another connection tries again
+# after a sleep that doubles from LOCK_POLL_S up to LOCK_POLL_MAX_S, for
+# LOCK_TIMEOUT_S in all (sqlite3's default timeout)
+LOCK_POLL_S = 0.0001
+LOCK_POLL_MAX_S = 0.001
+LOCK_TIMEOUT_S = 5.0
 
 _SCHEMA = """
 CREATE TABLE accounts(id TEXT PRIMARY KEY, quota INTEGER NOT NULL,
@@ -231,6 +245,31 @@ def _meta(path: str, kind: str, size: int, mtime: int, rev: int) -> FileMeta:
     return FileMeta(path, path.rsplit("/", 1)[-1], kind, size, mtime, str(rev))
 
 
+class _Connection(sqlite3.Connection):
+    """A connection that waits out another connection's lock in short sleeps.
+
+    SQLite's own busy handler sleeps 1, 2, 5 and then 10 ms between tries,
+    so a writer that kept finding the store locked, each time by a
+    transaction of a fraction of a millisecond, waited 18 ms.  Only the
+    statement that opens a transaction, BEGIN or a read on its own, can
+    find the store locked, so only such a statement tries again.
+    """
+
+    def execute(self, sql, params=()):
+        if self.in_transaction:
+            return super().execute(sql, params)
+        sleep, deadline = LOCK_POLL_S, time.monotonic() + LOCK_TIMEOUT_S
+        while True:
+            try:
+                return super().execute(sql, params)
+            except sqlite3.OperationalError as e:
+                # SQLITE_BUSY's message: Python 3.10 exposes no error codes
+                if str(e) != "database is locked" or time.monotonic() >= deadline:
+                    raise
+            time.sleep(sleep)
+            sleep = min(2 * sleep, LOCK_POLL_MAX_S)
+
+
 class LocalDirBackend(StorageBackend):
     """Local store: <root>/.meta/store.db for the namespace, .meta/blobs/ for bytes."""
 
@@ -277,32 +316,31 @@ class LocalDirBackend(StorageBackend):
     def authenticate(self, token: str) -> CredentialSet:
         digest = token_digest(token)
         with self._lock:
-            row = self._db().execute(
-                "SELECT account FROM tokens WHERE digest = ?", (digest,)).fetchone()
-        if row is None:
+            account = self._account_of(self._db(), digest)
+        if account is None:
             raise AuthError("unknown or revoked token")
-        return CredentialSet(row[0], token)
+        return CredentialSet(account, token)
 
     def basic_op(self, creds: CredentialSet, action: str, args: dict):
         if action == "create_file":
             return self._put(creds, normalize_path(args["path"]),
                              args.get("data", b""), must_create=True)
+        if action == "rename":
+            src, dst = normalize_path(args["src"]), normalize_path(args["dst"])
+            with self._transaction() as db:
+                return self._rename(db, creds, src, dst)
+        if action not in ("create_folder", "delete"):
+            raise ValueError(f"unknown basic action: {action!r}")
         account = creds.account_id
+        path = normalize_path(args["path"])
         with self._transaction() as db:
-            self._check(db, creds)
             if action == "create_folder":
-                path = normalize_path(args["path"])
-                if path == "/" or self._entry(db, account, path) is not None:
+                existing, parent_kind = self._lookup(db, creds, path, parent_of(path))
+                if path == "/" or existing is not None:
                     raise AlreadyExists(path)
-                self._ensure_parents(db, account, path)
+                self._ensure_parents(db, account, path, parent_kind)
                 return self._set_entry(db, account, path, kind="folder", size=0)
-            if action == "rename":
-                return self._rename(db, account, normalize_path(args["src"]),
-                                    normalize_path(args["dst"]))
-            if action != "delete":
-                raise ValueError(f"unknown basic action: {action!r}")
-            path = normalize_path(args["path"])
-            if self._entry(db, account, path) is None:
+            if self._lookup(db, creds, path)[0] is None:
                 raise NotFound(path)
             files = self._drop_subtree(db, account, path)
             db.executemany("DELETE FROM inline_blobs WHERE id = ?",
@@ -331,22 +369,30 @@ class LocalDirBackend(StorageBackend):
 
     def list_meta(self, creds: CredentialSet, path: str = "/",
                   recursive: bool = False) -> list[FileMeta]:
-        account = creds.account_id
+        path = normalize_path(path)
+        lo, hi = _below(path)
         with self._lock:
             db = self._db()
-            self._check(db, creds)
-            path = normalize_path(path)
-            if path != "/":
-                ent = self._entry(db, account, path)
+            if path != "/":  # the root has no entry to look up
+                ent = self._lookup(db, creds, path)[0]
                 if ent is None:
                     raise NotFound(path)
                 if ent[0] == "file":
-                    return [_meta(path, *ent)]
-            lo, hi = _below(path)
+                    return [_meta(path, *ent[:4])]
+            # a row comes only with the credential check passed, so a listing
+            # of the root is one statement; an inner join, as a LEFT JOIN
+            # costs more per row scanned than a check of its own
+            digest = token_digest(creds.token)
             rows = db.execute(
-                "SELECT path, kind, size, mtime, rev FROM entries WHERE account = ? AND path > ?"
-                " AND path < ? AND (? OR instr(substr(path, ?), '/') = 0) ORDER BY path",
-                (account, lo, hi, recursive, len(lo) + 1)).fetchall()
+                "SELECT path, kind, size, mtime, rev FROM tokens t JOIN entries"
+                " ON entries.account = t.account AND path > ? AND path < ?"
+                " AND (? OR instr(substr(path, ?), '/') = 0)"
+                " WHERE digest = ? AND t.account = ? ORDER BY path",
+                (lo, hi, recursive, len(lo) + 1, digest, creds.account_id)).fetchall()
+            # an empty account, or no such token: authenticate's statement,
+            # which a backend opened for one command has already prepared
+            if not rows and path == "/" and self._account_of(db, digest) != creds.account_id:
+                raise AuthError("token does not belong to the named account")
         return [_meta(*row) for row in rows]
 
     def sync_shadow(self, creds: CredentialSet) -> ShadowFS:
@@ -394,7 +440,9 @@ class LocalDirBackend(StorageBackend):
             path = os.path.join(self._meta_dir, "store.db")
             if not os.path.exists(path):
                 self._create_db(path)
-            conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+            # timeout=0: _Connection, not SQLite's busy handler, waits for locks
+            conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False,
+                                   timeout=0, factory=_Connection)
             layout = conn.execute("PRAGMA user_version").fetchone()[0]
             if layout != LAYOUT:
                 conn.close()
@@ -450,11 +498,26 @@ class LocalDirBackend(StorageBackend):
                 raise
 
     @staticmethod
-    def _check(db: sqlite3.Connection, creds: CredentialSet):
-        """Raise AuthError unless the token of creds belongs to its account."""
-        if db.execute("SELECT 1 FROM tokens WHERE digest = ? AND account = ?",
-                      (token_digest(creds.token), creds.account_id)).fetchone() is None:
+    def _account_of(db: sqlite3.Connection, digest: str) -> str | None:
+        """The account of the token with this digest, or None."""
+        row = db.execute("SELECT account FROM tokens WHERE digest = ?", (digest,)).fetchone()
+        return None if row is None else row[0]
+
+    @staticmethod
+    def _lookup(db: sqlite3.Connection, creds: CredentialSet, path: str,
+                other: str | None = None):
+        """(kind, size, mtime, rev, blob) of the entry at path or None, and
+        the kind of the entry at other or None, read by the statement that
+        raises AuthError unless the token of creds belongs to its account."""
+        row = db.execute(
+            "SELECT kind, size, mtime, rev, blob,"
+            " (SELECT kind FROM entries WHERE account = t.account AND path = ?)"
+            " FROM tokens t LEFT JOIN entries ON entries.account = t.account AND path = ?"
+            " WHERE digest = ? AND t.account = ?",
+            (other, path, token_digest(creds.token), creds.account_id)).fetchone()
+        if row is None:
             raise AuthError("token does not belong to the named account")
+        return (None if row[0] is None else row[:5]), row[5]
 
     @staticmethod
     def _entry(db: sqlite3.Connection, account: str, path: str):
@@ -464,26 +527,27 @@ class LocalDirBackend(StorageBackend):
 
     def _object(self, creds: CredentialSet, path: str, use):
         """The bytes of the small file entry at path, or use(blob file) for
-        a larger one, after the credential check.
+        a larger one.
 
-        The entry and its row of bytes are read in one statement, so a
-        concurrent put or delete is seen whole or not at all.  A blob file
-        is read outside the lock, so a put or delete may commit and unlink
-        it first; then the lookup runs again and finds the new blob or no
-        entry.  A blob file that is still there, or the same id gone twice,
-        is not such a race, and its error stands.
+        The credential check, the entry and its row of bytes are one
+        statement, so a concurrent put or delete is seen whole or not at
+        all.  A blob file is read outside the lock, so a put or delete may
+        commit and unlink it first; then the lookup runs again and finds
+        the new blob or no entry.  A blob file that is still there, or the
+        same id gone twice, is not such a race, and its error stands.
         """
+        path = normalize_path(path)
         gone = None
         while True:
             with self._lock:
-                db = self._db()
-                self._check(db, creds)
-                path = normalize_path(path)
-                row = db.execute("SELECT e.blob, i.data FROM entries e"
-                                 " LEFT JOIN inline_blobs i ON i.id = e.blob"
-                                 " WHERE e.account = ? AND e.path = ?",
-                                 (creds.account_id, path)).fetchone()
-            if row is None or row[0] is None:
+                row = self._db().execute(
+                    "SELECT blob, data FROM tokens t LEFT JOIN entries"
+                    " ON entries.account = t.account AND path = ?"
+                    " LEFT JOIN inline_blobs ON id = blob WHERE digest = ? AND t.account = ?",
+                    (path, token_digest(creds.token), creds.account_id)).fetchone()
+            if row is None:
+                raise AuthError("token does not belong to the named account")
+            if row[0] is None:  # no entry, or a folder
                 raise NotFound(path)
             if row[1] is not None:
                 return row[1]
@@ -524,7 +588,12 @@ class LocalDirBackend(StorageBackend):
                 in db.execute("DELETE" + _SUBTREE + " RETURNING blob, size", params)
                 if blob is not None]
 
-    def _ensure_parents(self, db: sqlite3.Connection, account: str, path: str):
+    def _ensure_parents(self, db: sqlite3.Connection, account: str, path: str,
+                        parent_kind: str | None = None):
+        """Create the missing folders above path.  parent_kind is the kind
+        of the parent's entry where a lookup read it: a folder needs no walk."""
+        if parent_kind == "folder":
+            return
         parent = parent_of(path)
         missing = []
         while parent != "/":
@@ -562,17 +631,14 @@ class LocalDirBackend(StorageBackend):
                     with open(fs, "xb") as f:
                         f.write(data)
             with self._transaction() as db:
-                self._check(db, creds)
-                existing = db.execute("SELECT kind, size, blob FROM entries"
-                                      " WHERE account = ? AND path = ?",
-                                      (account, path)).fetchone()
+                existing, parent_kind = self._lookup(db, creds, path, parent_of(path))
                 if existing is not None:
                     if must_create:
                         raise AlreadyExists(path)
                     if existing[0] == "folder":
                         raise AlreadyExists(f"folder exists at {path}")
                     if _inline(existing[1]):
-                        db.execute("DELETE FROM inline_blobs WHERE id = ?", (existing[2],))
+                        db.execute("DELETE FROM inline_blobs WHERE id = ?", (existing[4],))
                 grow = size - (existing[1] if existing else 0)
                 if db.execute("UPDATE accounts SET used = used + ?"
                               " WHERE id = ? AND used + ? <= quota",
@@ -580,7 +646,7 @@ class LocalDirBackend(StorageBackend):
                     quota = db.execute("SELECT quota FROM accounts WHERE id = ?",
                                        (account,)).fetchone()[0]
                     raise QuotaError(f"quota {quota} exceeded on {account}")
-                self._ensure_parents(db, account, path)
+                self._ensure_parents(db, account, path, parent_kind)
                 if data is not None and _inline(size):
                     # bytes() refuses a str, which sqlite would keep as text
                     db.execute("INSERT INTO inline_blobs VALUES (?, ?)", (blob, bytes(data)))
@@ -589,16 +655,18 @@ class LocalDirBackend(StorageBackend):
             self._unlink_blob(blob)
             raise
         if existing is not None and not _inline(existing[1]):
-            self._unlink_blob(existing[2])  # after COMMIT, as no entry names it
+            self._unlink_blob(existing[4])  # after COMMIT, as no entry names it
         return meta
 
-    def _rename(self, db: sqlite3.Connection, account: str, src: str, dst: str):
+    def _rename(self, db: sqlite3.Connection, creds: CredentialSet, src: str, dst: str):
+        found, dst_kind = self._lookup(db, creds, src, dst)
         if dst == src or dst.startswith(src + "/"):
             raise PermissionDenied(f"cannot move {src} into itself: {dst}")
-        if self._entry(db, account, src) is None:
+        if found is None:
             raise NotFound(src)
-        if self._entry(db, account, dst) is not None:
+        if dst_kind is not None:
             raise AlreadyExists(dst)
+        account = creds.account_id
         self._ensure_parents(db, account, dst)
         moved = db.execute("SELECT path, kind, size, blob" + _SUBTREE,
                            (account, src, *_below(src))).fetchall()

@@ -12,6 +12,11 @@ only control frames, and closes a connection whose frame declares more, or
 whose frame does not arrive whole within FRAME_DEADLINE_S of its first
 byte.  The time between frames is unbounded.
 
+A Listener serves each connection on the thread that accepted it: its
+threads take turns in accept(), and one that finishes a connection waits
+there again (Leader/Followers), so a warm listener starts no thread per
+connection.
+
 Every channel endpoint counts the exact bytes it puts on and takes off the
 socket, which is what the bench harness reconciles.  Channels are plain
 TCP with no transport encryption: credential secrecy rests on the sealed
@@ -55,7 +60,15 @@ MAX_REQUEST_BYTES = 128 * 1024
 FRAME_DEADLINE_S = 30.0
 DEFAULT_TIMEOUT_S = 10.0
 DATA_LEAD = b"\x00"
+# the most threads of a listener that wait in accept() at once.  A client's
+# next connection often arrives before the thread that served its last one
+# is back, and two clients' connections overlap; a thread starts whenever
+# the waiting ones run out.  Under two agents' small cloud ops, a bound of
+# 2 started a thread for 3 ops in 10 and a bound of 3 for 3 in 100; at 1,
+# every connection starts one
+MAX_WAITING_THREADS = 3
 _U32 = struct.Struct(">I")
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 KINDS = frozenset({
     "REGISTER_INSTANCE",
@@ -85,10 +98,7 @@ class Message:
 def encode_message(m: Message) -> bytes:
     if m.kind not in KINDS:
         raise DecodeError(f"unknown kind {m.kind!r}")
-    header = json.dumps(
-        {"kind": m.kind, "seq": m.seq, "body": m.body},
-        separators=(",", ":"),
-    ).encode("utf-8")
+    header = _JSON.encode({"kind": m.kind, "seq": m.seq, "body": m.body}).encode("utf-8")
     if m.data is None:
         parts = (header,)
     else:
@@ -186,7 +196,8 @@ class _Framed:
     def recv_message(self, timeout: float | None) -> Message:
         with self._recv_lock:
             try:
-                self.sock.settimeout(timeout)
+                if self.sock.gettimeout() != timeout:
+                    self.sock.settimeout(timeout)
                 prefix = bytearray(4)
                 if not self._recv_into(memoryview(prefix), allow_eof=True):
                     raise ChannelClosed("peer closed the channel")
@@ -197,14 +208,14 @@ class _Framed:
                 frame = bytearray(4 + length)
                 frame[:4] = prefix
                 self._recv_into(memoryview(frame)[4:], allow_eof=False)
+                if self._deadline is not None:  # the deadline bounds reads only
+                    self.sock.settimeout(timeout)
             except socket.timeout as e:
                 raise RequestTimeout(f"no frame within {timeout}s: {e}") from e
-            except OSError as e:
+            except OSError as e:  # also a socket that close() shut meanwhile
                 raise ChannelClosed(f"recv failed: {e}") from e
             finally:
-                if self._deadline is not None:  # the deadline bounds reads only
-                    self._deadline = None
-                    self.sock.settimeout(timeout)
+                self._deadline = None
             self.bytes_received += 4 + length
         if self.tap:
             self.tap("received", frame)
@@ -280,11 +291,14 @@ class Channel(_Framed):
 def open_channel(addr: str, timeout: float = DEFAULT_TIMEOUT_S,
                  tap: Callable[[str, bytes], None] | None = None) -> Channel:
     host, port = parse_addr(addr)
+    # a Listener binds AF_INET only, so no address lookup picks the family
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except (OSError, socket.timeout) as e:
+        sock.settimeout(timeout)
+        sock.connect((host, port))
+    except OSError as e:  # socket.timeout included
+        sock.close()
         raise ConnectError(f"cannot connect to {addr}: {e}") from e
-    sock.settimeout(timeout)
     return Channel(sock, addr, tap=tap)
 
 
@@ -319,7 +333,14 @@ class ServerConn(_Framed):
 
 
 class Listener:
-    """Accept loop; each connection gets a thread running the handler per message.
+    """Serving threads that take turns in accept(); the thread that accepts a
+    connection serves it, running the handler per message, then goes back.
+
+    A thread that accepts first makes sure another waits in accept(), and
+    starts one only if none does; once its connection ends it waits again,
+    unless MAX_WAITING_THREADS already do.  So a warm listener starts no
+    thread for a connection, and one connection that is slow or idle never
+    holds up the next.
 
     handler(conn, msg) finishes the exchange one of two ways: it sends
     exactly one terminal reply for msg.seq, or it raises before sending one,
@@ -342,27 +363,47 @@ class Listener:
         self._handler = handler
         self._tap_factory = tap_factory
         self._conns: list[ServerConn] = []
-        self._conns_lock = threading.Lock()
+        self._conns_lock = threading.Lock()  # also guards _waiting
+        self._waiting = 1  # threads in accept(), or on their way to it
         self._closed_sent = 0
         self._closed_received = 0
         self._stopping = False
-        self._thread = threading.Thread(target=self._accept_loop,
-                                        name="skyrelay-accept", daemon=True)
-        self._thread.start()
+        self._start_thread()
 
-    def _accept_loop(self):
-        while not self._stopping:
+    def _start_thread(self):
+        threading.Thread(target=self._serve, name="skyrelay-listener", daemon=True).start()
+
+    def _serve(self):
+        while True:
             try:
                 sock, peer = self._sock.accept()
-            except OSError:
+            except OSError:  # close() shut the listening socket
+                with self._conns_lock:
+                    self._waiting -= 1
                 return
+            with self._conns_lock:
+                self._waiting -= 1
+                lead = self._waiting == 0  # no other thread takes the next connection
+                self._waiting += lead
+            if lead:
+                try:
+                    self._start_thread()
+                except RuntimeError:  # none to spare: this one goes back when it is done
+                    with self._conns_lock:
+                        self._waiting -= 1
             peer_s = format_addr(peer[0], peer[1])
             tap = self._tap_factory(peer_s) if self._tap_factory else None
             conn = ServerConn(sock, peer_s, tap=tap)
             with self._conns_lock:
                 self._conns.append(conn)
-            threading.Thread(target=self._conn_loop, args=(conn,),
-                             name="skyrelay-conn", daemon=True).start()
+            self._conn_loop(conn)  # returns at once if close() ran before the append
+            with self._conns_lock:
+                self._conns.remove(conn)
+                self._closed_sent += conn.bytes_sent
+                self._closed_received += conn.bytes_received
+                if self._stopping or self._waiting >= MAX_WAITING_THREADS:
+                    return
+                self._waiting += 1
 
     def _conn_loop(self, conn: ServerConn):
         try:
@@ -382,14 +423,9 @@ class Listener:
             conn.close()
             # an async sender (job thread) may be past sendall but before its
             # counter update; its increment happens under the send lock, so
-            # taking it here means the totals below include that frame
+            # taking it here means the totals include that frame
             with conn._send_lock:
                 pass
-            with self._conns_lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                self._closed_sent += conn.bytes_sent
-                self._closed_received += conn.bytes_received
 
     def total_bytes(self) -> tuple[int, int]:
         """Cumulative (sent, received) across live and finished connections."""

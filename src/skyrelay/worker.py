@@ -7,8 +7,9 @@ paper's H(pid || t0): pid and t0 are in the certificate every grantee
 holds.  A job whose get fetches an object of at most
 storage.INLINE_MAX_BYTES keeps each step's bytes in memory; any other step
 writes jobs/<job_id>.<step> in the scratch directory, and the job removes
-its step files when it ends.  Whether a job may run is decided whole at
-intake, before it is registered, and its steps trust what intake admitted.
+the step files it made when it ends.  Whether a job may run is decided
+whole at intake, before it is registered, and its steps trust what intake
+admitted.
 Decrypted storage credentials exist only inside the running job.
 
 Workers shut themselves down shortly before the next billing boundary so an
@@ -21,9 +22,12 @@ late the clock thread woke.
 
 A job's heartbeat events go on the channel that submitted it.  The job
 thread beats at each step and per HEARTBEAT_QUANTUM_BYTES of work; the
-connection thread, idle until the job's terminal frame because a channel
-carries one request at a time, adds a backstop beat after
-HEARTBEAT_BACKSTOP_S of silence, also while the job waits for a slot.
+listener thread that serves the channel, idle until the job's terminal
+frame because a channel carries one request at a time, adds a backstop beat
+after HEARTBEAT_BACKSTOP_S of silence, also while the job waits for a slot.
+That thread is not started for the job: a warm worker serves each new
+connection on a listener thread already waiting in accept(), so a job
+starts only pool threads, and those only while its pools are cold.
 
 Produced files that must reach the requesting agent (or a transfer peer)
 are not sent on the job channel; they are placed in a token-guarded
@@ -220,6 +224,7 @@ class _Job:
         self.prefix: str | None = None  # jobs/<job_id>. in the scratch directory
         self.file: str | None = None
         self.data: bytes | None = None
+        self.files: list[str] = []  # the step files made, removed when the job ends
         self.outputs: list[dict] = []
         self.pushed: list[dict] = []
         self.keys: list[dict] = []
@@ -229,6 +234,11 @@ class _Job:
 
     def step_path(self) -> str:
         return f"{self.prefix}{self.step}"
+
+    def output_file(self, path: str):
+        """Make the step file at path the latest output."""
+        self.file, self.data = path, None
+        self.files.append(path)
 
 
 class Worker:
@@ -649,11 +659,12 @@ class Worker:
             body = error_body(e)
             if job.step is not None:  # a failure before step 0 names no step
                 body["step"] = job.step
+                job.files.append(job.step_path())  # it may have left part of its file
             self._send_job_error(job, body)
         finally:
-            for step in range(0 if job.step is None else job.step + 1):
+            for path in job.files:
                 with contextlib.suppress(FileNotFoundError):
-                    os.remove(f"{job.prefix}{step}")
+                    os.remove(path)
             with self._state_lock:
                 self._jobs.pop(job.job_id, None)
             job.finished.set()
@@ -685,7 +696,7 @@ class Worker:
         path = job.step_path()
         data = self.cfg.backend.get_object_or_file(sc, foi.target, path)
         if data is None:
-            job.file, job.data = path, None
+            job.output_file(path)
             self._add_work(job, os.path.getsize(path))
         else:
             job.file, job.data = None, data
@@ -710,7 +721,7 @@ class Worker:
             req = urllib.request.Request(url, headers={"User-Agent": "skyrelay-worker"})
             with urllib.request.urlopen(req, timeout=30) as fin, open(path, "wb") as fout:
                 self._pump(job, fin, fout, throttle_bps)
-        job.file, job.data = path, None
+        job.output_file(path)
 
     def _pump(self, job: _Job, fin, fout, throttle_bps=None):
         while True:
@@ -760,7 +771,7 @@ class Worker:
         out_path = job.step_path()
         with open(job.file, "rb") as fin, open(out_path, "wb") as fout:
             self._transform(job, foi, fin, fout)
-        job.file = out_path
+        job.output_file(out_path)
         self._add_work(job, os.path.getsize(out_path))
 
     def _transform(self, job: _Job, foi: FOI, fin, fout):

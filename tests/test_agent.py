@@ -252,10 +252,6 @@ def test_account_token_never_crosses_wire_in_shared_mode(cluster, tmp_path):
     assert cluster.recorder.occurrences(tok.encode()) == []
 
 
-def _conn_threads():
-    return {t for t in threading.enumerate() if t.name.endswith("(_conn_loop)")}
-
-
 @pytest.mark.parametrize("registered", [True, False], ids=["registered", "unregistered"])
 def test_key_init_frame_closes_the_connection(cluster, monkeypatch, registered):
     # KEY_INIT is not a wire kind: key material reaches a worker only in its
@@ -264,15 +260,17 @@ def test_key_init_frame_closes_the_connection(cluster, monkeypatch, registered):
     st, cert = w.key_state, w.certificate
     seen = []
     monkeypatch.setattr(threading, "excepthook", seen.append)
-    before = _conn_threads()
     payload = json.dumps({"kind": "KEY_INIT", "seq": 1, "body": {
         "pid": "00" * 16, "k_serv": os.urandom(32).hex(), "epoch": 0,
         "t0": 0, "offset_s": 1, "interval_s": 180}}).encode()
     with socket.create_connection(parse_addr(w.addr), timeout=5.0) as sock:
         sock.sendall(struct.pack(">I", len(payload)) + payload)
         assert sock.recv(1) == b""  # closed with no reply
-    for t in _conn_threads() - before:
-        t.join(5.0)
+    # the serving thread has finished with the connection, so any exception it raised is seen
+    deadline = time.monotonic() + 5.0
+    while w._listener._conns and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert w._listener._conns == []
     assert seen == []
     assert w.key_state is st and w.certificate is cert
 

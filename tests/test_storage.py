@@ -816,8 +816,114 @@ def test_a_put_reads_entries_by_key_only(tmp_path):
     # the quota check reads the account's row, not every entry of it
     reads = [(sql, step) for sql, steps in plans.items() for step in steps
              if " entries" in step]
-    assert reads and all(step == "SEARCH entries USING PRIMARY KEY (account=? AND path=?)"
-                         for _, step in reads), reads
+    # (a lookup joined to the token row reads the same key, marked LEFT-JOIN)
+    key = "SEARCH entries USING PRIMARY KEY (account=? AND path=?)"
+    assert reads and all(step in (key, key + " LEFT-JOIN") for _, step in reads), reads
+
+
+def test_each_call_checks_the_credentials_in_the_statement_that_does_the_work(backend,
+                                                                           session):
+    backend.basic_op(session, "create_folder", {"path": "/d"})  # a writer: pragma set
+    backend.put_object(session, "/d/a", b"a")
+    with backend._lock:
+        conn = backend._db()
+    statements = []
+    conn.set_trace_callback(statements.append)
+
+    def count(call):
+        statements.clear()
+        call()
+        return len(statements)
+    assert count(lambda: backend.get_object(session, "/d/a")) == 1
+    # BEGIN, the lookup with the credential check, the quota, the bytes, the
+    # revision, the entry and COMMIT: the parent is known to be a folder
+    assert count(lambda: backend.put_object(session, "/d/b", b"b")) == 7
+    assert count(lambda: backend.list_meta(session, "/")) == 1
+    assert count(lambda: backend.list_meta(session, "/d")) == 2
+    assert count(lambda: backend.basic_op(session, "create_folder", {"path": "/d/e"})) == 5
+    conn.set_trace_callback(None)
+
+
+def _store_state(root):
+    """Every row of store.db and every name under the root."""
+    db = _open_db(root)
+    try:
+        rows = {t: db.execute(f"SELECT * FROM {t} ORDER BY 1, 2").fetchall()
+                for t in ("accounts", "tokens", "entries", "revs", "inline_blobs")}
+    finally:
+        db.close()
+    return rows, sorted(_files_under(root))
+
+
+def test_forged_and_revoked_tokens_fail_every_call(backend, session, tmp_path):
+    backend.put_object(session, "/d/a", b"a")
+    backend.put_object(session, "/big", b"b" * BIG)
+    forged = CredentialSet(account_id="alice", token="not-" + session.token)
+    revoked_token = backend.create_account("bob")
+    backend.put_object(backend.authenticate(revoked_token), "/d/a", b"bob's")
+    backend.revoke_token(revoked_token)
+    revoked = CredentialSet(account_id="bob", token=revoked_token)
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    src.write_bytes(b"s" * BIG)
+    calls = {
+        "get_object": lambda c: backend.get_object(c, "/d/a"),
+        "get_object_or_file": lambda c: backend.get_object_or_file(c, "/big", str(dst)),
+        "put_object": lambda c: backend.put_object(c, "/d/new", b"x"),
+        "put_object of a blob file": lambda c: backend.put_object(c, "/d/new", b"x" * BIG),
+        "put_object over": lambda c: backend.put_object(c, "/d/a", b"x"),
+        "put_object_from": lambda c: backend.put_object_from(c, "/d/new", str(src)),
+        "create_file": lambda c: backend.basic_op(c, "create_file", {"path": "/n/f"}),
+        "create_folder": lambda c: backend.basic_op(c, "create_folder", {"path": "/n/g"}),
+        "rename": lambda c: backend.basic_op(c, "rename", {"src": "/d", "dst": "/m"}),
+        "delete": lambda c: backend.basic_op(c, "delete", {"path": "/d"}),
+        "list_meta of the root": lambda c: backend.list_meta(c, "/"),
+        "list_meta of a folder": lambda c: backend.list_meta(c, "/d"),
+        "list_meta of a file": lambda c: backend.list_meta(c, "/d/a"),
+        "list_meta of nothing": lambda c: backend.list_meta(c, "/none"),
+        "sync_shadow": lambda c: backend.sync_shadow(c),
+        "refresh_shadow": lambda c: backend.refresh_shadow(c, storage.ShadowFS(c.account_id)),
+    }
+    before = _store_state(backend.root)
+    for creds in (forged, revoked):
+        for name, call in calls.items():
+            with pytest.raises(AuthError):
+                call(creds)
+                pytest.fail(f"{name} ran with {creds}")
+    assert _store_state(backend.root) == before
+    assert not dst.exists() and os.stat(src).st_nlink == 1
+
+
+def test_a_writer_polls_a_lock_held_elsewhere_in_short_sleeps(backend, session, monkeypatch):
+    backend.put_object(session, "/a", b"a")
+    holder = sqlite3.connect(os.path.join(backend.root, META_DIR, "store.db"),
+                             isolation_level=None, check_same_thread=False)
+    holder.execute("BEGIN IMMEDIATE")
+    sleeps = []
+
+    def sleep(s):  # the other connection commits after the writer's sixth try
+        sleeps.append(s)
+        if len(sleeps) == 6:
+            holder.execute("COMMIT")
+    monkeypatch.setattr(storage.time, "sleep", sleep)
+    backend.put_object(session, "/b", b"b")
+    holder.close()
+    # SQLite's own busy handler would have slept 1, 2, 5, 10, 15 and 20 ms
+    assert sleeps == [0.0001, 0.0002, 0.0004, 0.0008, 0.001, 0.001]
+    assert backend.get_object(session, "/b") == b"b"
+
+
+def test_a_writer_gives_up_on_a_lock_held_past_the_timeout(backend, session, monkeypatch):
+    backend.put_object(session, "/a", b"a")
+    holder = _open_db(backend.root)
+    holder.isolation_level = None
+    holder.execute("BEGIN IMMEDIATE")
+    monkeypatch.setattr(storage, "LOCK_TIMEOUT_S", 0.02)
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            backend.put_object(session, "/b", b"b")
+    finally:
+        holder.close()
+    assert [m.path for m in backend.list_meta(session, "/")] == ["/a"]
 
 
 def test_put_from_outlives_its_source(backend, session, tmp_path):
@@ -972,15 +1078,18 @@ def _crash_after(k, root, token, mutate):
                               (os, "makedirs"), (shutil, "rmtree")]:
                 setattr(mod, name, after(getattr(mod, name)))
 
-            class Counting(sqlite3.Connection):
-                def execute(self, sql, *args):
-                    cursor = super().execute(sql, *args)
-                    if sql == "COMMIT":
-                        point()
-                    return cursor
-
             connect = sqlite3.connect
-            sqlite3.connect = lambda *a, **kw: connect(*a, factory=Counting, **kw)
+
+            def counting_connect(*a, factory=sqlite3.Connection, **kw):
+                class Counting(factory):  # the backend's own connection class
+                    def execute(self, sql, *args):
+                        cursor = super().execute(sql, *args)
+                        if sql == "COMMIT":
+                            point()
+                        return cursor
+                return connect(*a, factory=Counting, **kw)
+
+            sqlite3.connect = counting_connect
             b = LocalDirBackend(root)
             mutate(b, b.authenticate(token))
             code = 0

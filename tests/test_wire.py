@@ -173,19 +173,143 @@ def test_hundred_frames_in_order():
         listener.close()
 
 
+def _listener_threads(before):
+    return [t for t in threading.enumerate()
+            if t.name == "skyrelay-listener" and t not in before]
+
+
+def _settle(pred, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not pred() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return pred()
+
+
 def test_close_wakes_accept_thread():
+    before = set(threading.enumerate())
     listener = Listener("127.0.0.1:0", echo_handler)
     ch = open_channel(listener.addr)
-    ch.request("SUBMIT_OP", {})  # the accept loop has run and waits again
+    ch.request("SUBMIT_OP", {})  # a second thread has started and waits in accept()
     ch.close()
+    assert _settle(lambda: not listener._conns)
+    assert len(_listener_threads(before)) == 2
     listener.close()
-    listener._thread.join(1.0)
-    assert not listener._thread.is_alive()
+    for t in _listener_threads(before):
+        t.join(1.0)
+    assert _listener_threads(before) == []
 
 
-def _new_conn_threads(before):
-    return [t for t in threading.enumerate()
-            if t.name == "skyrelay-conn" and t not in before]
+def test_a_warm_listener_starts_no_thread_for_sequential_requests(monkeypatch):
+    listener = Listener("127.0.0.1:0", echo_handler)
+    started = []
+    thread_start = threading.Thread.start
+
+    def spy(t):
+        started.append(t.name)
+        thread_start(t)
+    try:
+        for i in range(22):
+            if i == 2:  # warm: two threads wait in accept()
+                monkeypatch.setattr(threading.Thread, "start", spy)
+            ch = open_channel(listener.addr)
+            assert ch.request("SUBMIT_OP", {"i": i}).body["echo"] == {"i": i}
+            ch.close()
+            # each request after the last one's connection ended at the server
+            assert _settle(lambda: not listener._conns)
+        monkeypatch.undo()
+        assert started == []
+    finally:
+        listener.close()
+
+
+def test_channels_held_open_at_once_are_all_answered():
+    listener = Listener("127.0.0.1:0", echo_handler)
+    chans = [open_channel(listener.addr) for _ in range(6)]
+    try:
+        for _ in range(2):  # no connection waits for another to end
+            for i, ch in enumerate(chans):
+                assert ch.request("SUBMIT_OP", {"i": i}).body["echo"] == {"i": i}
+    finally:
+        for ch in chans:
+            ch.close()
+        listener.close()
+
+
+def test_threads_freed_by_closed_channels_wait_up_to_the_bound():
+    before = set(threading.enumerate())
+    listener = Listener("127.0.0.1:0", echo_handler)
+    chans = [open_channel(listener.addr) for _ in range(6)]
+    try:
+        for ch in chans:
+            ch.request("SUBMIT_OP", {})
+        assert len(_listener_threads(before)) == 7  # one per channel, one in accept()
+        for ch in chans:
+            ch.close()
+        # the threads that served them wait in accept() again, up to the bound; the rest end
+        assert _settle(lambda: len(_listener_threads(before)) == wire.MAX_WAITING_THREADS)
+        assert listener._waiting == wire.MAX_WAITING_THREADS and not listener._conns
+    finally:
+        listener.close()
+
+
+def test_a_thread_that_cannot_be_started_stops_no_connection(monkeypatch):
+    listener = Listener("127.0.0.1:0", echo_handler)
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", seen.append)
+
+    def refuse():
+        raise RuntimeError("can't start new thread")
+    monkeypatch.setattr(listener, "_start_thread", refuse)
+    try:
+        for i in range(3):  # the one thread serves each, then takes the next
+            ch = open_channel(listener.addr, timeout=2.0)
+            assert ch.request("SUBMIT_OP", {"i": i}, timeout=2.0).body["echo"] == {"i": i}
+            ch.close()
+        assert seen == []
+    finally:
+        listener.close()
+
+
+def test_close_ends_every_listener_thread():
+    before = set(threading.enumerate())
+    listener = Listener("127.0.0.1:0", echo_handler)
+    chans = [open_channel(listener.addr) for _ in range(3)]
+    for ch in chans:
+        ch.request("SUBMIT_OP", {})  # each held by its serving thread
+    assert len(_listener_threads(before)) == 4  # and one waits in accept()
+    listener.close()
+    for t in _listener_threads(before):
+        t.join(2.0)
+    assert _listener_threads(before) == []
+    for ch in chans:
+        ch.close()
+
+
+def test_a_listener_closed_mid_frame_raises_nothing_in_its_threads(monkeypatch):
+    # the thread reading the half frame finishes after close() has closed its
+    # socket, the order in which restoring the socket timeout raised EBADF
+    recv_into = wire._Framed._recv_into
+
+    def after_close(self, view, allow_eof):
+        try:
+            return recv_into(self, view, allow_eof)
+        except Exception:
+            _settle(lambda: self.sock.fileno() == -1)
+            raise
+    monkeypatch.setattr(wire._Framed, "_recv_into", after_close)
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", seen.append)
+    before = set(threading.enumerate())
+    listener = Listener("127.0.0.1:0", echo_handler)
+    with socket.create_connection(parse_addr(listener.addr)) as s:
+        s.sendall(struct.pack(">I", 1024) + b"x" * 10)  # and no more
+        assert _settle(lambda: listener._conns)
+        time.sleep(0.1)  # the rest of the frame is awaited
+        listener.close()
+        for t in set(threading.enumerate()) - before:
+            t.join(2.0)
+    assert set(threading.enumerate()) <= before
+    assert seen == []
 
 
 def test_a_frame_that_never_finishes_is_closed_at_its_deadline(monkeypatch):
@@ -199,9 +323,9 @@ def test_a_frame_that_never_finishes_is_closed_at_its_deadline(monkeypatch):
             started = time.monotonic()
             assert s.recv(1) == b""  # closed, with no reply
             assert time.monotonic() - started < 2.0
-        for t in _new_conn_threads(before):
-            t.join(2.0)
-        assert _new_conn_threads(before) == []
+        # the stalled frame holds no thread: its thread waits in accept() again
+        assert _settle(lambda: not listener._conns)
+        assert len(_listener_threads(before)) == listener._waiting == 2
     finally:
         listener.close()
 

@@ -744,6 +744,49 @@ def test_a_small_job_creates_no_file(cluster, tmp_path, monkeypatch):
     assert os.listdir(os.path.join(scratch, "jobs")) == []
 
 
+def test_a_job_removes_only_the_step_files_it_made(cluster, tmp_path, monkeypatch):
+    tok = cluster.account("u1")
+    scratch = str(tmp_path / "w")
+    w = cluster.worker(registered=False, scratch_dir=scratch)
+    removed = []
+    remove = os.remove
+
+    def spy(path, *args, **kwargs):
+        if os.fspath(path).startswith(scratch):
+            removed.append(os.path.basename(path))
+        return remove(path, *args, **kwargs)
+    monkeypatch.setattr(os, "remove", spy)
+    for size, made in ((100, []), (storage.INLINE_MAX_BYTES + 1, [".0", ".1"])):
+        removed.clear()
+        seed_file(cluster, "u1", tok, f"/d/{size}.bin", _text(size))
+        result, _ = submit(w.addr, {"job_id": f"job{size:09d}", "fois": sequence_to_wire(
+            [FOI("get", f"/d/{size}.bin"), FOI("op", f"/d/{size}.bin", op_kind="compress"),
+             FOI("put", f"/d/{size}.bin.gz")]), "credentials": creds_body("u1", tok)})
+        assert step_files_left(scratch, result["job_id"]) == []
+        deadline = time.monotonic() + 5.0
+        while w._jobs and time.monotonic() < deadline:  # the job has cleaned up
+            time.sleep(0.01)
+        # the removals of a job held in memory: none; of a job of files: its two
+        assert removed == [result["job_id"] + m for m in made]
+
+
+def test_a_small_compress_job_runs_nine_store_statements(cluster):
+    tok = cluster.account("u1")
+    seed_file(cluster, "u1", tok, "/d/s.txt", _text(4096))
+    w = cluster.worker(registered=False)
+    with cluster.backend._lock:
+        conn = cluster.backend._db()
+    statements = []
+    conn.set_trace_callback(statements.append)
+    submit(w.addr, {"fois": sequence_to_wire([
+        FOI("get", "/d/s.txt"), FOI("op", "/d/s.txt", op_kind="compress"),
+        FOI("put", "/d/s.txt.gz")]), "credentials": creds_body("u1", tok)})
+    conn.set_trace_callback(None)
+    # authenticate, the get, and the put: BEGIN, the lookup with the credential
+    # check, the quota, the bytes, the revision, the entry and COMMIT
+    assert len(statements) == 9, statements
+
+
 def test_job_runs_on_a_backend_without_linked_methods(cluster, six_methods):
     tok = cluster.account("u1")
     data = _text(IO_CHUNK_BYTES + 5)
@@ -1351,42 +1394,38 @@ def test_thread_census(tmp_path, monkeypatch):
         while not pred() and time.monotonic() < deadline:
             time.sleep(0.01)
 
-    def names():
-        # connection threads end when their channel closes
-        settle(lambda: all(t.name != "skyrelay-conn" for t in new_threads()))
+    def names(*listeners):
+        # a served connection's thread waits in accept() again, or ends
+        settle(lambda: not any(x._conns for x in listeners))
         return sorted(t.name for t in new_threads())
 
     before = set(threading.enumerate())
     coord = Coordinator()
     coord.start()
-    assert names() == ["skyrelay-accept"]
+    assert names(coord._listener) == ["skyrelay-listener"]
     # registered outside the pool: a pool instance refuses jobs without
     # sealed credentials, and these empty jobs carry none
     w = Worker(WorkerConfig(coordinator_addr=coord.addr, scratch_dir=str(tmp_path),
                             shared=False))
     w.start()
     try:
-        assert names() == ["skyrelay-accept", "skyrelay-accept", "skyrelay-clock"]
-        # a job starts its connection's thread and pool threads, nothing else
+        # the registration and its probe of the worker each left a second
+        # listener thread waiting in accept()
+        assert names(coord._listener, w._listener) == \
+            ["skyrelay-clock"] + ["skyrelay-listener"] * 4
+        # a warm worker's job starts pool threads only, and no listener thread
         started = []
         thread_start = threading.Thread.start
 
         def spy(t):
-            started.append((threading.current_thread(), t.name))
+            started.append(t.name)
             thread_start(t)
-        # only what the worker's own listener starts: a listener that an
-        # earlier test left running may accept a connection meanwhile
-        accept = w._listener._thread
-        # the coordinator's registration probe connected before this job, and
-        # connections are accepted in order: its thread has started by now
-        submit(w.addr, {"fois": []})
         monkeypatch.setattr(threading.Thread, "start", spy)
         for _ in range(3):
             submit(w.addr, {"fois": []})
+            settle(lambda: not w._listener._conns)
         monkeypatch.undo()
-        assert [n for by, n in started if by is accept] == ["skyrelay-conn"] * 3
-        assert all(n == "skyrelay-conn" or n.startswith(("skyrelay-job_", "skyrelay-gzip_"))
-                   for _, n in started), started
+        assert all(n.startswith(("skyrelay-job_", "skyrelay-gzip_")) for n in started), started
     finally:
         w.stop()
         coord.stop()
